@@ -13,7 +13,8 @@ capacity formulas actually consume:
   at strictly positive lattice vectors, where the min over the staircase
   vertices is exact;
 * ``diagonal_intersection`` -- the largest t with (t, ..., t) inside the
-  region, computed by an exact small linear program;
+  region: a closed form for the special families, else the value of a
+  matrix game solved as a small linear program by an exact simplex;
 * ``scale_domain`` -- multiply the region by a positive rational.
 
 All coordinates are ``Fraction``; everything here is immutable and pure.
@@ -25,8 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
-from typing import Optional, Union
+from typing import Union
 
 from .errors import DimensionMismatch, UnboundedDomainError
 from .rationals import ExtendedRational, is_infinite, to_rational
@@ -319,15 +319,28 @@ def scale_domain(domain: ToricDomain, s: object) -> ToricDomain:
 def diagonal_intersection(domain: ToricDomain) -> Fraction:
     """Largest t such that the diagonal point (t, ..., t) lies in the region.
 
-    Closed forms for the special families; for hull/staircase inputs this is
-    a small exact linear program over convex combinations of the points.
+    Closed forms for the special families.  An ellipsoid's infinite axes
+    bound nothing, so t = 1/sum(1/a_i) over its finite axes; only an
+    ellipsoid with every axis infinite has no diagonal bound.
+
+    For hull and staircase inputs t is the value of a matrix game between
+    the points p_j and the coordinates i.  A hull gives t = max over convex
+    combinations l of min_i (sum_j l_j p_j)_i, which by the minimax theorem
+    is min over y in the coordinate simplex of max_j <y, p_j>; a staircase
+    gives t = min over l of max_i (sum_j l_j p_j)_i.  Either is a min over
+    mixed strategies s of max (A s), and dividing s by t gives x >= 0 with
+    A x <= 1 and sum(x) = 1/t, so t = 1/max{sum(x) : A x <= 1, x >= 0}.
+    A is the rows p_j for a hull and their transpose for a staircase, and
+    ``_max_total`` solves the program.  A zero column of A -- a coordinate
+    that is zero at every hull point, or a staircase vertex at the origin --
+    leaves it unbounded: then t = 0.
     """
     if isinstance(domain, Ellipsoid):
-        if len(domain.finite_axes) != domain.n:
+        if not domain.finite_axes:
             raise UnboundedDomainError(
-                "diagonal intersection undefined for an infinite-axis ellipsoid"
+                "diagonal intersection undefined: every ellipsoid axis is infinite"
             )
-        return 1 / sum(1 / a for a in domain.axes)
+        return 1 / sum(1 / a for a in domain.finite_axes)
     if isinstance(domain, Polydisk):
         return min(domain.areas)
     if isinstance(domain, Cube):
@@ -335,101 +348,50 @@ def diagonal_intersection(domain: ToricDomain) -> Fraction:
     if isinstance(domain, CylinderUnion):
         # The diagonal point (t, ..., t) has min coordinate t.
         return domain.delta
-    if isinstance(domain, ConvexToricDomain):
+    if isinstance(domain, (ConvexToricDomain, ConcaveToricDomain)):
         denom, rows = domain._scaled
-        return _hull_diagonal(rows, domain.n, maximize_min=True) / denom
-    if isinstance(domain, ConcaveToricDomain):
-        denom, rows = domain._scaled
-        return _hull_diagonal(rows, domain.n, maximize_min=False) / denom
+        matrix = rows if isinstance(domain, ConvexToricDomain) else tuple(zip(*rows))
+        if any(not any(column) for column in zip(*matrix)):
+            return Fraction(0)
+        return 1 / _max_total(matrix) / denom
     raise TypeError(f"not a toric domain: {type(domain).__name__}")
 
 
-def _drop_dominated(rows: tuple[tuple[int, ...], ...], keep_maximal: bool) -> list[tuple[int, ...]]:
-    distinct = sorted(set(rows))
-    kept = []
-    for p in distinct:
-        if keep_maximal:
-            dominated = any(q != p and all(a >= b for a, b in zip(q, p)) for q in distinct)
-        else:
-            dominated = any(q != p and all(a <= b for a, b in zip(q, p)) for q in distinct)
-        if not dominated:
-            kept.append(p)
-    return kept
+def _max_total(matrix: tuple[tuple[int, ...], ...]) -> Fraction:
+    """Max of sum(x) subject to matrix @ x <= 1 and x >= 0, exactly.
 
-
-def _hull_diagonal(
-    rows: tuple[tuple[int, ...], ...], n: int, maximize_min: bool
-) -> Fraction:
-    """Exact value of the diagonal program over conv(rows).
-
-    maximize_min=True  :  max over convex combinations p of min_i p_i
-                          (downward-hull regions: how far the diagonal stays
-                          under some hull point),
-    maximize_min=False :  min over convex combinations p of max_i p_i
-                          (staircase regions: where the diagonal first enters
-                          conv(rows) + orthant).
-
-    Solved by enumerating the basic solutions of the underlying linear
-    program: choose a support S of the combination and an equal-sized set T
-    of coordinates pinned to the value t, solve the square linear system
-    exactly, and keep the feasible candidates.  Every optimal vertex of the
-    program appears among these systems, so the best feasible candidate is
-    the exact optimum.  Intended for the small vertex counts typical here;
-    the work grows combinatorially in min(#points, n).
+    ``matrix`` is nonnegative and has no zero column, so the program is
+    bounded and the origin is a feasible start.  The simplex tableau is kept
+    fraction-free: every entry is d times its rational value, d being the
+    determinant of the current basis, so each pivot's division is exact and
+    only integers are touched until the final quotient.  Bland's rule (least
+    entering index, least leaving basic variable among ratio ties) rules out
+    cycling on the degenerate pivots that duplicate or tied points cause.
     """
-    points = _drop_dominated(rows, keep_maximal=maximize_min)
-    m = len(points)
-    best: Optional[Fraction] = None
-    for size in range(1, min(m, n) + 1):
-        for support in combinations(range(m), size):
-            for pinned in combinations(range(n), size):
-                # unknowns: the size weights, then t
-                system = [[Fraction(1)] * size + [Fraction(0)]]
-                rhs = [Fraction(1)]
-                for i in pinned:
-                    system.append(
-                        [Fraction(points[j][i]) for j in support] + [Fraction(-1)]
-                    )
-                    rhs.append(Fraction(0))
-                solution = _solve_linear(system, rhs)
-                if solution is None:
-                    continue
-                weights, t = solution[:-1], solution[-1]
-                if any(w < 0 for w in weights):
-                    continue
-                combo = [
-                    sum(w * points[j][i] for w, j in zip(weights, support))
-                    for i in range(n)
-                ]
-                if maximize_min:
-                    if any(c < t for c in combo):
-                        continue
-                    if best is None or t > best:
-                        best = t
-                else:
-                    if any(c > t for c in combo):
-                        continue
-                    if best is None or t < best:
-                        best = t
-    assert best is not None  # size-1 candidates always include a feasible one
-    return best
-
-
-def _solve_linear(
-    matrix: list[list[Fraction]], rhs: list[Fraction]
-) -> Optional[list[Fraction]]:
-    """Solve a small square system exactly; None when singular."""
-    size = len(rhs)
-    rows = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if rows[r][col] != 0), None)
-        if pivot is None:
-            return None
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv = rows[col][col]
-        rows[col] = [x / inv for x in rows[col]]
-        for r in range(size):
-            if r != col and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
-    return [rows[r][size] for r in range(size)]
+    m, n = len(matrix), len(matrix[0])
+    # columns: the n variables, the m slacks, then the right-hand side
+    tableau = [
+        list(row) + [int(i == r) for i in range(m)] + [1] for r, row in enumerate(matrix)
+    ]
+    cost = [-1] * n + [0] * (m + 1)
+    basis = list(range(n, n + m))
+    d = 1
+    while True:
+        col = next((j for j, c in enumerate(cost[:-1]) if c < 0), None)
+        if col is None:
+            return Fraction(cost[-1], d)
+        # the program is bounded, so an improving column has a positive entry
+        pivot_row = min(
+            (i for i, row in enumerate(tableau) if row[col] > 0),
+            key=lambda i: (Fraction(tableau[i][-1], tableau[i][col]), basis[i]),
+        )
+        prow = tableau[pivot_row]
+        p = prow[col]
+        for i, row in enumerate(tableau):
+            if i != pivot_row:
+                f = row[col]
+                tableau[i] = [(p * x - f * y) // d for x, y in zip(row, prow)]
+        f = cost[col]
+        cost = [(p * x - f * y) // d for x, y in zip(cost, prow)]
+        basis[pivot_row] = col
+        d = p

@@ -2,7 +2,9 @@
 
 * cube capacity: the largest cube fitting symplectically into the domain,
   which for convex/concave toric domains is exactly the diagonal
-  intersection of the moment image;
+  intersection of the moment image -- a closed form for the special
+  families (finite even when an ellipsoid axis is infinite), else a small
+  linear program solved by an exact simplex in ``domains``;
 * Gromov width of a concave domain: the anti-norm at (1, ..., 1);
 * pairwise obstruction reports: capacities are monotone under symplectic
   embeddings, so c_k(source) > c_k(target) at any k rules the embedding

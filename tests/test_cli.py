@@ -156,7 +156,10 @@ def test_domain_errors_exit_1(write_spec, capsys):
 
 def test_unbounded_domain_errors_exit_1(write_spec, capsys):
     cyl = write_spec("z.json", '{"type":"ellipsoid","a":["1","inf"]}')
-    assert run_cli(["cube", "-d", cyl]) == 1
+    assert run_cli(["cube", "-d", cyl]) == 0
+    assert capsys.readouterr().out == "1 (≈1)\n"
+    everywhere = write_spec("all.json", '{"type":"ellipsoid","a":["inf","inf"]}')
+    assert run_cli(["cube", "-d", everywhere]) == 1
     assert "infinite" in capsys.readouterr().err
     # but the capacity sequence of a cylinder is fine
     assert run_cli(["caps", "-d", cyl, "-k", "4"]) == 0

@@ -156,8 +156,10 @@ def test_diagonal_intersection_matches_ellipsoid_conversions():
 
 
 def test_diagonal_intersection_unbounded_rejected():
+    # an infinite axis bounds nothing: E(1, inf) is the cylinder x_1 <= 1
+    assert diagonal_intersection(Ellipsoid((1, "inf"))) == 1
     with pytest.raises(UnboundedDomainError):
-        diagonal_intersection(Ellipsoid((1, "inf")))
+        diagonal_intersection(Ellipsoid(("inf", "inf")))
 
 
 # -------------------------------------------------------------------- scaling

@@ -1,10 +1,12 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from toricap import (
     ConcaveToricDomain,
+    ConvexToricDomain,
     Cube,
     CylinderUnion,
     DimensionMismatch,
@@ -18,7 +20,7 @@ from toricap import (
     lagrangian_lower_bound,
     obstruct,
 )
-from helpers import grow_concave, grow_convex, random_concave, random_convex
+from helpers import grow_concave, grow_convex, random_concave, random_convex, random_point
 
 F = Fraction
 
@@ -28,6 +30,23 @@ def test_cube_capacity_examples():
     assert cube_capacity(CylinderUnion(3, 1)) == 1
     assert cube_capacity(Cube(4, F(5, 7))) == F(5, 7)
     assert cube_capacity(Polydisk((3, 2, 5))) == 2
+
+
+# Seconds allowed for one cube capacity at n = 8 with 16 points.  The
+# simplex takes a few milliseconds there; enumerating the basic solutions
+# instead would solve C(24, 8) = 735,471 square systems.
+HOSTILE_CUBE_SECONDS = 2.0
+
+
+@pytest.mark.parametrize("kind", [ConvexToricDomain, ConcaveToricDomain])
+def test_cube_capacity_hostile_size(kind):
+    rng = random.Random(8)
+    points = tuple(random_point(rng, 8, positive=(j == 0)) for j in range(16))
+    start = time.perf_counter()
+    value = cube_capacity(kind(points))
+    elapsed = time.perf_counter() - start
+    assert value > 0
+    assert elapsed < HOSTILE_CUBE_SECONDS, f"{elapsed:.2f} s at n = 8 with 16 points"
 
 
 def test_gromov_width_examples():
