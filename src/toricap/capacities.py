@@ -3,8 +3,10 @@
 Closed forms for the special families:
 
 * ellipsoid: c_k is the k-th smallest positive-integer multiple among the
-  finite axes, computed here as the least candidate L with
-  sum_i floor(L / a_i) >= k;
+  finite axes, counted with repetition.  With the axes scaled to integers
+  p_i over one common denominator, a whole sequence is a heap merge of the
+  progressions m * p_i, and a single k is the least integer L with
+  sum_i floor(L / p_i) >= k, found by binary search;
 * polydisk: c_k = k * min(areas);
 * cylinder union: c_k = delta * (k + n - 1).
 
@@ -17,13 +19,15 @@ General regions use an exact branch-and-bound search over lattice vectors:
 
 Ties are broken toward the lexicographically smallest optimizer so output
 is reproducible.  ``capacity_sequence`` dispatches on the domain kind and
-checks the result is nondecreasing in k.
+checks the result is nondecreasing in k.  The product combinator takes its
+min-plus convolution on the factors' values scaled to integers over one
+common denominator.
 """
 
 from __future__ import annotations
 
-import math
-from concurrent.futures import ThreadPoolExecutor
+import heapq
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -37,6 +41,7 @@ from .domains import (
     Ellipsoid,
     Polydisk,
     ToricDomain,
+    _scaled_integer_rows,
 )
 from .errors import ToricapError, UnboundedDomainError
 from .rationals import ExtendedRational, is_infinite, to_rational
@@ -88,42 +93,55 @@ def _require_positive_k(k: int) -> None:
         raise ValueError(f"capacity index k must be a positive integer, got {k}")
 
 
-def ellipsoid_capacity(axes: Sequence[ExtendedRational], k: int) -> Fraction:
-    """k-th smallest integer multiple among the finite axes.
+def _integer_axes(axes: Sequence[ExtendedRational]) -> tuple[int, tuple[int, ...]]:
+    """(denom, p): the finite axes are p_i / denom with p_i positive integers.
 
-    Uses the equivalent description min { L : sum_i floor(L/a_i) >= k },
-    found by a per-axis binary search on the multiplier; infinite axes
-    contribute no multiples at all.
+    Infinite axes contribute no multiples at all and are dropped.
     """
-    _require_positive_k(k)
     normalized = [to_rational(a, allow_infinite=True) for a in axes]
     finite = [a for a in normalized if not is_infinite(a)]
     if not finite:
         raise UnboundedDomainError("every axis is infinite: the spectrum is empty")
     if any(a <= 0 for a in finite):
         raise ValueError("ellipsoid axes must be positive")
+    denom, (steps,) = _scaled_integer_rows((tuple(finite),))
+    return denom, steps
 
-    def multiples_up_to(bound: Fraction) -> int:
-        return sum(int(bound / a) for a in finite)
 
-    a_min = min(finite)
-    best: Optional[Fraction] = None
-    for a in finite:
-        # least m with multiples_up_to(m*a) >= k; since multiples_up_to(k*a_min)
-        # is already >= k, the multiplier never needs to push m*a past k*a_min
-        hi = int(math.ceil(k * a_min / a))
-        lo = 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if multiples_up_to(mid * a) >= k:
-                hi = mid
-            else:
-                lo = mid + 1
-        candidate = lo * a
-        if best is None or candidate < best:
-            best = candidate
-    assert best is not None
-    return best
+def ellipsoid_capacity(axes: Sequence[ExtendedRational], k: int) -> Fraction:
+    """k-th smallest integer multiple among the finite axes.
+
+    With the axes scaled to integers p_i over one common denominator, c_k
+    is the least integer L with sum_i floor(L / p_i) >= k: that count only
+    grows at multiples of some p_i, so its least solution is one of them.
+    A binary search over L in [1, k * min(p)] costs O(n log(k * min(p)))
+    integer divisions, so a huge k stays cheap.  ``capacity_sequence``
+    computes whole ellipsoid sequences by a heap merge instead.
+    """
+    _require_positive_k(k)
+    denom, steps = _integer_axes(axes)
+    lo, hi = 1, k * min(steps)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if sum(mid // p for p in steps) >= k:
+            hi = mid
+        else:
+            lo = mid + 1
+    return Fraction(lo, denom)
+
+
+def _ellipsoid_sequence(axes: Sequence[ExtendedRational], kmax: int) -> list[Fraction]:
+    """c_1 .. c_kmax of E(axes): the k-th item popped from a heap merge of the
+    integer progressions m * p_i is c_k, so equal axes count twice."""
+    denom, steps = _integer_axes(axes)
+    heap = [(p, p) for p in steps]
+    heapq.heapify(heap)
+    values = []
+    for _ in range(kmax):
+        value, step = heap[0]
+        values.append(Fraction(value, denom))
+        heapq.heapreplace(heap, (value + step, step))
+    return values
 
 
 def polydisk_capacity(areas: Sequence[object], k: int) -> Fraction:
@@ -283,23 +301,17 @@ def _check_nondecreasing(results: Sequence[CapacityResult]) -> None:
             )
 
 
-def capacity_sequence(
-    domain: ToricDomain, kmax: int, threads: Optional[int] = None
-) -> CapacitySequence:
-    """c_1 .. c_kmax of the domain.
-
-    ``threads`` > 1 evaluates the independent k values of a search-based
-    domain concurrently; order and results are identical either way.
-    """
+def capacity_sequence(domain: ToricDomain, kmax: int) -> CapacitySequence:
+    """c_1 .. c_kmax of the domain."""
     if not isinstance(kmax, int) or kmax < 1:
         raise ValueError(f"kmax must be a positive integer, got {kmax}")
-    indices = range(1, kmax + 1)
-    searched = isinstance(domain, (ConvexToricDomain, ConcaveToricDomain))
-    if threads is not None and threads > 1 and searched:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda k: capacity_at(domain, k), indices))
+    if isinstance(domain, Ellipsoid):
+        results = [
+            CapacityResult(k, value, None, Branch.ELLIPSOID_SPECTRUM)
+            for k, value in enumerate(_ellipsoid_sequence(domain.axes, kmax), 1)
+        ]
     else:
-        results = [capacity_at(domain, k) for k in indices]
+        results = [capacity_at(domain, k) for k in range(1, kmax + 1)]
     _check_nondecreasing(results)
     return CapacitySequence(domain=domain, values=tuple(results))
 
@@ -310,7 +322,8 @@ def product_capacities(
     """Capacities of the symplectic product: c_k = min over i+j=k of c_i + c'_j.
 
     The index 0 terms are taken to be 0, so each factor's own c_k is always
-    among the candidates.
+    among the candidates.  The min-plus runs on the factors' first kmax
+    values scaled to integers over one common denominator.
     """
     if not isinstance(kmax, int) or kmax < 1:
         raise ValueError(f"kmax must be a positive integer, got {kmax}")
@@ -319,12 +332,13 @@ def product_capacities(
             f"need both factors computed to index {kmax}, "
             f"got {left.kmax} and {right.kmax}"
         )
-    lv = [Fraction(0)] + left.raw_values()
-    rv = [Fraction(0)] + right.raw_values()
+    denom, (li, ri) = _scaled_integer_rows(
+        ((0, *left.raw_values()[:kmax]), (0, *right.raw_values()[:kmax]))
+    )
     results = tuple(
         CapacityResult(
             k,
-            min(lv[i] + rv[k - i] for i in range(k + 1)),
+            Fraction(min(map(operator.add, li[: k + 1], ri[k::-1])), denom),
             None,
             Branch.PRODUCT_COMBINATOR,
         )

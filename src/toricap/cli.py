@@ -3,7 +3,7 @@
 Subcommands::
 
     toricap caps --domain d.json --kmax 10 [--format table|csv|json]
-                 [--oracle] [--threads N] [--out FILE]
+                 [--oracle] [--out FILE]
     toricap cube --domain d.json
     toricap gromov --domain d.json
     toricap obstruct --source a.json --target b.json --kmax 12
@@ -11,8 +11,7 @@ Subcommands::
     toricap lagrangian-bound --domain d.json
 
 Exit codes: 0 success, 1 domain or semantic error (including an oracle
-mismatch under ``--oracle``), 2 usage error.  ``TORICAP_THREADS`` provides
-the default for ``--threads``.
+mismatch under ``--oracle``), 2 usage error.
 """
 
 from __future__ import annotations
@@ -21,9 +20,7 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from typing import Optional
 
 from .capacities import CapacitySequence, capacity_sequence
 from .domains import ConcaveToricDomain, Ellipsoid, ToricDomain, dimension
@@ -66,7 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="append brute-force oracle values and fail on any mismatch",
     )
-    p_caps.add_argument("--threads", type=int, default=None, help="parallel k evaluation")
 
     p_cube = sub.add_parser("cube", help="cube capacity")
     add_common(p_cube)
@@ -79,7 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_obs.add_argument("--target", required=True, help="target domain-spec file")
     add_common(p_obs, domain_flag=False)
     p_obs.add_argument("--kmax", "-k", type=int, required=True, help="largest index K")
-    p_obs.add_argument("--threads", type=int, default=None, help="parallel k evaluation")
 
     p_slope = sub.add_parser("slope", help="asymptotic slope c_K/K with exact limit")
     add_common(p_slope)
@@ -91,18 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_lag)
 
     return parser
-
-
-def _resolve_threads(value: Optional[int]) -> Optional[int]:
-    if value is not None:
-        return value
-    env = os.environ.get("TORICAP_THREADS")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ToricapError(f"TORICAP_THREADS is not an integer: {env!r}") from None
-    return None
 
 
 def _scalar_report(value, fmt: str, label: str) -> str:
@@ -154,7 +137,7 @@ def _format_csv(header: list[str], rows: list[list[str]]) -> str:
 
 def _cmd_caps(args) -> tuple[str, int]:
     domain = load_domain(args.domain)
-    seq = capacity_sequence(domain, args.kmax, threads=_resolve_threads(args.threads))
+    seq = capacity_sequence(domain, args.kmax)
     oracle_values = None
     mismatch = None
     if args.oracle:

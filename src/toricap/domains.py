@@ -59,7 +59,9 @@ def _normalize_points(rows: object, what: str) -> tuple[Point, ...]:
 def _scaled_integer_rows(points: tuple[Point, ...]) -> tuple[int, tuple[tuple[int, ...], ...]]:
     # Clear denominators once so the hot search loops run on plain ints.
     denom = math.lcm(*[c.denominator for row in points for c in row])
-    rows = tuple(tuple(int(c * denom) for c in row) for row in points)
+    rows = tuple(
+        tuple(c.numerator * (denom // c.denominator) for c in row) for row in points
+    )
     return denom, rows
 
 

@@ -1,10 +1,14 @@
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from toricap import (
     Branch,
+    CapacityResult,
+    CapacitySequence,
     ConcaveToricDomain,
     ConvexToricDomain,
     Cube,
@@ -50,6 +54,8 @@ def test_ellipsoid_equal_axes_tie():
 def test_ellipsoid_errors():
     with pytest.raises(UnboundedDomainError):
         ellipsoid_capacity(("inf", "inf"), 1)
+    with pytest.raises(UnboundedDomainError):
+        capacity_sequence(Ellipsoid(("inf", "inf")), 3)
     with pytest.raises(ValueError):
         ellipsoid_capacity((1, 2), 0)
 
@@ -179,12 +185,6 @@ def test_capacity_sequence_nondecreasing_random():
         assert all(a <= b for a, b in zip(values, values[1:]))
 
 
-def test_capacity_sequence_threads_match_serial():
-    rng = random.Random(41)
-    d = random_convex(rng, n=3, max_points=5)
-    assert capacity_sequence(d, 12, threads=4) == capacity_sequence(d, 12)
-
-
 def test_scaling_homogeneity_of_sequences():
     rng = random.Random(43)
     for _ in range(15):
@@ -211,15 +211,97 @@ def test_monotonicity_under_containment():
         assert all(a <= b for a, b in zip(small, large))
 
 
+def _ellipsoid_cases(rng: random.Random, count: int):
+    """Random axes, then the shapes whose ties the merge must count twice."""
+    for _ in range(count):
+        yield random_axes(rng, rng.randint(1, 4))
+        a, b = random_axes(rng, 2)
+        yield (a,)
+        yield (a, a)
+        yield (a, 3 * a, 2 * a, b)
+        yield (a, "inf")
+        yield ("inf", a, b, "inf")
+
+
 def test_ellipsoid_sequence_matches_brute_merge():
     rng = random.Random(53)
-    for _ in range(25):
-        axes = random_axes(rng, rng.randint(1, 4))
-        for k in (1, 3, 7, 15):
-            assert ellipsoid_capacity(axes, k) == brute_ellipsoid_capacity(axes, k)
+    for axes in _ellipsoid_cases(rng, 50):
+        kmax = rng.randint(1, 24)
+        seq = capacity_sequence(Ellipsoid(axes), kmax)
+        assert [r.k for r in seq.values] == list(range(1, kmax + 1))
+        assert all(
+            r.witness is None and r.branch is Branch.ELLIPSOID_SPECTRUM
+            for r in seq.values
+        )
+        per_k = [ellipsoid_capacity(axes, k) for k in range(1, kmax + 1)]
+        assert seq.raw_values() == per_k
+        assert per_k == [brute_ellipsoid_capacity(axes, k) for k in range(1, kmax + 1)]
+
+
+HUGE_K_SECONDS = 0.5  # measured at about 0.1 ms per axis set
+
+
+def test_ellipsoid_capacity_at_huge_k():
+    k = 10**12
+    for axes in ((1, 2), (F(3, 7), F(5, 2), "inf"), (F(2, 3), F(2, 3), F(7, 5), 11)):
+        start = time.perf_counter()
+        c = ellipsoid_capacity(axes, k)
+        elapsed = time.perf_counter() - start
+        assert elapsed < HUGE_K_SECONDS
+        finite = [F(a) for a in axes if a != "inf"]
+        # at least k multiples m * a are <= c_k, and fewer than k are < c_k
+        assert sum(math.floor(c / a) for a in finite) >= k
+        assert sum(math.ceil(c / a) - 1 for a in finite) < k
 
 
 # -------------------------------------------------------------------- products
+
+
+def _sequence(values) -> CapacitySequence:
+    return CapacitySequence(
+        "X",
+        tuple(
+            CapacityResult(k, v, None, Branch.CONVEX_SEARCH)
+            for k, v in enumerate(values, 1)
+        ),
+    )
+
+
+def _min_plus_reference(left, right, kmax):
+    lv = [F(0)] + left.raw_values()
+    rv = [F(0)] + right.raw_values()
+    return [min(lv[i] + rv[k - i] for i in range(k + 1)) for k in range(1, kmax + 1)]
+
+
+def test_product_matches_fraction_min_plus():
+    rng = random.Random(59)
+
+    def nondecreasing(length):
+        values, total = [], F(0)
+        for _ in range(length):
+            total += F(rng.randint(0, 9), rng.choice((1, 2, 3, 5, 7, 12)))
+            values.append(total)
+        return values
+
+    pairs = []
+    for _ in range(30):
+        kmax = rng.randint(1, 30)
+        left = _sequence(nondecreasing(kmax + rng.choice((0, 0, 5))))
+        right = _sequence(nondecreasing(kmax + rng.choice((0, 3))))
+        pairs.append((left, right, kmax))
+    for _ in range(10):
+        kmax = rng.randint(1, 30)
+        left = capacity_sequence(Ellipsoid(random_axes(rng, rng.randint(1, 3))), kmax + 4)
+        right = capacity_sequence(Ellipsoid(random_axes(rng, rng.randint(1, 3))), kmax)
+        pairs.append((left, right, kmax))
+    for left, right, kmax in pairs:
+        combined = product_capacities(left, right, kmax)
+        assert combined.raw_values() == _min_plus_reference(left, right, kmax)
+        assert [r.k for r in combined.values] == list(range(1, kmax + 1))
+        assert all(
+            r.witness is None and r.branch is Branch.PRODUCT_COMBINATOR
+            for r in combined.values
+        )
 
 
 def test_product_of_unit_disks_is_a_cube():

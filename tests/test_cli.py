@@ -130,16 +130,6 @@ def test_out_writes_file(write_spec, tmp_path, capsys):
     assert dest.read_text().splitlines()[0] == "k,value_rational,value_decimal,witness,branch"
 
 
-def test_threads_flag_and_env(write_spec, capsys, monkeypatch):
-    spec = '{"type":"convex","generators":[["1","0"],["0","2"]]}'
-    path = write_spec("conv.json", spec)
-    assert run_cli(["caps", "-d", path, "-k", "6", "--threads", "3"]) == 0
-    serial = capsys.readouterr().out
-    monkeypatch.setenv("TORICAP_THREADS", "2")
-    assert run_cli(["caps", "-d", path, "-k", "6"]) == 0
-    assert capsys.readouterr().out == serial
-
-
 def test_usage_errors_exit_2(write_spec, capsys):
     assert run_cli(["caps"]) == 2  # missing required flags
     assert run_cli(["nonsense"]) == 2
@@ -161,6 +151,8 @@ def test_unbounded_domain_errors_exit_1(write_spec, capsys):
     everywhere = write_spec("all.json", '{"type":"ellipsoid","a":["inf","inf"]}')
     assert run_cli(["cube", "-d", everywhere]) == 1
     assert "infinite" in capsys.readouterr().err
+    assert run_cli(["caps", "-d", everywhere, "-k", "3"]) == 1
+    assert "every axis is infinite" in capsys.readouterr().err
     # but the capacity sequence of a cylinder is fine
     assert run_cli(["caps", "-d", cyl, "-k", "4"]) == 0
     capsys.readouterr()
