@@ -17,6 +17,15 @@ General regions use an exact branch-and-bound search over lattice vectors:
 * concave region: maximize the anti-norm over strictly positive integer
   vectors whose entries sum to k + n - 1.
 
+Both searches run depth-first over the leading coordinates, skip an entry
+whose bound over all completions cannot beat the incumbent (the convex
+bound spends the remaining budget on the smallest later coordinate of each
+generator, the concave one gives each later coordinate 1 and the rest to
+the largest), and end a coordinate's loop once a bound that is linear in
+the entry fails at both ends.  The last two coordinates (e, R - e) are
+solved in closed form: the objective is convex (or concave) in e, so a
+binary search finds its lexicographically first optimum in O(m log R).
+
 Ties are broken toward the lexicographically smallest optimizer so output
 is reproducible.  ``capacity_sequence`` dispatches on the domain kind and
 checks the result is nondecreasing in k.  The product combinator takes its
@@ -164,47 +173,96 @@ def cylinder_union_capacity(n: int, delta: object, k: int) -> Fraction:
     return d * (k + n - 1)
 
 
+def _lowest_minimizer(
+    base: list[int], slopes: Sequence[int], lo: int, hi: int
+) -> tuple[int, int]:
+    """(e, f(e)) for the smallest minimizer e in [lo, hi] of
+    f(e) = max_i(base_i + e * slopes_i).
+
+    f is convex, so that e is the first one with f(e + 1) >= f(e), and a
+    binary search finds it in O(len(base) * log(hi - lo)).
+    """
+    while lo < hi:
+        mid = (lo + hi) // 2
+        here = [b + mid * s for b, s in zip(base, slopes)]
+        if max(map(operator.add, here, slopes)) >= max(here):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo, max(b + lo * s for b, s in zip(base, slopes))
+
+
 def convex_capacity(domain: ConvexToricDomain, k: int) -> CapacityResult:
     """Minimize the support value over v in N^n with sum(v) = k.
 
     Depth-first over compositions in lexicographic order, keeping running
-    inner products with every generator.  A partial vector whose running
-    max already reaches the incumbent is cut: the generators are
-    coordinatewise nonnegative, so extending v can only increase every
-    inner product.  Strict-improvement updates plus lexicographic
-    enumeration make the reported witness the lexicographically smallest
-    minimizer.
+    inner products with every generator, with the incumbent seeded by the
+    lexicographically first vector (0, ..., 0, k); for n = 1 that is the
+    answer.  At each coordinate before the last two, with r units of budget
+    left after the entry, <v_partial, w> + r * min_{i>coord} w_i is a lower
+    bound on <v, w> for every completion v (the generators are
+    coordinatewise nonnegative):
+
+    * an entry whose bound reaches the incumbent for some generator is
+      skipped, since no completion can strictly improve;
+    * a generator's bound is linear in the entry, so once it reaches the
+      incumbent both at this entry and at the largest one (where it is
+      <v_partial, w> + r * w_coord) it does at every entry between, and
+      the loop ends.  This covers a running product that already reaches
+      the incumbent, which larger entries only increase.
+
+    The last two coordinates (e, R - e) are solved in closed form:
+    max_w(<v_partial, w> + e * w_{n-2} + (R - e) * w_{n-1}) is convex in e,
+    and ``_lowest_minimizer`` finds its smallest minimizer on [0, R] in
+    O(m log R).  Strict-improvement updates plus lexicographic enumeration
+    make the reported witness the lexicographically smallest minimizer.
     """
     _require_positive_k(k)
     denom, rows = domain._scaled
-    n, m = domain.n, len(rows)
+    n = domain.n
     cols = list(zip(*rows))
-
-    best: Optional[int] = None
-    best_witness: Optional[tuple[int, ...]] = None
+    last = cols[-1]
+    best = k * max(last)
+    best_witness = (0,) * (n - 1) + (k,)
     prefix = [0] * n
+    slopes = [a - b for a, b in zip(cols[-2], last)] if n > 1 else []
+    levels = []  # per coordinate before the last two: column, tail mins
+    for coord in range(n - 2):
+        mins = [min(row[coord + 1 :]) for row in rows]
+        levels.append((cols[coord], mins))
+
+    def solve_pair(remaining: int, dots: list[int]) -> None:
+        nonlocal best, best_witness
+        base = [d + remaining * c for d, c in zip(dots, last)]
+        e, value = _lowest_minimizer(base, slopes, 0, remaining)
+        if value < best:
+            best = value
+            prefix[n - 2], prefix[n - 1] = e, remaining - e
+            best_witness = tuple(prefix)
 
     def descend(coord: int, remaining: int, dots: list[int]) -> None:
-        nonlocal best, best_witness
-        column = cols[coord]
-        if coord == n - 1:
-            prefix[coord] = remaining
-            value = max(d + remaining * c for d, c in zip(dots, column))
-            if best is None or value < best:
-                best = value
-                best_witness = tuple(prefix)
-            return
+        column, mins = levels[coord]
         current = dots
         for entry in range(remaining + 1):
-            if best is not None and max(current) >= best:
-                return  # larger entries only grow every inner product
-            prefix[coord] = entry
-            descend(coord + 1, remaining - entry, current)
-            if entry < remaining:
-                current = [d + c for d, c in zip(current, column)]
+            rest = remaining - entry
+            floors = [d + rest * w for d, w in zip(current, mins)]
+            if max(floors) < best:
+                prefix[coord] = entry
+                if coord == n - 3:
+                    solve_pair(rest, current)
+                else:
+                    descend(coord + 1, rest, current)
+            elif any(
+                f >= best and d + rest * c >= best
+                for f, d, c in zip(floors, current, column)
+            ):
+                return
+            current = [d + c for d, c in zip(current, column)]
 
-    descend(0, k, [0] * m)
-    assert best is not None and best_witness is not None
+    if n == 2:
+        solve_pair(k, [0] * len(rows))
+    elif n > 2:
+        descend(0, k, [0] * len(rows))
     return CapacityResult(
         k=k, value=Fraction(best, denom), witness=best_witness, branch=Branch.CONVEX_SEARCH
     )
@@ -213,47 +271,73 @@ def convex_capacity(domain: ConvexToricDomain, k: int) -> CapacityResult:
 def concave_capacity(domain: ConcaveToricDomain, k: int) -> CapacityResult:
     """Maximize the anti-norm over v > 0 with sum(v) = k + n - 1.
 
-    Same depth-first scheme as the convex search.  The cut uses, per
-    vertex w, the bound <v_partial, w> + r * max_i(w_i) on the final inner
-    product, where r is the budget still to distribute; the min of these
-    bounds caps the achievable anti-norm, so a partial vector whose cap
-    does not exceed the incumbent is dropped.
+    Same depth-first scheme as the convex search, with the incumbent
+    seeded by the lexicographically first vector (1, ..., 1, k).  At a
+    coordinate before the last two, with r units of budget left after the
+    entry for the t = n - 1 - coord later coordinates (each at least 1),
+    <v_partial, w> + sum_{i>coord} w_i + (r - t) * max_{i>coord} w_i caps
+    <v, w> for every completion v:
+
+    * an entry whose cap does not exceed the incumbent for some vertex is
+      skipped, since no completion can strictly improve;
+    * a vertex's cap is linear in the entry, so once it fails both at this
+      entry and at the largest one, it fails at every entry between, and
+      the loop ends.
+
+    The last two coordinates (e, R - e) are solved in closed form:
+    min_w(<v_partial, w> + e * w_{n-2} + (R - e) * w_{n-1}) is concave in
+    e, and ``_lowest_minimizer`` on its negation finds its smallest
+    maximizer on [1, R - 1] in O(m log R).
     """
     _require_positive_k(k)
     denom, rows = domain._scaled
-    n, m = domain.n, len(rows)
+    n = domain.n
     cols = list(zip(*rows))
-    row_max = [max(row) for row in rows]
-    total = k + n - 1
-
-    best: Optional[int] = None
-    best_witness: Optional[tuple[int, ...]] = None
+    last = cols[-1]
+    best = min(sum(row[:-1]) + k * row[-1] for row in rows)
+    best_witness = (1,) * (n - 1) + (k,)
     prefix = [0] * n
+    falls = [b - a for a, b in zip(cols[-2], last)] if n > 1 else []
+    levels = []  # per coordinate before the last two: column, cap offsets, tail maxes
+    for coord in range(n - 2):
+        tops = [max(row[coord + 1 :]) for row in rows]
+        later = n - 1 - coord
+        offsets = [sum(row[coord + 1 :]) - later * top for row, top in zip(rows, tops)]
+        levels.append((cols[coord], offsets, tops))
+
+    def solve_pair(remaining: int, dots: list[int]) -> None:
+        nonlocal best, best_witness
+        negated = [-d - remaining * c for d, c in zip(dots, last)]
+        e, value = _lowest_minimizer(negated, falls, 1, remaining - 1)
+        if -value > best:
+            best = -value
+            prefix[n - 2], prefix[n - 1] = e, remaining - e
+            best_witness = tuple(prefix)
 
     def descend(coord: int, remaining: int, dots: list[int]) -> None:
-        nonlocal best, best_witness
-        column = cols[coord]
-        if coord == n - 1:
-            prefix[coord] = remaining
-            value = min(d + remaining * c for d, c in zip(dots, column))
-            if best is None or value > best:
-                best = value
-                best_witness = tuple(prefix)
-            return
+        column, offsets, tops = levels[coord]
+        current = dots
         highest = remaining - (n - 1 - coord)  # leave at least 1 per later coord
-        current = [d + c for d, c in zip(dots, column)]
         for entry in range(1, highest + 1):
-            budget = remaining - entry
-            if best is None or min(
-                d + budget * w for d, w in zip(current, row_max)
-            ) > best:
+            current = [d + c for d, c in zip(current, column)]
+            rest = remaining - entry
+            caps = [d + a + rest * t for d, a, t in zip(current, offsets, tops)]
+            if min(caps) > best:
                 prefix[coord] = entry
-                descend(coord + 1, budget, current)
-            if entry < highest:
-                current = [d + c for d, c in zip(current, column)]
+                if coord == n - 3:
+                    solve_pair(rest, current)
+                else:
+                    descend(coord + 1, rest, current)
+            elif any(
+                c <= best and c + (highest - entry) * (x - t) <= best
+                for c, x, t in zip(caps, column, tops)
+            ):
+                return
 
-    descend(0, total, [0] * m)
-    assert best is not None and best_witness is not None
+    if n == 2:
+        solve_pair(k + 1, [0] * len(rows))
+    elif n > 2:
+        descend(0, k + n - 1, [0] * len(rows))
     return CapacityResult(
         k=k,
         value=Fraction(best, denom),

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -37,7 +38,9 @@ from .rationals import decimal_string, format_rational
 from .specfile import domain_to_jsonable, load_domain
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="toricap",
         description="Exact capacity calculator for toric domains.",

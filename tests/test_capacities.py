@@ -30,6 +30,7 @@ from toricap import (
     scale_domain,
     support_value,
 )
+from toricap.oracle import compositions
 from helpers import grow_concave, grow_convex, random_axes, random_concave, random_convex
 
 F = Fraction
@@ -162,6 +163,43 @@ def test_ellipsoid_triple_agreement():
             assert concave_capacity(e.to_concave(), k).value == spectrum
 
 
+# regions whose optimum is attained on long runs of vectors: a generator
+# (1, ..., 1), duplicate rows, a zero column and staircase vertices on an axis
+PLATEAU_CONVEX = {
+    2: [((1, 1),), ((1, 1), (1, 1), (2, 0)), ((0, 1), (0, 3)), ((2, 1), (1, 2)),
+        ((1, 0), (0, 1), (1, 1))],
+    3: [((1, 1, 1),), ((1, 1, 0), (0, 1, 1), (1, 1, 0)), ((0, 1, 2), (0, 2, 1)),
+        ((2, 1, 1), (1, 2, 1), (1, 1, 2))],
+}
+PLATEAU_CONCAVE = {
+    2: [((1, 1),), ((2, 0),), ((2, 0), (1, 1)), ((1, 2), (1, 2), (3, 1)), ((0, 2), (0, 1))],
+    3: [((1, 1, 1),), ((3, 0, 0), (1, 1, 1)), ((0, 1, 2), (0, 2, 1), (0, 2, 1)),
+        ((2, 0, 0), (0, 2, 0), (0, 0, 2))],
+}
+PLATEAU_KMAX = {2: 40, 3: 20}
+
+
+def test_witnesses_are_lex_first_on_long_plateaus():
+    for n, kmax in PLATEAU_KMAX.items():
+        for points in PLATEAU_CONVEX[n]:
+            d = ConvexToricDomain(points)
+            for k in range(1, kmax + 1):
+                values = {v: support_value(d, v) for v in compositions(k, n)}
+                lowest = min(values.values())
+                r = convex_capacity(d, k)
+                assert r.value == lowest
+                assert r.witness == next(v for v, x in values.items() if x == lowest)
+        for points in PLATEAU_CONCAVE[n]:
+            c = ConcaveToricDomain(points)
+            for k in range(1, kmax + 1):
+                vectors = (tuple(e + 1 for e in u) for u in compositions(k - 1, n))
+                values = {v: antinorm_value(c, v) for v in vectors}
+                highest = max(values.values())
+                r = concave_capacity(c, k)
+                assert r.value == highest
+                assert r.witness == next(v for v, x in values.items() if x == highest)
+
+
 # ------------------------------------------------------------------ sequences
 
 
@@ -252,6 +290,25 @@ def test_ellipsoid_capacity_at_huge_k():
         # at least k multiples m * a are <= c_k, and fewer than k are < c_k
         assert sum(math.floor(c / a) for a in finite) >= k
         assert sum(math.ceil(c / a) - 1 for a in finite) < k
+
+
+HUGE_K_SEARCH_SECONDS = 0.5  # measured at well under a millisecond per search
+
+
+def test_searches_at_huge_k_match_the_ellipsoid():
+    # E(a, b) as the hull of (a, 0), (0, b) and as the staircase on the same
+    # vertices: the last-pair solve makes k = 10^6 cost O(log k)
+    k = 10**6
+    for a, b in ((1, 2), (F(3, 7), F(5, 2)), (F(2, 3), F(2, 3)), (1, 1000)):
+        expected = ellipsoid_capacity((a, b), k)
+        for search, domain in (
+            (convex_capacity, ConvexToricDomain(((a, 0), (0, b)))),
+            (concave_capacity, ConcaveToricDomain(((a, 0), (0, b)))),
+        ):
+            start = time.perf_counter()
+            result = search(domain, k)
+            assert time.perf_counter() - start < HUGE_K_SEARCH_SECONDS
+            assert result.value == expected
 
 
 # -------------------------------------------------------------------- products

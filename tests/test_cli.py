@@ -156,3 +156,26 @@ def test_unbounded_domain_errors_exit_1(write_spec, capsys):
     # but the capacity sequence of a cylinder is fine
     assert run_cli(["caps", "-d", cyl, "-k", "4"]) == 0
     capsys.readouterr()
+
+
+def test_repeated_runs_share_no_state(write_spec, tmp_path, capsys):
+    # the parser is built once per process; no call may see an earlier one's flags
+    path = write_spec("e12.json", '{"type":"ellipsoid","a":["1","2"]}')
+    assert cli.build_parser() is cli.build_parser()
+    header = "k,value_rational,value_decimal,witness,branch"
+
+    assert run_cli(["caps", "-d", path, "-k", "3", "--oracle", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == header + ",oracle_rational"
+    assert run_cli(["caps", "-d", path, "-k", "3", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == header
+
+    dest = tmp_path / "report.csv"
+    assert run_cli(["caps", "-d", path, "-k", "3", "--format", "csv", "--out", str(dest)]) == 0
+    assert capsys.readouterr().out == ""
+    assert run_cli(["caps", "-d", path, "-k", "3", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == dest.read_text()
+
+    assert run_cli(["caps", "-d", path]) == 2  # --kmax missing
+    assert "--kmax" in capsys.readouterr().err
+    assert run_cli(["cube", "-d", path]) == 0
+    assert capsys.readouterr().out == "2/3 (≈0.666667)\n"
