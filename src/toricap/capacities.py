@@ -7,8 +7,12 @@ Closed forms for the special families:
   p_i over one common denominator, a whole sequence is a heap merge of the
   progressions m * p_i, and a single k is the least integer L with
   sum_i floor(L / p_i) >= k, found by binary search;
-* polydisk: c_k = k * min(areas);
+* polydisk (and cube): c_k = k * min(areas);
 * cylinder union: c_k = delta * (k + n - 1).
+
+The last two are arithmetic progressions in k, so a whole sequence is c_1
+and c_2 from the closed form, scaled to integers over one denominator and
+extended by their difference.
 
 General regions use an exact branch-and-bound search over lattice vectors:
 
@@ -30,7 +34,9 @@ Ties are broken toward the lexicographically smallest optimizer so output
 is reproducible.  ``capacity_sequence`` dispatches on the domain kind and
 checks the result is nondecreasing in k.  The product combinator takes its
 min-plus convolution on the factors' values scaled to integers over one
-common denominator.
+common denominator.  The ellipsoid merge, the progressions and the product
+share one builder, which checks their integers are nondecreasing before
+it makes any ``Fraction``; the searches' values are checked as fractions.
 """
 
 from __future__ import annotations
@@ -139,18 +145,21 @@ def ellipsoid_capacity(axes: Sequence[ExtendedRational], k: int) -> Fraction:
     return Fraction(lo, denom)
 
 
-def _ellipsoid_sequence(axes: Sequence[ExtendedRational], kmax: int) -> list[Fraction]:
-    """c_1 .. c_kmax of E(axes): the k-th item popped from a heap merge of the
-    integer progressions m * p_i is c_k, so equal axes count twice."""
+def _ellipsoid_sequence(
+    axes: Sequence[ExtendedRational], kmax: int
+) -> tuple[int, list[int]]:
+    """(denom, scaled c_1 .. c_kmax) of E(axes): the k-th item popped from a
+    heap merge of the integer progressions m * p_i is c_k * denom, so equal
+    axes count twice."""
     denom, steps = _integer_axes(axes)
     heap = [(p, p) for p in steps]
     heapq.heapify(heap)
     values = []
     for _ in range(kmax):
         value, step = heap[0]
-        values.append(Fraction(value, denom))
+        values.append(value)
         heapq.heapreplace(heap, (value + step, step))
-    return values
+    return denom, values
 
 
 def polydisk_capacity(areas: Sequence[object], k: int) -> Fraction:
@@ -385,19 +394,54 @@ def _check_nondecreasing(results: Sequence[CapacityResult]) -> None:
             )
 
 
+def _progression(domain: ToricDomain, kmax: int) -> tuple[int, range, Branch]:
+    """(denom, scaled c_1 .. c_kmax, branch) of a polydisk, cube or cylinder
+    union, whose c_k is the arithmetic progression c_1 + (k - 1)(c_2 - c_1).
+
+    c_1 and c_2 come from ``capacity_at``, so the closed forms stay the only
+    source of values and branch labels.
+    """
+    first, second = capacity_at(domain, 1), capacity_at(domain, 2)
+    denom, ((start, stop),) = _scaled_integer_rows(((first.value, second.value),))
+    step = stop - start
+    return denom, range(start, start + kmax * step, step), first.branch
+
+
+def _integer_results(
+    denom: int, values: Sequence[int], branch: Branch
+) -> tuple[CapacityResult, ...]:
+    """c_k = values[k - 1] / denom, checked nondecreasing on the integers."""
+    drops = list(map(operator.gt, values, values[1:]))
+    if any(drops):
+        k = drops.index(True) + 2
+        raise ToricapError(f"internal error: capacity sequence decreased at k={k}")
+    return tuple(
+        CapacityResult(k, Fraction(value, denom), None, branch)
+        for k, value in enumerate(values, 1)
+    )
+
+
 def capacity_sequence(domain: ToricDomain, kmax: int) -> CapacitySequence:
-    """c_1 .. c_kmax of the domain."""
+    """c_1 .. c_kmax of the domain.
+
+    Closed-form kinds take one pass on integers over a common denominator:
+    an ellipsoid merges the progressions of its axes, and a polydisk, cube
+    or cylinder union extends the progression through c_1 and c_2.  Their
+    integers are checked nondecreasing before any ``Fraction`` is built.
+    Convex and concave regions run one search per k, checked on the values.
+    """
     if not isinstance(kmax, int) or kmax < 1:
         raise ValueError(f"kmax must be a positive integer, got {kmax}")
     if isinstance(domain, Ellipsoid):
-        results = [
-            CapacityResult(k, value, None, Branch.ELLIPSOID_SPECTRUM)
-            for k, value in enumerate(_ellipsoid_sequence(domain.axes, kmax), 1)
-        ]
+        results = _integer_results(
+            *_ellipsoid_sequence(domain.axes, kmax), Branch.ELLIPSOID_SPECTRUM
+        )
+    elif isinstance(domain, (Polydisk, Cube, CylinderUnion)):
+        results = _integer_results(*_progression(domain, kmax))
     else:
-        results = [capacity_at(domain, k) for k in range(1, kmax + 1)]
-    _check_nondecreasing(results)
-    return CapacitySequence(domain=domain, values=tuple(results))
+        results = tuple(capacity_at(domain, k) for k in range(1, kmax + 1))
+        _check_nondecreasing(results)
+    return CapacitySequence(domain=domain, values=results)
 
 
 def product_capacities(
@@ -419,15 +463,10 @@ def product_capacities(
     denom, (li, ri) = _scaled_integer_rows(
         ((0, *left.raw_values()[:kmax]), (0, *right.raw_values()[:kmax]))
     )
-    results = tuple(
-        CapacityResult(
-            k,
-            Fraction(min(map(operator.add, li[: k + 1], ri[k::-1])), denom),
-            None,
-            Branch.PRODUCT_COMBINATOR,
-        )
-        for k in range(1, kmax + 1)
+    results = _integer_results(
+        denom,
+        [min(map(operator.add, li[: k + 1], ri[k::-1])) for k in range(1, kmax + 1)],
+        Branch.PRODUCT_COMBINATOR,
     )
-    _check_nondecreasing(results)
     label = f"({left.domain}) x ({right.domain})"
     return CapacitySequence(domain=label, values=results)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import re
-from decimal import Decimal, ROUND_HALF_EVEN, localcontext
+from decimal import ROUND_HALF_EVEN, Context
 from fractions import Fraction
 from typing import Union
 
@@ -80,11 +80,22 @@ def format_rational(x: ExtendedRational) -> str:
     return str(x)
 
 
+# Shared by every call: divisions set its Inexact and Rounded flags, but
+# neither is trapped, so no result depends on them.
+_DECIMAL_CONTEXT = Context(prec=20, rounding=ROUND_HALF_EVEN)
+
+
 def decimal_string(x: ExtendedRational, digits: int = 20) -> str:
-    """Decimal rendering with ``digits`` significant digits, round-half-even."""
+    """Decimal rendering with ``digits`` significant digits, round-half-even.
+
+    The division and the rendering use a context of their own, so the
+    caller's thread context (its precision, ``capitals``) never applies.
+    """
     if is_infinite(x):
         return "inf"
-    with localcontext() as ctx:
-        ctx.prec = digits
-        ctx.rounding = ROUND_HALF_EVEN
-        return str(Decimal(x.numerator) / Decimal(x.denominator))
+    if digits == 20:
+        ctx = _DECIMAL_CONTEXT
+    else:
+        ctx = Context(prec=digits, rounding=ROUND_HALF_EVEN)
+    # Context.divide converts the integer operands exactly
+    return ctx.to_sci_string(ctx.divide(x.numerator, x.denominator))

@@ -15,11 +15,13 @@ from toricap import (
     CylinderUnion,
     Ellipsoid,
     Polydisk,
+    ToricapError,
     UnboundedDomainError,
     antinorm_value,
     brute_concave_capacity,
     brute_convex_capacity,
     brute_ellipsoid_capacity,
+    capacity_at,
     capacity_sequence,
     concave_capacity,
     convex_capacity,
@@ -30,6 +32,7 @@ from toricap import (
     scale_domain,
     support_value,
 )
+import toricap.capacities as capacities_module
 from toricap.oracle import compositions
 from helpers import grow_concave, grow_convex, random_axes, random_concave, random_convex
 
@@ -276,6 +279,47 @@ def test_ellipsoid_sequence_matches_brute_merge():
         assert per_k == [brute_ellipsoid_capacity(axes, k) for k in range(1, kmax + 1)]
 
 
+def _progression_cases(rng: random.Random, count: int):
+    """Seeded polydisks, cubes and cylinder unions with n from 1 to 5 and
+    coordinates over mixed denominators."""
+    def size() -> Fraction:
+        return F(rng.randint(1, 40), rng.choice((1, 2, 3, 7, 12, 30, 97)))
+
+    for i in range(count):
+        n = rng.randint(1, 5)
+        yield [
+            Polydisk(tuple(size() for _ in range(n))),
+            Cube(n, size()),
+            CylinderUnion(n, size()),
+        ][i % 3]
+
+
+def test_progression_sequences_match_per_k_closed_forms():
+    rng = random.Random(59)
+    for i, domain in enumerate(_progression_cases(rng, 90)):
+        kmax = (1, 2, rng.randint(3, 60), rng.randint(61, 1500))[i % 4]
+        seq = capacity_sequence(domain, kmax)
+        # value, witness (None) and branch, at every k
+        assert seq.values == tuple(capacity_at(domain, k) for k in range(1, kmax + 1))
+
+
+def test_integer_monotonicity_check_fires(monkeypatch):
+    message = "internal error: capacity sequence decreased at k="
+    monkeypatch.setattr(
+        capacities_module, "_ellipsoid_sequence", lambda axes, kmax: (3, [1, 4, 2])
+    )
+    with pytest.raises(ToricapError, match=message + "3$"):
+        capacity_sequence(Ellipsoid((1, 2)), 3)
+    monkeypatch.setattr(
+        capacities_module,
+        "_progression",
+        lambda domain, kmax: (2, [5, 5, 7, 6, 8], Branch.POLYDISK_CLOSED_FORM),
+    )
+    for domain in (Polydisk((1, 2)), Cube(2, 1), CylinderUnion(2, 1)):
+        with pytest.raises(ToricapError, match=message + "4$"):
+            capacity_sequence(domain, 5)
+
+
 HUGE_K_SECONDS = 0.5  # measured at about 0.1 ms per axis set
 
 
@@ -359,6 +403,13 @@ def test_product_matches_fraction_min_plus():
             r.witness is None and r.branch is Branch.PRODUCT_COMBINATOR
             for r in combined.values
         )
+
+
+def test_product_of_decreasing_factors_fails_the_check():
+    # c_2 = min(0 + 5, 5 + 5, 1 + 0) = 1 < c_1 = 5
+    left, right = _sequence([F(5), F(1)]), _sequence([F(5), F(5)])
+    with pytest.raises(ToricapError, match="decreased at k=2$"):
+        product_capacities(left, right, 2)
 
 
 def test_product_of_unit_disks_is_a_cube():
