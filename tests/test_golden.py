@@ -25,6 +25,17 @@ CASES = {
     "caps_cube": ["caps", "--domain", "cube.json", "--kmax", "12"],
     "caps_cylinder_union": ["caps", "--domain", "cylinder_union.json", "--kmax", "25"],
     "caps_ellipsoid_inf": ["caps", "--domain", "ellipsoid_inf.json", "--kmax", "30"],
+    "caps_convex": ["caps", "--domain", "convex.json", "--kmax", "14"],
+    "caps_concave": ["caps", "--domain", "concave.json", "--kmax", "14"],
+    "cube_convex": ["cube", "--domain", "convex.json"],
+    "cube_polydisk": ["cube", "--domain", "polydisk.json"],
+    "cube_cylinder_union": ["cube", "--domain", "cylinder_union.json"],
+    "gromov_concave": ["gromov", "--domain", "concave.json"],
+    "gromov_ellipsoid": ["gromov", "--domain", "ellipsoid.json"],
+    "slope_concave": ["slope", "--domain", "concave.json", "--kmax", "20"],
+    "slope_cube": ["slope", "--domain", "cube.json", "--kmax", "40"],
+    "lagrangian_bound_convex": ["lagrangian-bound", "--domain", "convex.json"],
+    "lagrangian_bound_ellipsoid_inf": ["lagrangian-bound", "--domain", "ellipsoid_inf.json"],
     "obstruct_box_lagrangian_bidisk": [
         "obstruct",
         "--source",
