@@ -28,7 +28,6 @@ from .domains import (
     ToricDomain,
     antinorm_value,
     diagonal_intersection,
-    dimension,
     scale_domain,
     support_value,
 )
@@ -58,7 +57,6 @@ from .oracle import (
 from .rationals import (
     INF,
     ExtendedRational,
-    Rational,
     decimal_string,
     format_rational,
     is_infinite,
@@ -85,7 +83,6 @@ __all__ = [
     "INF",
     "ObstructionReport",
     "Polydisk",
-    "Rational",
     "SlopeReport",
     "ToricDomain",
     "ToricapError",
@@ -104,7 +101,6 @@ __all__ = [
     "cylinder_union_capacity",
     "decimal_string",
     "diagonal_intersection",
-    "dimension",
     "domain_to_jsonable",
     "ellipsoid_capacity",
     "format_rational",

@@ -1,6 +1,7 @@
 """The capacity sequence c_k of a toric domain.
 
-Closed forms for the special families:
+One table, ``_CLOSED_FORMS``, gives each domain kind that has a closed form
+its branch label and its formula for c_k:
 
 * ellipsoid: c_k is the k-th smallest positive-integer multiple among the
   finite axes, counted with repetition.  With the axes scaled to integers
@@ -14,12 +15,13 @@ The last two are arithmetic progressions in k, so a whole sequence is c_1
 and c_2 from the closed form, scaled to integers over one denominator and
 extended by their difference.
 
-General regions use an exact branch-and-bound search over lattice vectors:
+A kind without a closed form is searched by the shape of its region (see
+``domains``), with an exact branch-and-bound over lattice vectors:
 
-* convex region: minimize the support value over nonnegative integer
-  vectors whose entries sum to k;
-* concave region: maximize the anti-norm over strictly positive integer
-  vectors whose entries sum to k + n - 1.
+* hull: minimize the support value over nonnegative integer vectors whose
+  entries sum to k;
+* staircase: maximize the anti-norm over strictly positive integer vectors
+  whose entries sum to k + n - 1.
 
 Both searches run depth-first over the leading coordinates, skip an entry
 whose bound over all completions cannot beat the incumbent (the convex
@@ -31,12 +33,12 @@ solved in closed form: the objective is convex (or concave) in e, so a
 binary search finds its lexicographically first optimum in O(m log R).
 
 Ties are broken toward the lexicographically smallest optimizer so output
-is reproducible.  ``capacity_sequence`` dispatches on the domain kind and
-checks the result is nondecreasing in k.  The product combinator takes its
-min-plus convolution on the factors' values scaled to integers over one
-common denominator.  The ellipsoid merge, the progressions and the product
-share one builder, which checks their integers are nondecreasing before
-it makes any ``Fraction``; the searches' values are checked as fractions.
+is reproducible.  ``capacity_at`` and ``capacity_sequence`` read the table
+and otherwise search.  The product combinator takes its min-plus
+convolution on the factors' values scaled to integers over one common
+denominator.  Every sequence -- the ellipsoid merge, a progression, one
+search per k or a product -- passes one check that it is nondecreasing
+(on its integers where it has them) before it is returned.
 """
 
 from __future__ import annotations
@@ -49,17 +51,17 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .domains import (
-    ConcaveToricDomain,
-    ConvexToricDomain,
     Cube,
     CylinderUnion,
     Ellipsoid,
+    Hull,
     Polydisk,
+    Staircase,
     ToricDomain,
     _scaled_integer_rows,
 )
 from .errors import ToricapError, UnboundedDomainError
-from .rationals import ExtendedRational, is_infinite, to_rational
+from .rationals import ExtendedRational, is_infinite, positive_int, to_rational
 
 
 class Branch(str, Enum):
@@ -103,11 +105,6 @@ class CapacitySequence:
         return [r.value for r in self.values]
 
 
-def _require_positive_k(k: int) -> None:
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"capacity index k must be a positive integer, got {k}")
-
-
 def _integer_axes(axes: Sequence[ExtendedRational]) -> tuple[int, tuple[int, ...]]:
     """(denom, p): the finite axes are p_i / denom with p_i positive integers.
 
@@ -133,7 +130,7 @@ def ellipsoid_capacity(axes: Sequence[ExtendedRational], k: int) -> Fraction:
     integer divisions, so a huge k stays cheap.  ``capacity_sequence``
     computes whole ellipsoid sequences by a heap merge instead.
     """
-    _require_positive_k(k)
+    positive_int(k, "capacity index k")
     denom, steps = _integer_axes(axes)
     lo, hi = 1, k * min(steps)
     while lo < hi:
@@ -164,7 +161,7 @@ def _ellipsoid_sequence(
 
 def polydisk_capacity(areas: Sequence[object], k: int) -> Fraction:
     """c_k = k * min(areas)."""
-    _require_positive_k(k)
+    positive_int(k, "capacity index k")
     values = [to_rational(a) for a in areas]
     if not values or any(a <= 0 for a in values):
         raise ValueError("polydisk areas must be positive")
@@ -173,9 +170,8 @@ def polydisk_capacity(areas: Sequence[object], k: int) -> Fraction:
 
 def cylinder_union_capacity(n: int, delta: object, k: int) -> Fraction:
     """c_k = delta * (k + n - 1)."""
-    _require_positive_k(k)
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"dimension must be a positive integer, got {n}")
+    positive_int(k, "capacity index k")
+    positive_int(n, "dimension")
     d = to_rational(delta)
     if d <= 0:
         raise ValueError("cylinder-union size must be positive")
@@ -201,7 +197,7 @@ def _lowest_minimizer(
     return lo, max(b + lo * s for b, s in zip(base, slopes))
 
 
-def convex_capacity(domain: ConvexToricDomain, k: int) -> CapacityResult:
+def convex_capacity(domain: Hull, k: int) -> CapacityResult:
     """Minimize the support value over v in N^n with sum(v) = k.
 
     Depth-first over compositions in lexicographic order, keeping running
@@ -226,7 +222,7 @@ def convex_capacity(domain: ConvexToricDomain, k: int) -> CapacityResult:
     O(m log R).  Strict-improvement updates plus lexicographic enumeration
     make the reported witness the lexicographically smallest minimizer.
     """
-    _require_positive_k(k)
+    positive_int(k, "capacity index k")
     denom, rows = domain._scaled
     n = domain.n
     cols = list(zip(*rows))
@@ -277,7 +273,7 @@ def convex_capacity(domain: ConvexToricDomain, k: int) -> CapacityResult:
     )
 
 
-def concave_capacity(domain: ConcaveToricDomain, k: int) -> CapacityResult:
+def concave_capacity(domain: Staircase, k: int) -> CapacityResult:
     """Maximize the anti-norm over v > 0 with sum(v) = k + n - 1.
 
     Same depth-first scheme as the convex search, with the incumbent
@@ -298,7 +294,7 @@ def concave_capacity(domain: ConcaveToricDomain, k: int) -> CapacityResult:
     e, and ``_lowest_minimizer`` on its negation finds its smallest
     maximizer on [1, R - 1] in O(m log R).
     """
-    _require_positive_k(k)
+    positive_int(k, "capacity index k")
     denom, rows = domain._scaled
     n = domain.n
     cols = list(zip(*rows))
@@ -355,66 +351,51 @@ def concave_capacity(domain: ConcaveToricDomain, k: int) -> CapacityResult:
     )
 
 
+# Each kind with a closed form: its branch label and c_k at one k.  The
+# lambdas call the closed forms by their module-global names when they
+# run, so a rebinding of a name (the benchmark's tracer makes one) is seen.
+_CLOSED_FORMS = {
+    Ellipsoid: (Branch.ELLIPSOID_SPECTRUM, lambda d, k: ellipsoid_capacity(d.axes, k)),
+    Polydisk: (Branch.POLYDISK_CLOSED_FORM, lambda d, k: polydisk_capacity(d.areas, k)),
+    Cube: (Branch.POLYDISK_CLOSED_FORM, lambda d, k: polydisk_capacity((d.delta,), k)),
+    CylinderUnion: (
+        Branch.CYLINDER_UNION_CLOSED_FORM,
+        lambda d, k: cylinder_union_capacity(d.n, d.delta, k),
+    ),
+}
+
+
 def capacity_at(domain: ToricDomain, k: int) -> CapacityResult:
-    """c_k of a single domain, dispatching to the right formula."""
-    if isinstance(domain, Ellipsoid):
-        return CapacityResult(
-            k, ellipsoid_capacity(domain.axes, k), None, Branch.ELLIPSOID_SPECTRUM
-        )
-    if isinstance(domain, Polydisk):
-        return CapacityResult(
-            k, polydisk_capacity(domain.areas, k), None, Branch.POLYDISK_CLOSED_FORM
-        )
-    if isinstance(domain, Cube):
-        return CapacityResult(
-            k,
-            polydisk_capacity((domain.delta,) * domain.n, k),
-            None,
-            Branch.POLYDISK_CLOSED_FORM,
-        )
-    if isinstance(domain, CylinderUnion):
-        return CapacityResult(
-            k,
-            cylinder_union_capacity(domain.n, domain.delta, k),
-            None,
-            Branch.CYLINDER_UNION_CLOSED_FORM,
-        )
-    if isinstance(domain, ConvexToricDomain):
-        return convex_capacity(domain, k)
-    if isinstance(domain, ConcaveToricDomain):
-        return concave_capacity(domain, k)
-    raise TypeError(f"not a toric domain: {type(domain).__name__}")
+    """c_k of a single domain: its closed form, else the search for its shape."""
+    if type(domain) not in _CLOSED_FORMS:
+        search = convex_capacity if domain.shape == "hull" else concave_capacity
+        return search(domain, k)
+    branch, c_k = _CLOSED_FORMS[type(domain)]
+    return CapacityResult(k, c_k(domain, k), None, branch)
 
 
-def _check_nondecreasing(results: Sequence[CapacityResult]) -> None:
-    for earlier, later in zip(results, results[1:]):
-        if earlier.value > later.value:
-            raise ToricapError(
-                f"internal error: capacity sequence decreased at k={later.k}"
-            )
+def _require_nondecreasing(values: Sequence) -> None:
+    """The one monotonicity check: c_1 .. c_K, as integers over one
+    denominator or as fractions, must never decrease."""
+    drops = list(map(operator.gt, values, values[1:]))
+    if any(drops):
+        k = drops.index(True) + 2
+        raise ToricapError(f"internal error: capacity sequence decreased at k={k}")
 
 
-def _progression(domain: ToricDomain, kmax: int) -> tuple[int, range, Branch]:
-    """(denom, scaled c_1 .. c_kmax, branch) of a polydisk, cube or cylinder
-    union, whose c_k is the arithmetic progression c_1 + (k - 1)(c_2 - c_1).
-
-    c_1 and c_2 come from ``capacity_at``, so the closed forms stay the only
-    source of values and branch labels.
-    """
-    first, second = capacity_at(domain, 1), capacity_at(domain, 2)
-    denom, ((start, stop),) = _scaled_integer_rows(((first.value, second.value),))
+def _progression(first: Fraction, second: Fraction, kmax: int) -> tuple[int, range]:
+    """(denom, scaled c_1 .. c_kmax) of the arithmetic progression through
+    c_1 = first and c_2 = second: a polydisk, cube or cylinder union."""
+    denom, ((start, stop),) = _scaled_integer_rows(((first, second),))
     step = stop - start
-    return denom, range(start, start + kmax * step, step), first.branch
+    return denom, range(start, start + kmax * step, step)
 
 
 def _integer_results(
     denom: int, values: Sequence[int], branch: Branch
 ) -> tuple[CapacityResult, ...]:
     """c_k = values[k - 1] / denom, checked nondecreasing on the integers."""
-    drops = list(map(operator.gt, values, values[1:]))
-    if any(drops):
-        k = drops.index(True) + 2
-        raise ToricapError(f"internal error: capacity sequence decreased at k={k}")
+    _require_nondecreasing(values)
     return tuple(
         CapacityResult(k, Fraction(value, denom), None, branch)
         for k, value in enumerate(values, 1)
@@ -424,24 +405,24 @@ def _integer_results(
 def capacity_sequence(domain: ToricDomain, kmax: int) -> CapacitySequence:
     """c_1 .. c_kmax of the domain.
 
-    Closed-form kinds take one pass on integers over a common denominator:
-    an ellipsoid merges the progressions of its axes, and a polydisk, cube
-    or cylinder union extends the progression through c_1 and c_2.  Their
-    integers are checked nondecreasing before any ``Fraction`` is built.
-    Convex and concave regions run one search per k, checked on the values.
+    A closed-form kind takes one pass on integers over a common
+    denominator: an ellipsoid merges the progressions of its axes, and a
+    polydisk, cube or cylinder union extends the progression through c_1
+    and c_2.  Any other kind runs one search per k.  Either way the values
+    pass the monotonicity check, the integers before any ``Fraction`` is
+    built.
     """
-    if not isinstance(kmax, int) or kmax < 1:
-        raise ValueError(f"kmax must be a positive integer, got {kmax}")
-    if isinstance(domain, Ellipsoid):
-        results = _integer_results(
-            *_ellipsoid_sequence(domain.axes, kmax), Branch.ELLIPSOID_SPECTRUM
-        )
-    elif isinstance(domain, (Polydisk, Cube, CylinderUnion)):
-        results = _integer_results(*_progression(domain, kmax))
-    else:
+    positive_int(kmax, "kmax")
+    if type(domain) not in _CLOSED_FORMS:
         results = tuple(capacity_at(domain, k) for k in range(1, kmax + 1))
-        _check_nondecreasing(results)
-    return CapacitySequence(domain=domain, values=results)
+        _require_nondecreasing([r.value for r in results])
+        return CapacitySequence(domain=domain, values=results)
+    branch, c_k = _CLOSED_FORMS[type(domain)]
+    if domain.shape == "ellipsoid":
+        denom, values = _ellipsoid_sequence(domain.axes, kmax)
+    else:
+        denom, values = _progression(c_k(domain, 1), c_k(domain, 2), kmax)
+    return CapacitySequence(domain=domain, values=_integer_results(denom, values, branch))
 
 
 def product_capacities(
@@ -453,8 +434,7 @@ def product_capacities(
     among the candidates.  The min-plus runs on the factors' first kmax
     values scaled to integers over one common denominator.
     """
-    if not isinstance(kmax, int) or kmax < 1:
-        raise ValueError(f"kmax must be a positive integer, got {kmax}")
+    positive_int(kmax, "kmax")
     if left.kmax < kmax or right.kmax < kmax:
         raise ValueError(
             f"need both factors computed to index {kmax}, "

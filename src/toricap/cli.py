@@ -22,9 +22,11 @@ import functools
 import io
 import json
 import sys
+from decimal import Context
+from fractions import Fraction
 
 from .capacities import CapacitySequence, capacity_sequence
-from .domains import ConcaveToricDomain, Ellipsoid, ToricDomain, dimension
+from .domains import Staircase, ToricDomain
 from .embeddings import (
     asymptotic_slope,
     cube_capacity,
@@ -66,39 +68,51 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="append brute-force oracle values and fail on any mismatch",
     )
+    p_caps.set_defaults(run=_cmd_caps)
 
     p_cube = sub.add_parser("cube", help="cube capacity")
     add_common(p_cube)
+    p_cube.set_defaults(run=lambda args: _cmd_scalar(args, cube_capacity))
 
     p_gromov = sub.add_parser("gromov", help="Gromov width of a concave domain")
     add_common(p_gromov)
+    p_gromov.set_defaults(
+        run=lambda args: _cmd_scalar(args, lambda d: gromov_width(_gromov_domain(d)))
+    )
 
     p_obs = sub.add_parser("obstruct", help="pairwise embedding obstruction report")
     p_obs.add_argument("--source", required=True, help="source domain-spec file")
     p_obs.add_argument("--target", required=True, help="target domain-spec file")
     add_common(p_obs, domain_flag=False)
     p_obs.add_argument("--kmax", "-k", type=int, required=True, help="largest index K")
+    p_obs.set_defaults(run=_cmd_obstruct)
 
     p_slope = sub.add_parser("slope", help="asymptotic slope c_K/K with exact limit")
     add_common(p_slope)
     p_slope.add_argument("--kmax", "-k", type=int, required=True, help="index K")
+    p_slope.set_defaults(run=_cmd_slope)
 
     p_lag = sub.add_parser(
         "lagrangian-bound", help="lower bound for the Lagrangian capacity"
     )
     add_common(p_lag)
+    p_lag.set_defaults(run=lambda args: _cmd_scalar(args, lagrangian_lower_bound))
 
     return parser
 
 
-def _scalar_report(value, fmt: str, label: str) -> str:
-    if fmt == "table":
-        return f"{format_rational(value)} (≈{float(value):.6g})\n"
-    if fmt == "csv":
-        return f"{label}_rational,{label}_decimal\n{format_rational(value)},{decimal_string(value)}\n"
-    return json.dumps(
-        {label: format_rational(value), "decimal": decimal_string(value)}, indent=2
-    ) + "\n"
+def _approx(value: Fraction) -> str:
+    """``value`` to 6 significant digits as ``float``'s ``.6g`` prints it, but
+    from the exact rational where the float overflows or loses digits."""
+    try:
+        if not value or abs(float(value)) >= sys.float_info.min:
+            return f"{float(value):.6g}"
+    except OverflowError:
+        pass
+    # so far from 1 that .6g prints scientific form, trailing zeros dropped
+    digits = Context(prec=6).divide(value.numerator, value.denominator)
+    mantissa, exponent = f"{digits:.5e}".split("e")
+    return f"{mantissa.rstrip('0').rstrip('.')}e{exponent}"
 
 
 def _witness_text(witness) -> str:
@@ -238,7 +252,7 @@ def _cmd_slope(args) -> tuple[str, int]:
         text = (
             f"domain: {domain}\n"
             f"estimate c_K/K = {format_rational(report.estimate)} "
-            f"(≈{float(report.estimate):.6g}) at K={args.kmax}\n"
+            f"(≈{_approx(report.estimate)}) at K={args.kmax}\n"
             f"exact limit    = {format_rational(report.exact)}\n"
             f"bracket: {format_rational(report.lower)} <= c_K/K <= "
             f"{format_rational(report.upper)}\n"
@@ -269,19 +283,25 @@ def _cmd_slope(args) -> tuple[str, int]:
     return text, 0
 
 
-def _cmd_scalar(args, compute, label: str) -> tuple[str, int]:
-    domain = load_domain(args.domain)
-    return _scalar_report(compute(domain), args.format, label), 0
+def _cmd_scalar(args, compute) -> tuple[str, int]:
+    value = compute(load_domain(args.domain))
+    if args.format == "table":
+        return f"{format_rational(value)} (≈{_approx(value)})\n", 0
+    if args.format == "csv":
+        return f"value_rational,value_decimal\n{format_rational(value)},{decimal_string(value)}\n", 0
+    return json.dumps(
+        {"value": format_rational(value), "decimal": decimal_string(value)}, indent=2
+    ) + "\n", 0
 
 
-def _gromov_domain(domain: ToricDomain) -> ConcaveToricDomain:
-    if isinstance(domain, ConcaveToricDomain):
+def _gromov_domain(domain: ToricDomain) -> Staircase:
+    if domain.shape == "staircase":
         return domain
-    if isinstance(domain, Ellipsoid):
+    if domain.shape == "ellipsoid":
         return domain.to_concave()
     raise ToricapError(
         "gromov requires a concave domain (or a finite-axis ellipsoid); "
-        f"got dimension-{dimension(domain)} {type(domain).__name__}"
+        f"got dimension-{domain.n} {type(domain).__name__}"
     )
 
 
@@ -293,23 +313,7 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:  # argparse handles usage errors and --help
         return int(exc.code or 0)
     try:
-        if args.command == "caps":
-            text, code = _cmd_caps(args)
-        elif args.command == "cube":
-            text, code = _cmd_scalar(args, cube_capacity, "value")
-        elif args.command == "gromov":
-            text, code = _cmd_scalar(
-                args, lambda d: gromov_width(_gromov_domain(d)), "value"
-            )
-        elif args.command == "obstruct":
-            text, code = _cmd_obstruct(args)
-        elif args.command == "slope":
-            text, code = _cmd_slope(args)
-        elif args.command == "lagrangian-bound":
-            text, code = _cmd_scalar(args, lagrangian_lower_bound, "value")
-        else:  # pragma: no cover - argparse enforces the choices
-            parser.error(f"unknown command {args.command!r}")
-            return 2
+        text, code = args.run(args)
     except (ToricapError, ValueError, TypeError) as exc:
         print(f"toricap: error: {exc}", file=sys.stderr)
         return 1

@@ -1,20 +1,31 @@
 """Toric domain descriptions and their exact geometric primitives.
 
 A toric domain lives in R^{2n} but is described entirely by its moment-map
-image, a region of the nonnegative orthant of R^n.  This module holds the
-region descriptions (ellipsoid, polydisk, cube, cylinder union, general
-convex hulls and concave staircases) and the few geometric evaluations the
-capacity formulas actually consume:
+image, a region of the nonnegative orthant of R^n.  Each domain kind
+declares the ``shape`` of that description:
 
-* ``support_value`` -- max of <v, w> over a convex region, evaluated at
+* ``"ellipsoid"`` -- ``Ellipsoid``, the simplex sum_i x_i/a_i <= 1, whose
+  axes may be infinite;
+* ``"hull"`` -- everything below the convex hull of some points: a
+  ``ConvexToricDomain``, a ``Polydisk`` (the one point (a_1, ..., a_n)) or
+  a ``Cube`` (the one point (delta, ..., delta));
+* ``"staircase"`` -- everything below the staircase spanned by some
+  vertices: a ``ConcaveToricDomain`` or a ``CylinderUnion`` (the one vertex
+  (delta, ..., delta)).
+
+Hull and staircase kinds list those ``points`` and cache them as integer
+rows over one common denominator, and the geometric evaluations the
+capacity formulas consume take any of them:
+
+* ``support_value`` -- max of <v, w> over a hull, evaluated at
   nonnegative lattice vectors, where the max over the generator points is
   exact;
 * ``antinorm_value`` -- min of <v, w> over a staircase boundary, evaluated
   at strictly positive lattice vectors, where the min over the staircase
   vertices is exact;
 * ``diagonal_intersection`` -- the largest t with (t, ..., t) inside the
-  region: a closed form for the special families, else the value of a
-  matrix game solved as a small linear program by an exact simplex;
+  region: a closed form for an ellipsoid, else the value of a matrix game
+  solved as a small linear program by an exact simplex;
 * ``scale_domain`` -- multiply the region by a positive rational.
 
 All coordinates are ``Fraction``; everything here is immutable and pure.
@@ -23,13 +34,13 @@ All coordinates are ``Fraction``; everything here is immutable and pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 from typing import Union
 
 from .errors import DimensionMismatch, UnboundedDomainError
-from .rationals import ExtendedRational, is_infinite, to_rational
+from .rationals import ExtendedRational, is_infinite, positive_int, to_rational
 
 Point = tuple[Fraction, ...]
 LatticeVector = tuple[int, ...]
@@ -75,6 +86,7 @@ class Ellipsoid:
     """
 
     axes: tuple[ExtendedRational, ...]
+    shape = "ellipsoid"
 
     def __post_init__(self) -> None:
         axes = tuple(to_rational(a, allow_infinite=True) for a in self.axes)
@@ -93,35 +105,40 @@ class Ellipsoid:
     def finite_axes(self) -> tuple[Fraction, ...]:
         return tuple(a for a in self.axes if not is_infinite(a))
 
-    def to_convex(self) -> "ConvexToricDomain":
-        """Simplex form: generators a_i * e_i.  Finite axes only."""
+    def _simplex_vertices(self) -> tuple[Point, ...]:
         if len(self.finite_axes) != self.n:
             raise UnboundedDomainError("cannot convert an infinite-axis ellipsoid")
-        gens = tuple(
-            tuple(self.axes[i] if j == i else Fraction(0) for j in range(self.n))
-            for i in range(self.n)
+        return tuple(
+            tuple(a if j == i else Fraction(0) for j in range(self.n))
+            for i, a in enumerate(self.axes)
         )
-        return ConvexToricDomain(gens)
+
+    def to_convex(self) -> "ConvexToricDomain":
+        """Simplex form: generators a_i * e_i.  Finite axes only."""
+        return ConvexToricDomain(self._simplex_vertices())
 
     def to_concave(self) -> "ConcaveToricDomain":
         """Staircase form with the same simplex vertices.  Finite axes only."""
-        if len(self.finite_axes) != self.n:
-            raise UnboundedDomainError("cannot convert an infinite-axis ellipsoid")
-        verts = tuple(
-            tuple(self.axes[i] if j == i else Fraction(0) for j in range(self.n))
-            for i in range(self.n)
-        )
-        return ConcaveToricDomain(verts)
+        return ConcaveToricDomain(self._simplex_vertices())
 
     def __str__(self) -> str:
         return "E(" + ", ".join("inf" if is_infinite(a) else str(a) for a in self.axes) + ")"
 
 
+class _Points:
+    """A hull or staircase kind: its region is given by ``points``."""
+
+    @cached_property
+    def _scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        return _scaled_integer_rows(self.points)
+
+
 @dataclass(frozen=True)
-class Polydisk:
-    """P(a_1, ..., a_n): the box 0 <= x_i <= a_i."""
+class Polydisk(_Points):
+    """P(a_1, ..., a_n): the box 0 <= x_i <= a_i, the hull of its far corner."""
 
     areas: tuple[Fraction, ...]
+    shape = "hull"
 
     def __post_init__(self) -> None:
         areas = tuple(to_rational(a) for a in self.areas)
@@ -136,59 +153,74 @@ class Polydisk:
     def n(self) -> int:
         return len(self.areas)
 
-    def to_convex(self) -> "ConvexToricDomain":
-        """The box is the downward closure of its far corner."""
-        return ConvexToricDomain((self.areas,))
+    @property
+    def points(self) -> tuple[Point, ...]:
+        return (self.areas,)
 
     def __str__(self) -> str:
         return "P(" + ", ".join(str(a) for a in self.areas) + ")"
 
 
 @dataclass(frozen=True)
-class Cube:
-    """The cube P(delta, ..., delta) in n complex dimensions."""
+class _Diagonal(_Points):
+    """A region given by the one point (delta, ..., delta) in n dimensions."""
 
     n: int
     delta: Fraction
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"cube dimension must be a positive integer, got {self.n}")
+        positive_int(self.n, f"{self._what} dimension")
         delta = to_rational(self.delta)
         if delta <= 0:
-            raise ValueError(f"cube size must be positive, got {delta}")
+            raise ValueError(f"{self._what} size must be positive, got {delta}")
         object.__setattr__(self, "delta", delta)
 
-    def to_polydisk(self) -> Polydisk:
-        return Polydisk((self.delta,) * self.n)
+    @property
+    def points(self) -> tuple[Point, ...]:
+        return ((self.delta,) * self.n,)
 
     def __str__(self) -> str:
-        return f"Cube_{self.n}({self.delta})"
+        return f"{type(self).__name__}_{self.n}({self.delta})"
 
 
 @dataclass(frozen=True)
-class CylinderUnion:
-    """Union of the n symplectic cylinders min_i x_i <= delta (unbounded)."""
+class Cube(_Diagonal):
+    """The cube P(delta, ..., delta) in n complex dimensions: the hull of its
+    far corner."""
 
-    n: int
-    delta: Fraction
+    shape = "hull"
+    _what = "cube"
+
+
+@dataclass(frozen=True)
+class CylinderUnion(_Diagonal):
+    """Union of the n symplectic cylinders min_i x_i <= delta (unbounded):
+    the region below the one staircase vertex (delta, ..., delta)."""
+
+    shape = "staircase"
+    _what = "cylinder-union"
+
+
+class _PointSet(_Points):
+    """A hull or staircase listed point by point, in the field ``_field``."""
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(
-                f"cylinder-union dimension must be a positive integer, got {self.n}"
-            )
-        delta = to_rational(self.delta)
-        if delta <= 0:
-            raise ValueError(f"cylinder-union size must be positive, got {delta}")
-        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, self._field, _normalize_points(self.points, self._what))
+
+    @property
+    def points(self) -> tuple[Point, ...]:
+        return getattr(self, self._field)
+
+    @property
+    def n(self) -> int:
+        return len(self.points[0])
 
     def __str__(self) -> str:
-        return f"CylinderUnion_{self.n}({self.delta})"
+        return f"{type(self).__name__}({len(self.points)} {self._field}, n={self.n})"
 
 
 @dataclass(frozen=True)
-class ConvexToricDomain:
+class ConvexToricDomain(_PointSet):
     """Region generated by points: the downward convex hull in the orthant.
 
     The region is *defined* as the smallest convex moment image containing
@@ -199,26 +231,12 @@ class ConvexToricDomain:
     """
 
     generators: tuple[Point, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "generators", _normalize_points(self.generators, "generators")
-        )
-
-    @property
-    def n(self) -> int:
-        return len(self.generators[0])
-
-    @cached_property
-    def _scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        return _scaled_integer_rows(self.generators)
-
-    def __str__(self) -> str:
-        return f"ConvexToricDomain({len(self.generators)} generators, n={self.n})"
+    shape = "hull"
+    _field = _what = "generators"
 
 
 @dataclass(frozen=True)
-class ConcaveToricDomain:
+class ConcaveToricDomain(_PointSet):
     """Region below a staircase boundary spanned by the given vertices.
 
     The staircase is the lower boundary of conv(vertices) + orthant; the
@@ -232,32 +250,15 @@ class ConcaveToricDomain:
     """
 
     vertices: tuple[Point, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "vertices", _normalize_points(self.vertices, "staircase vertices")
-        )
-
-    @property
-    def n(self) -> int:
-        return len(self.vertices[0])
-
-    @cached_property
-    def _scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        return _scaled_integer_rows(self.vertices)
-
-    def __str__(self) -> str:
-        return f"ConcaveToricDomain({len(self.vertices)} vertices, n={self.n})"
+    shape = "staircase"
+    _field, _what = "vertices", "staircase vertices"
 
 
 ToricDomain = Union[
     Ellipsoid, Polydisk, Cube, CylinderUnion, ConvexToricDomain, ConcaveToricDomain
 ]
-
-
-def dimension(domain: ToricDomain) -> int:
-    """Ambient complex dimension n of the domain."""
-    return domain.n
+Hull = Union[ConvexToricDomain, Polydisk, Cube]
+Staircase = Union[ConcaveToricDomain, CylinderUnion]
 
 
 def _check_vector(v: LatticeVector, n: int, positive: bool = False) -> None:
@@ -269,7 +270,7 @@ def _check_vector(v: LatticeVector, n: int, positive: bool = False) -> None:
             raise ValueError(f"vector entries must be {kind}, got {tuple(v)}")
 
 
-def support_value(domain: ConvexToricDomain, v: LatticeVector) -> Fraction:
+def support_value(domain: Hull, v: LatticeVector) -> Fraction:
     """Max of <v, w> over the region, exact for nonnegative v.
 
     Because the region is the downward hull of the generators and v >= 0,
@@ -281,7 +282,7 @@ def support_value(domain: ConvexToricDomain, v: LatticeVector) -> Fraction:
     return Fraction(best, denom)
 
 
-def antinorm_value(domain: ConcaveToricDomain, v: LatticeVector) -> Fraction:
+def antinorm_value(domain: Staircase, v: LatticeVector) -> Fraction:
     """Min of <v, w> over the staircase boundary, exact for v > 0.
 
     Only strictly positive v are accepted: on the staircase the minimum
@@ -294,39 +295,31 @@ def antinorm_value(domain: ConcaveToricDomain, v: LatticeVector) -> Fraction:
     return Fraction(best, denom)
 
 
+def _rescaled(value: object, factor: Fraction) -> object:
+    # coordinate tuples recurse; a dimension n or an infinite axis stays put
+    if isinstance(value, tuple):
+        return tuple(_rescaled(v, factor) for v in value)
+    return factor * value if isinstance(value, Fraction) else value
+
+
 def scale_domain(domain: ToricDomain, s: object) -> ToricDomain:
-    """Multiply the moment image by the positive rational s."""
+    """Multiply the moment image by the positive rational s: every rational
+    field of the domain is scaled by s."""
     factor = to_rational(s)
     if factor <= 0:
         raise ValueError(f"scale factor must be positive, got {factor}")
-    if isinstance(domain, Ellipsoid):
-        return Ellipsoid(tuple(a if is_infinite(a) else factor * a for a in domain.axes))
-    if isinstance(domain, Polydisk):
-        return Polydisk(tuple(factor * a for a in domain.areas))
-    if isinstance(domain, Cube):
-        return Cube(domain.n, factor * domain.delta)
-    if isinstance(domain, CylinderUnion):
-        return CylinderUnion(domain.n, factor * domain.delta)
-    if isinstance(domain, ConvexToricDomain):
-        return ConvexToricDomain(
-            tuple(tuple(factor * c for c in row) for row in domain.generators)
-        )
-    if isinstance(domain, ConcaveToricDomain):
-        return ConcaveToricDomain(
-            tuple(tuple(factor * c for c in row) for row in domain.vertices)
-        )
-    raise TypeError(f"not a toric domain: {type(domain).__name__}")
+    return type(domain)(*(_rescaled(getattr(domain, f.name), factor) for f in fields(domain)))
 
 
 def diagonal_intersection(domain: ToricDomain) -> Fraction:
     """Largest t such that the diagonal point (t, ..., t) lies in the region.
 
-    Closed forms for the special families.  An ellipsoid's infinite axes
-    bound nothing, so t = 1/sum(1/a_i) over its finite axes; only an
-    ellipsoid with every axis infinite has no diagonal bound.
+    An ellipsoid has a closed form: its infinite axes bound nothing, so
+    t = 1/sum(1/a_i) over its finite axes, and only an ellipsoid with every
+    axis infinite has no diagonal bound.
 
-    For hull and staircase inputs t is the value of a matrix game between
-    the points p_j and the coordinates i.  A hull gives t = max over convex
+    For a hull or a staircase t is the value of a matrix game between the
+    points p_j and the coordinates i.  A hull gives t = max over convex
     combinations l of min_i (sum_j l_j p_j)_i, which by the minimax theorem
     is min over y in the coordinate simplex of max_j <y, p_j>; a staircase
     gives t = min over l of max_i (sum_j l_j p_j)_i.  Either is a min over
@@ -335,28 +328,25 @@ def diagonal_intersection(domain: ToricDomain) -> Fraction:
     A is the rows p_j for a hull and their transpose for a staircase, and
     ``_max_total`` solves the program.  A zero column of A -- a coordinate
     that is zero at every hull point, or a staircase vertex at the origin --
-    leaves it unbounded: then t = 0.
+    leaves it unbounded: then t = 0.  A polydisk's one point gives
+    t = min(areas), a cube's or a cylinder union's gives t = delta.
     """
-    if isinstance(domain, Ellipsoid):
+    if domain.shape == "ellipsoid":
         if not domain.finite_axes:
             raise UnboundedDomainError(
                 "diagonal intersection undefined: every ellipsoid axis is infinite"
             )
         return 1 / sum(1 / a for a in domain.finite_axes)
-    if isinstance(domain, Polydisk):
-        return min(domain.areas)
-    if isinstance(domain, Cube):
-        return domain.delta
-    if isinstance(domain, CylinderUnion):
-        # The diagonal point (t, ..., t) has min coordinate t.
-        return domain.delta
-    if isinstance(domain, (ConvexToricDomain, ConcaveToricDomain)):
-        denom, rows = domain._scaled
-        matrix = rows if isinstance(domain, ConvexToricDomain) else tuple(zip(*rows))
-        if any(not any(column) for column in zip(*matrix)):
-            return Fraction(0)
-        return 1 / _max_total(matrix) / denom
-    raise TypeError(f"not a toric domain: {type(domain).__name__}")
+    denom, rows = domain._scaled
+    matrix = rows if domain.shape == "hull" else tuple(zip(*rows))
+    # Equal rows are one constraint and equal columns one variable.  Taken
+    # cheapest first, the columns let Bland's rule enter the best one at
+    # once when one constraint is left: a cube, polydisk or cylinder union
+    # of any dimension takes one pivot.
+    columns = sorted(set(zip(*dict.fromkeys(matrix))), key=lambda c: (sum(c), c))
+    if any(not any(column) for column in columns):
+        return Fraction(0)
+    return 1 / _max_total(tuple(zip(*columns))) / denom
 
 
 def _max_total(matrix: tuple[tuple[int, ...], ...]) -> Fraction:

@@ -2,10 +2,11 @@
 
 * cube capacity: the largest cube fitting symplectically into the domain,
   which for convex/concave toric domains is exactly the diagonal
-  intersection of the moment image -- a closed form for the special
-  families (finite even when an ellipsoid axis is infinite), else a small
-  linear program solved by an exact simplex in ``domains``;
-* Gromov width of a concave domain: the anti-norm at (1, ..., 1);
+  intersection of the moment image -- a closed form for an ellipsoid
+  (finite even when an axis is infinite), else a small linear program
+  solved by an exact simplex in ``domains``;
+* Gromov width of a staircase region (a concave domain or a cylinder
+  union): the anti-norm at (1, ..., 1);
 * pairwise obstruction reports: capacities are monotone under symplectic
   embeddings, so c_k(source) > c_k(target) at any k rules the embedding
   out (no conclusion in the other direction);
@@ -22,14 +23,9 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .capacities import capacity_at, capacity_sequence
-from .domains import (
-    ConcaveToricDomain,
-    ToricDomain,
-    antinorm_value,
-    diagonal_intersection,
-    dimension,
-)
+from .domains import Staircase, ToricDomain, antinorm_value, diagonal_intersection
 from .errors import DimensionMismatch
+from .rationals import positive_int
 
 
 @dataclass(frozen=True)
@@ -60,17 +56,17 @@ def cube_capacity(domain: ToricDomain) -> Fraction:
     return diagonal_intersection(domain)
 
 
-def gromov_width(domain: ConcaveToricDomain) -> Fraction:
-    """Largest ball fitting into a concave domain: min over vertices of sum(w)."""
+def gromov_width(domain: Staircase) -> Fraction:
+    """Largest ball fitting into a staircase region (a concave domain or a
+    cylinder union): min over vertices of sum(w)."""
     return antinorm_value(domain, (1,) * domain.n)
 
 
 def obstruct(source: ToricDomain, target: ToricDomain, kmax: int) -> ObstructionReport:
     """Test the capacity inequalities c_k(source) <= c_k(target) for k <= kmax."""
-    if dimension(source) != dimension(target):
+    if source.n != target.n:
         raise DimensionMismatch(
-            f"cannot compare domains of dimension {dimension(source)} "
-            f"and {dimension(target)}"
+            f"cannot compare domains of dimension {source.n} and {target.n}"
         )
     src = capacity_sequence(source, kmax)
     tgt = capacity_sequence(target, kmax)
@@ -89,12 +85,10 @@ def asymptotic_slope(domain: ToricDomain, kmax: int) -> SlopeReport:
     delta <= c_k/k <= delta*(k+n-1)/k; the bracket width shrinks like 1/k,
     so the estimate converges to delta.  Both bounds are reported.
     """
-    if not isinstance(kmax, int) or kmax < 1:
-        raise ValueError(f"kmax must be a positive integer, got {kmax}")
+    positive_int(kmax, "kmax")
     delta = cube_capacity(domain)
-    n = dimension(domain)
     estimate = capacity_at(domain, kmax).value / kmax
-    upper = delta * (kmax + n - 1) / kmax
+    upper = delta * (kmax + domain.n - 1) / kmax
     return SlopeReport(estimate=estimate, exact=delta, lower=delta, upper=upper)
 
 

@@ -13,19 +13,9 @@ from fractions import Fraction
 from math import comb
 from typing import Iterator, Sequence
 
-from .domains import (
-    ConcaveToricDomain,
-    ConvexToricDomain,
-    Cube,
-    CylinderUnion,
-    Ellipsoid,
-    Polydisk,
-    ToricDomain,
-    antinorm_value,
-    support_value,
-)
+from .domains import Hull, Staircase, ToricDomain, antinorm_value, support_value
 from .errors import EnumerationCapExceeded, UnboundedDomainError
-from .rationals import ExtendedRational, is_infinite, to_rational
+from .rationals import ExtendedRational, is_infinite, positive_int, to_rational
 
 DEFAULT_ENUMERATION_CAP = 10**7
 
@@ -48,22 +38,20 @@ def _check_cap(count: int, cap: int) -> None:
 
 
 def brute_convex_capacity(
-    domain: ConvexToricDomain, k: int, cap: int = DEFAULT_ENUMERATION_CAP
+    domain: Hull, k: int, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> Fraction:
     """Min support value over every composition of k, no pruning."""
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
+    positive_int(k, "k")
     n = domain.n
     _check_cap(comb(k + n - 1, n - 1), cap)
     return min(support_value(domain, v) for v in compositions(k, n))
 
 
 def brute_concave_capacity(
-    domain: ConcaveToricDomain, k: int, cap: int = DEFAULT_ENUMERATION_CAP
+    domain: Staircase, k: int, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> Fraction:
     """Max anti-norm over every strictly positive composition of k+n-1."""
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
+    positive_int(k, "k")
     n = domain.n
     _check_cap(comb(k + n - 2, n - 1), cap)
     shifted = (
@@ -74,8 +62,7 @@ def brute_concave_capacity(
 
 def brute_ellipsoid_capacity(axes: Sequence[ExtendedRational], k: int) -> Fraction:
     """k-th element of the sorted merge of the first k multiples of each axis."""
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
+    positive_int(k, "k")
     finite = [
         to_rational(a, allow_infinite=True)
         for a in axes
@@ -90,24 +77,14 @@ def brute_ellipsoid_capacity(axes: Sequence[ExtendedRational], k: int) -> Fracti
 def brute_capacity(
     domain: ToricDomain, k: int, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> Fraction:
-    """Oracle value of c_k for any domain kind.
+    """Oracle value of c_k for any domain kind, by the shape of its region.
 
-    The closed-form families are rerouted through the enumerative paths:
-    polydisks and cubes through their single-generator hull form, the
-    cylinder union through the one-vertex staircase whose anti-norm is
-    delta * sum(v).
+    Every kind but the ellipsoid goes through an enumerative path: a
+    polydisk or cube is a one-generator hull, a cylinder union the
+    one-vertex staircase whose anti-norm is delta * sum(v).
     """
-    if isinstance(domain, Ellipsoid):
+    if domain.shape == "ellipsoid":
         return brute_ellipsoid_capacity(domain.axes, k)
-    if isinstance(domain, Polydisk):
-        return brute_convex_capacity(domain.to_convex(), k, cap)
-    if isinstance(domain, Cube):
-        return brute_convex_capacity(domain.to_polydisk().to_convex(), k, cap)
-    if isinstance(domain, CylinderUnion):
-        point = ConcaveToricDomain(((domain.delta,) * domain.n,))
-        return brute_concave_capacity(point, k, cap)
-    if isinstance(domain, ConvexToricDomain):
+    if domain.shape == "hull":
         return brute_convex_capacity(domain, k, cap)
-    if isinstance(domain, ConcaveToricDomain):
-        return brute_concave_capacity(domain, k, cap)
-    raise TypeError(f"not a toric domain: {type(domain).__name__}")
+    return brute_concave_capacity(domain, k, cap)

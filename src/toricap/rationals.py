@@ -20,10 +20,8 @@ from typing import Union
 
 INF = math.inf
 
-Rational = Fraction
 #: A Fraction, or math.inf (the only float ever allowed through).
 ExtendedRational = Union[Fraction, float]
-RationalLike = Union[Fraction, int, str]
 
 # integer or integer/integer, no decimal point, no exponent
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
@@ -71,6 +69,14 @@ def to_rational(value: object, allow_infinite: bool = False) -> ExtendedRational
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
+
+
+def positive_int(value: object, what: str) -> int:
+    """``value`` if it is a positive int, else ValueError naming ``what``;
+    a ``bool`` is an ``int`` but never a count or an index."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{what} must be a positive integer, got {value}")
+    return value
 
 
 def format_rational(x: ExtendedRational) -> str:

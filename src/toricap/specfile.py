@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import partial
 
 from .domains import (
     ConcaveToricDomain,
@@ -32,7 +33,7 @@ from .domains import (
     ToricDomain,
 )
 from .errors import DimensionMismatch, DomainFormatError
-from .rationals import ExtendedRational, format_rational, to_rational
+from .rationals import ExtendedRational, format_rational, positive_int, to_rational
 
 
 def _rational_field(raw: object, path: str, allow_infinite: bool = False) -> ExtendedRational:
@@ -63,9 +64,31 @@ def _point_list(raw: object, path: str) -> list[tuple[Fraction, ...]]:
 
 
 def _dimension_field(raw: object, path: str) -> int:
-    if not isinstance(raw, int) or isinstance(raw, bool) or raw < 1:
-        raise DomainFormatError(f"{path}: expected a positive integer dimension")
-    return raw
+    try:
+        return positive_int(raw, path)
+    except ValueError:
+        raise DomainFormatError(f"{path}: expected a positive integer dimension") from None
+
+
+def _jsonable(value: object) -> object:
+    # coordinate tuples recurse; a dimension n stays a JSON integer
+    if isinstance(value, tuple):
+        return [_jsonable(v) for v in value]
+    return value if isinstance(value, int) else format_rational(value)
+
+
+# The wire format: type name, class, and per field its JSON key, its
+# attribute and the parser of its JSON value, in the order of the class's
+# fields.  Every field renders back through ``_jsonable``.
+_SIZED = (("n", "n", _dimension_field), ("delta", "delta", _rational_field))
+_KINDS = (
+    ("ellipsoid", Ellipsoid, (("a", "axes", partial(_rational_list, allow_infinite=True)),)),
+    ("polydisk", Polydisk, (("a", "areas", _rational_list),)),
+    ("cube", Cube, _SIZED),
+    ("cylinder_union", CylinderUnion, _SIZED),
+    ("convex", ConvexToricDomain, (("generators", "generators", _point_list),)),
+    ("concave", ConcaveToricDomain, (("sigma", "vertices", _point_list),)),
+)
 
 
 def parse_domain(text: str) -> ToricDomain:
@@ -81,59 +104,26 @@ def parse_domain(text: str) -> ToricDomain:
     kind = data.get("type")
     if not isinstance(kind, str):
         raise DomainFormatError("type: missing or not a string")
-    try:
-        if kind == "ellipsoid":
-            return Ellipsoid(tuple(_rational_list(data.get("a"), "a", allow_infinite=True)))
-        if kind == "polydisk":
-            return Polydisk(tuple(_rational_list(data.get("a"), "a")))
-        if kind == "cube":
-            return Cube(
-                _dimension_field(data.get("n"), "n"),
-                _rational_field(data.get("delta"), "delta"),
-            )
-        if kind == "cylinder_union":
-            return CylinderUnion(
-                _dimension_field(data.get("n"), "n"),
-                _rational_field(data.get("delta"), "delta"),
-            )
-        if kind == "convex":
-            return ConvexToricDomain(tuple(_point_list(data.get("generators"), "generators")))
-        if kind == "concave":
-            return ConcaveToricDomain(tuple(_point_list(data.get("sigma"), "sigma")))
-    except DomainFormatError:
-        raise
-    except (ValueError, TypeError, DimensionMismatch) as exc:
-        raise DomainFormatError(f"{kind}: {exc}") from None
+    for name, cls, spec in _KINDS:
+        if name == kind:
+            values = [parse(data.get(key), key) for key, _, parse in spec]
+            try:
+                return cls(*values)
+            except (ValueError, TypeError, DimensionMismatch) as exc:
+                raise DomainFormatError(f"{kind}: {exc}") from None
+    names = [name for name, _, _ in _KINDS]
     raise DomainFormatError(
-        f"type: unknown domain type {kind!r} (expected ellipsoid, polydisk, cube, "
-        "cylinder_union, convex, or concave)"
+        f"type: unknown domain type {kind!r} (expected {', '.join(names[:-1])}, "
+        f"or {names[-1]})"
     )
 
 
 def domain_to_jsonable(domain: ToricDomain) -> dict:
     """The JSON-ready dict form of a domain."""
-    if isinstance(domain, Ellipsoid):
-        return {"type": "ellipsoid", "a": [format_rational(a) for a in domain.axes]}
-    if isinstance(domain, Polydisk):
-        return {"type": "polydisk", "a": [format_rational(a) for a in domain.areas]}
-    if isinstance(domain, Cube):
-        return {"type": "cube", "n": domain.n, "delta": format_rational(domain.delta)}
-    if isinstance(domain, CylinderUnion):
-        return {
-            "type": "cylinder_union",
-            "n": domain.n,
-            "delta": format_rational(domain.delta),
-        }
-    if isinstance(domain, ConvexToricDomain):
-        return {
-            "type": "convex",
-            "generators": [[format_rational(c) for c in row] for row in domain.generators],
-        }
-    if isinstance(domain, ConcaveToricDomain):
-        return {
-            "type": "concave",
-            "sigma": [[format_rational(c) for c in row] for row in domain.vertices],
-        }
+    for name, cls, spec in _KINDS:
+        if type(domain) is cls:
+            fields = {key: _jsonable(getattr(domain, attr)) for key, attr, _ in spec}
+            return {"type": name, **fields}
     raise TypeError(f"not a toric domain: {type(domain).__name__}")
 
 

@@ -18,6 +18,7 @@ from toricap import (
     ToricapError,
     UnboundedDomainError,
     antinorm_value,
+    asymptotic_slope,
     brute_concave_capacity,
     brute_convex_capacity,
     brute_ellipsoid_capacity,
@@ -115,6 +116,33 @@ def test_search_rejects_bad_k():
         convex_capacity(d, 0)
     with pytest.raises(ValueError):
         concave_capacity(ConcaveToricDomain(((1, 1),)), 0)
+
+
+def test_booleans_are_not_integers():
+    # bool is an int subclass; no dimension, index or kmax may be one
+    convex, concave = ConvexToricDomain(((1, 1),)), ConcaveToricDomain(((1, 1),))
+    seq = capacity_sequence(Cube(2, 1), 3)
+    calls = [
+        lambda: Cube(True, 1),
+        lambda: CylinderUnion(True, 1),
+        lambda: convex_capacity(convex, True),
+        lambda: concave_capacity(concave, True),
+        lambda: ellipsoid_capacity((1, 2), True),
+        lambda: polydisk_capacity((1, 2), True),
+        lambda: cylinder_union_capacity(True, 1, 1),
+        lambda: cylinder_union_capacity(2, 1, True),
+        lambda: capacity_at(Polydisk((1, 2)), True),
+        lambda: capacity_sequence(Ellipsoid((1, 2)), True),
+        lambda: capacity_sequence(convex, True),
+        lambda: product_capacities(seq, seq, True),
+        lambda: asymptotic_slope(convex, True),
+        lambda: brute_convex_capacity(convex, True),
+        lambda: brute_concave_capacity(concave, True),
+        lambda: brute_ellipsoid_capacity((1, 2), True),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="positive integer"):
+            call()
 
 
 def test_witness_invariants_random():
@@ -304,6 +332,8 @@ def test_progression_sequences_match_per_k_closed_forms():
 
 
 def test_integer_monotonicity_check_fires(monkeypatch):
+    # every sequence path reads its producer by module-global name: the
+    # ellipsoid merge, the progression, and the search of each shape
     message = "internal error: capacity sequence decreased at k="
     monkeypatch.setattr(
         capacities_module, "_ellipsoid_sequence", lambda axes, kmax: (3, [1, 4, 2])
@@ -311,11 +341,18 @@ def test_integer_monotonicity_check_fires(monkeypatch):
     with pytest.raises(ToricapError, match=message + "3$"):
         capacity_sequence(Ellipsoid((1, 2)), 3)
     monkeypatch.setattr(
-        capacities_module,
-        "_progression",
-        lambda domain, kmax: (2, [5, 5, 7, 6, 8], Branch.POLYDISK_CLOSED_FORM),
+        capacities_module, "_progression", lambda first, second, kmax: (2, [5, 5, 7, 6, 8])
     )
     for domain in (Polydisk((1, 2)), Cube(2, 1), CylinderUnion(2, 1)):
+        with pytest.raises(ToricapError, match=message + "4$"):
+            capacity_sequence(domain, 5)
+
+    def falling_search(domain, k):
+        return CapacityResult(k, F((5, 5, 7, 6, 8)[k - 1], 2), (k,), Branch.CONVEX_SEARCH)
+
+    monkeypatch.setattr(capacities_module, "convex_capacity", falling_search)
+    monkeypatch.setattr(capacities_module, "concave_capacity", falling_search)
+    for domain in (ConvexToricDomain(((1,),)), ConcaveToricDomain(((1,),))):
         with pytest.raises(ToricapError, match=message + "4$"):
             capacity_sequence(domain, 5)
 

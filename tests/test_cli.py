@@ -53,6 +53,29 @@ def test_gromov_rejects_convex_input(write_spec, capsys):
     assert "concave" in capsys.readouterr().err
 
 
+def test_gromov_on_a_cylinder_union_is_its_staircase_width(write_spec, capsys):
+    union = write_spec("z.json", '{"type":"cylinder_union","n":3,"delta":"9/10"}')
+    stair = write_spec("s.json", '{"type":"concave","sigma":[["9/10","9/10","9/10"]]}')
+    for path in (union, stair):
+        assert run_cli(["gromov", "-d", path]) == 0
+        assert capsys.readouterr().out == "27/10 (≈2.7)\n"
+
+
+@pytest.mark.parametrize(
+    "delta,approx",
+    [("1" + "0" * 400, "1e+400"), ("1/1" + "0" * 400, "1e-400"),
+     ("7" * 331 + "/3", "2.59259e+330"), ("1/3" + "0" * 320, "3.33333e-321")],
+    ids=["overflow", "rounds_to_zero", "overflow_digits", "subnormal"],
+)
+def test_table_approximation_outside_float_range(write_spec, capsys, delta, approx):
+    # float() overflows, or rounds to 0 or to a subnormal with fewer digits
+    path = write_spec("c.json", f'{{"type":"cube","n":2,"delta":"{delta}"}}')
+    assert run_cli(["cube", "-d", path]) == 0
+    assert capsys.readouterr().out == f"{delta} (≈{approx})\n"
+    assert run_cli(["slope", "-d", path, "-k", "5"]) == 0
+    assert f"estimate c_K/K = {delta} (≈{approx}) at K=5\n" in capsys.readouterr().out
+
+
 def test_obstruct_violation_message(write_spec, capsys):
     box = write_spec("box.json", '{"type":"cube","n":2,"delta":"1"}')
     lnd = write_spec("lnd.json", '{"type":"cylinder_union","n":2,"delta":"9/10"}')

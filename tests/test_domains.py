@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,6 @@ from toricap import (
     UnboundedDomainError,
     antinorm_value,
     diagonal_intersection,
-    dimension,
     scale_domain,
     support_value,
 )
@@ -74,9 +74,9 @@ def test_constructors_coerce_rational_like_inputs():
 
 
 def test_dimension():
-    assert dimension(Ellipsoid((1, 2, 3))) == 3
-    assert dimension(Cube(4, 1)) == 4
-    assert dimension(ConcaveToricDomain(((1, 0), (0, 2)))) == 2
+    assert Ellipsoid((1, 2, 3)).n == 3
+    assert Cube(4, 1).n == 4
+    assert ConcaveToricDomain(((1, 0), (0, 2))).n == 2
 
 
 # ------------------------------------------------------------- support values
@@ -142,6 +142,24 @@ def test_diagonal_intersection_hull_cases():
     assert diagonal_intersection(stair) == 1
     # single-point staircase
     assert diagonal_intersection(ConcaveToricDomain(((3, 5),))) == 5
+
+
+HUGE_DIMENSION_SECONDS = 2.0  # measured at about 0.1 s for each region below
+
+
+def test_diagonal_of_one_point_regions_in_huge_dimension():
+    # a cube, polydisk or cylinder union is one hull point or staircase
+    # vertex; its program must stay linear in n, not a dense n x n tableau
+    n = 10**5
+    cases = [
+        (Cube(n, F(3, 7)), F(3, 7)),
+        (CylinderUnion(n, F(3, 7)), F(3, 7)),
+        (Polydisk(tuple(F(2 * n - i, 7) for i in range(n))), F(n + 1, 7)),
+    ]
+    for domain, expected in cases:
+        start = time.perf_counter()
+        assert diagonal_intersection(domain) == expected
+        assert time.perf_counter() - start < HUGE_DIMENSION_SECONDS
 
 
 def test_diagonal_intersection_matches_ellipsoid_conversions():

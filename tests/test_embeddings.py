@@ -15,7 +15,6 @@ from toricap import (
     asymptotic_slope,
     capacity_sequence,
     cube_capacity,
-    dimension,
     gromov_width,
     lagrangian_lower_bound,
     obstruct,
@@ -119,7 +118,7 @@ def test_asymptotic_slope_bracket():
         r = asymptotic_slope(d, kmax)
         assert r.lower <= r.estimate <= r.upper
         assert r.lower == cube_capacity(d)
-        assert r.upper == r.lower * (kmax + dimension(d) - 1) / kmax
+        assert r.upper == r.lower * (kmax + d.n - 1) / kmax
 
 
 def test_lagrangian_lower_bound_is_cube_capacity():

@@ -52,6 +52,8 @@ def test_syntax_error_reports_line_and_column():
         ('{"type":"ellipsoid","a":["0"]}', "positive"),
         ('{"type":"polydisk","a":[]}', "a"),
         ('{"type":"cube","n":0,"delta":"1"}', "n"),
+        ('{"type":"cube","n":true,"delta":"1"}', "n: expected a positive integer"),
+        ('{"type":"cylinder_union","n":false,"delta":"1"}', "n: expected a positive integer"),
         ('{"type":"cube","n":2,"delta":"-1"}', "positive"),
         ('{"type":"convex","generators":[["1","-2"]]}', "nonnegative"),
         ('{"type":"convex","generators":[["1"],["1","2"]]}', "dimension"),
