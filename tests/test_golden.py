@@ -27,6 +27,8 @@ CASES = {
     "caps_ellipsoid_inf": ["caps", "--domain", "ellipsoid_inf.json", "--kmax", "30"],
     "caps_convex": ["caps", "--domain", "convex.json", "--kmax", "14"],
     "caps_concave": ["caps", "--domain", "concave.json", "--kmax", "14"],
+    "caps_convex5": ["caps", "--domain", "convex5.json", "--kmax", "12"],
+    "caps_concave5": ["caps", "--domain", "concave5.json", "--kmax", "12"],
     "cube_convex": ["cube", "--domain", "convex.json"],
     "cube_polydisk": ["cube", "--domain", "polydisk.json"],
     "cube_cylinder_union": ["cube", "--domain", "cylinder_union.json"],
