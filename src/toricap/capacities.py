@@ -16,21 +16,18 @@ and c_2 from the closed form, scaled to integers over one denominator and
 extended by their difference.
 
 A kind without a closed form is searched by the shape of its region (see
-``domains``), with an exact branch-and-bound over lattice vectors:
-
-* hull: minimize the support value over nonnegative integer vectors whose
-  entries sum to k;
-* staircase: maximize the anti-norm over strictly positive integer vectors
-  whose entries sum to k + n - 1.
-
-Both searches run depth-first over the leading coordinates, skip an entry
-whose bound over all completions cannot beat the incumbent (the convex
-bound spends the remaining budget on the smallest later coordinate of each
-generator, the concave one gives each later coordinate 1 and the rest to
-the largest), and end a coordinate's loop once a bound that is linear in
-the entry fails at both ends.  The last two coordinates (e, R - e) are
-solved in closed form: the objective is convex (or concave) in e, so a
-binary search finds its lexicographically first optimum in O(m log R).
+``domains``).  A hull's c_k is the least support value max_w <v, w> over
+v in N^n with sum(v) = k; a staircase's is the greatest anti-norm
+min_w <v, w> over v >= 1 with sum(v) = k + n - 1, which with u = v - 1 is
+minus the least max_w(-sum(w) + <u, -w>) over u in N^n with
+sum(u) = k - 1.  So one exact branch-and-bound finds the least
+max_w(d_w + <u, w>) over u in N^n with a given sum: a hull passes its rows
+and d = 0, a staircase its negated rows and d_w = -sum(w).  It runs
+depth-first over the leading coordinates, skips an entry whose bound over
+all completions cannot beat the incumbent, ends a coordinate's loop once
+that bound, linear in the entry, fails at both ends, and solves the last
+two coordinates (e, R - e) by a binary search on the objective, convex in
+e, in O(m log R).
 
 Ties are broken toward the lexicographically smallest optimizer so output
 is reproducible.  ``capacity_at`` and ``capacity_sequence`` read the table
@@ -59,6 +56,7 @@ from .domains import (
     Staircase,
     ToricDomain,
     _scaled_integer_rows,
+    shape_of,
 )
 from .errors import ToricapError, UnboundedDomainError
 from .rationals import ExtendedRational, is_infinite, positive_int, to_rational
@@ -197,157 +195,94 @@ def _lowest_minimizer(
     return lo, max(b + lo * s for b, s in zip(base, slopes))
 
 
-def convex_capacity(domain: Hull, k: int) -> CapacityResult:
-    """Minimize the support value over v in N^n with sum(v) = k.
+def _lattice_search(
+    rows: Sequence[Sequence[int]], dots: Sequence[int], total: int
+) -> tuple[int, tuple[int, ...]]:
+    """(value, witness): the least max_w(dots_w + <u, w>) over the rows w
+    and u in N^n with sum(u) = total, and its lexicographically smallest
+    minimizer u.
 
-    Depth-first over compositions in lexicographic order, keeping running
-    inner products with every generator, with the incumbent seeded by the
-    lexicographically first vector (0, ..., 0, k); for n = 1 that is the
-    answer.  At each coordinate before the last two, with r units of budget
-    left after the entry, <v_partial, w> + r * min_{i>coord} w_i is a lower
-    bound on <v, w> for every completion v (the generators are
-    coordinatewise nonnegative):
-
-    * an entry whose bound reaches the incumbent for some generator is
-      skipped, since no completion can strictly improve;
-    * a generator's bound is linear in the entry, so once it reaches the
-      incumbent both at this entry and at the largest one (where it is
-      <v_partial, w> + r * w_coord) it does at every entry between, and
-      the loop ends.  This covers a running product that already reaches
-      the incumbent, which larger entries only increase.
-
-    The last two coordinates (e, R - e) are solved in closed form:
-    max_w(<v_partial, w> + e * w_{n-2} + (R - e) * w_{n-1}) is convex in e,
-    and ``_lowest_minimizer`` finds its smallest minimizer on [0, R] in
-    O(m log R).  Strict-improvement updates plus lexicographic enumeration
-    make the reported witness the lexicographically smallest minimizer.
+    The incumbent starts at the lexicographically first u, (0, ..., 0,
+    total).  Compositions are visited depth-first in lexicographic order
+    with the running dots_w + <u_partial, w>, one frame per coordinate on an
+    explicit stack, so a high dimension meets no recursion limit.  With r
+    units left after an entry, adding r * min_{i>coord} w_i to a row's dot
+    product bounds every completion from below.  An entry whose bound
+    reaches the incumbent for some row is skipped; once a row's bound,
+    linear in the entry, reaches it both at this entry and at the largest
+    one (adding r * w_coord), the loop ends.  The last two coordinates
+    (e, R - e) go to ``_lowest_minimizer``, the objective being convex in
+    e.  Only strict improvements replace the incumbent, so the witness is
+    lexicographically first.
     """
-    positive_int(k, "capacity index k")
-    denom, rows = domain._scaled
-    n = domain.n
+    n = len(rows[0])
     cols = list(zip(*rows))
     last = cols[-1]
-    best = k * max(last)
-    best_witness = (0,) * (n - 1) + (k,)
-    prefix = [0] * n
-    slopes = [a - b for a, b in zip(cols[-2], last)] if n > 1 else []
-    levels = []  # per coordinate before the last two: column, tail mins
-    for coord in range(n - 2):
-        mins = [min(row[coord + 1 :]) for row in rows]
-        levels.append((cols[coord], mins))
+    best = max(d + total * c for d, c in zip(dots, last))
+    witness = (0,) * (n - 1) + (total,)
+    if n == 1:
+        return best, witness
+    slopes = [a - b for a, b in zip(cols[-2], last)]
+    levels = [(cols[coord], [min(row[coord + 1 :]) for row in rows]) for coord in range(n - 2)]
+    prefix = [0] * (n - 2)
 
-    def solve_pair(remaining: int, dots: list[int]) -> None:
-        nonlocal best, best_witness
-        base = [d + remaining * c for d, c in zip(dots, last)]
+    def solve_pair(remaining: int, current: Sequence[int]) -> None:
+        nonlocal best, witness
+        base = [d + remaining * c for d, c in zip(current, last)]
         e, value = _lowest_minimizer(base, slopes, 0, remaining)
         if value < best:
-            best = value
-            prefix[n - 2], prefix[n - 1] = e, remaining - e
-            best_witness = tuple(prefix)
-
-    def descend(coord: int, remaining: int, dots: list[int]) -> None:
-        column, mins = levels[coord]
-        current = dots
-        for entry in range(remaining + 1):
-            rest = remaining - entry
-            floors = [d + rest * w for d, w in zip(current, mins)]
-            if max(floors) < best:
-                prefix[coord] = entry
-                if coord == n - 3:
-                    solve_pair(rest, current)
-                else:
-                    descend(coord + 1, rest, current)
-            elif any(
-                f >= best and d + rest * c >= best
-                for f, d, c in zip(floors, current, column)
-            ):
-                return
-            current = [d + c for d, c in zip(current, column)]
+            best, witness = value, (*prefix, e, remaining - e)
 
     if n == 2:
-        solve_pair(k, [0] * len(rows))
-    elif n > 2:
-        descend(0, k, [0] * len(rows))
-    return CapacityResult(
-        k=k, value=Fraction(best, denom), witness=best_witness, branch=Branch.CONVEX_SEARCH
-    )
+        solve_pair(total, dots)
+        return best, witness
+    # one frame per coordinate on the current path: the entry to try next,
+    # the budget left after it and the dot products with it
+    stack = [(0, total, dots)]
+    while stack:
+        coord = len(stack) - 1
+        entry, rest, current = stack.pop()
+        column, mins = levels[coord]
+        while rest >= 0:
+            floors = [d + rest * w for d, w in zip(current, mins)]
+            following = [d + c for d, c in zip(current, column)]
+            if max(floors) < best:
+                prefix[coord] = entry
+                if coord < n - 3:
+                    stack += [(entry + 1, rest - 1, following), (0, rest, current)]
+                    break
+                solve_pair(rest, current)
+            elif any(
+                f >= best and d + rest * c >= best for f, d, c in zip(floors, current, column)
+            ):
+                break
+            entry, rest, current = entry + 1, rest - 1, following
+    return best, witness
+
+
+def convex_capacity(domain: Hull, k: int) -> CapacityResult:
+    """Minimize the support value max_w <v, w> over v in N^n with sum(v) = k:
+    the lattice search on the hull's scaled generators, from zero dot
+    products."""
+    positive_int(k, "capacity index k")
+    shape_of(domain, "hull")
+    denom, rows = domain._scaled
+    best, witness = _lattice_search(rows, [0] * len(rows), k)
+    return CapacityResult(k, Fraction(best, denom), witness, Branch.CONVEX_SEARCH)
 
 
 def concave_capacity(domain: Staircase, k: int) -> CapacityResult:
-    """Maximize the anti-norm over v > 0 with sum(v) = k + n - 1.
-
-    Same depth-first scheme as the convex search, with the incumbent
-    seeded by the lexicographically first vector (1, ..., 1, k).  At a
-    coordinate before the last two, with r units of budget left after the
-    entry for the t = n - 1 - coord later coordinates (each at least 1),
-    <v_partial, w> + sum_{i>coord} w_i + (r - t) * max_{i>coord} w_i caps
-    <v, w> for every completion v:
-
-    * an entry whose cap does not exceed the incumbent for some vertex is
-      skipped, since no completion can strictly improve;
-    * a vertex's cap is linear in the entry, so once it fails both at this
-      entry and at the largest one, it fails at every entry between, and
-      the loop ends.
-
-    The last two coordinates (e, R - e) are solved in closed form:
-    min_w(<v_partial, w> + e * w_{n-2} + (R - e) * w_{n-1}) is concave in
-    e, and ``_lowest_minimizer`` on its negation finds its smallest
-    maximizer on [1, R - 1] in O(m log R).
-    """
+    """Maximize the anti-norm min_w <v, w> over v > 0 with sum(v) = k + n - 1:
+    with u = v - 1, minus the lattice search on the negated vertices from
+    dot products -sum(w).  Adding 1 to every entry keeps lexicographic
+    order, so u + 1 is the lexicographically smallest maximizer."""
     positive_int(k, "capacity index k")
+    shape_of(domain, "staircase")
     denom, rows = domain._scaled
-    n = domain.n
-    cols = list(zip(*rows))
-    last = cols[-1]
-    best = min(sum(row[:-1]) + k * row[-1] for row in rows)
-    best_witness = (1,) * (n - 1) + (k,)
-    prefix = [0] * n
-    falls = [b - a for a, b in zip(cols[-2], last)] if n > 1 else []
-    levels = []  # per coordinate before the last two: column, cap offsets, tail maxes
-    for coord in range(n - 2):
-        tops = [max(row[coord + 1 :]) for row in rows]
-        later = n - 1 - coord
-        offsets = [sum(row[coord + 1 :]) - later * top for row, top in zip(rows, tops)]
-        levels.append((cols[coord], offsets, tops))
-
-    def solve_pair(remaining: int, dots: list[int]) -> None:
-        nonlocal best, best_witness
-        negated = [-d - remaining * c for d, c in zip(dots, last)]
-        e, value = _lowest_minimizer(negated, falls, 1, remaining - 1)
-        if -value > best:
-            best = -value
-            prefix[n - 2], prefix[n - 1] = e, remaining - e
-            best_witness = tuple(prefix)
-
-    def descend(coord: int, remaining: int, dots: list[int]) -> None:
-        column, offsets, tops = levels[coord]
-        current = dots
-        highest = remaining - (n - 1 - coord)  # leave at least 1 per later coord
-        for entry in range(1, highest + 1):
-            current = [d + c for d, c in zip(current, column)]
-            rest = remaining - entry
-            caps = [d + a + rest * t for d, a, t in zip(current, offsets, tops)]
-            if min(caps) > best:
-                prefix[coord] = entry
-                if coord == n - 3:
-                    solve_pair(rest, current)
-                else:
-                    descend(coord + 1, rest, current)
-            elif any(
-                c <= best and c + (highest - entry) * (x - t) <= best
-                for c, x, t in zip(caps, column, tops)
-            ):
-                return
-
-    if n == 2:
-        solve_pair(k + 1, [0] * len(rows))
-    elif n > 2:
-        descend(0, k + n - 1, [0] * len(rows))
+    negated = [[-c for c in row] for row in rows]
+    best, witness = _lattice_search(negated, [-sum(row) for row in rows], k - 1)
     return CapacityResult(
-        k=k,
-        value=Fraction(best, denom),
-        witness=best_witness,
-        branch=Branch.CONCAVE_SEARCH,
+        k, Fraction(-best, denom), tuple(e + 1 for e in witness), Branch.CONCAVE_SEARCH
     )
 
 
@@ -367,8 +302,9 @@ _CLOSED_FORMS = {
 
 def capacity_at(domain: ToricDomain, k: int) -> CapacityResult:
     """c_k of a single domain: its closed form, else the search for its shape."""
+    shape = shape_of(domain)
     if type(domain) not in _CLOSED_FORMS:
-        search = convex_capacity if domain.shape == "hull" else concave_capacity
+        search = convex_capacity if shape == "hull" else concave_capacity
         return search(domain, k)
     branch, c_k = _CLOSED_FORMS[type(domain)]
     return CapacityResult(k, c_k(domain, k), None, branch)
@@ -413,12 +349,13 @@ def capacity_sequence(domain: ToricDomain, kmax: int) -> CapacitySequence:
     built.
     """
     positive_int(kmax, "kmax")
+    shape = shape_of(domain)
     if type(domain) not in _CLOSED_FORMS:
         results = tuple(capacity_at(domain, k) for k in range(1, kmax + 1))
         _require_nondecreasing([r.value for r in results])
         return CapacitySequence(domain=domain, values=results)
     branch, c_k = _CLOSED_FORMS[type(domain)]
-    if domain.shape == "ellipsoid":
+    if shape == "ellipsoid":
         denom, values = _ellipsoid_sequence(domain.axes, kmax)
     else:
         denom, values = _progression(c_k(domain, 1), c_k(domain, 2), kmax)

@@ -14,8 +14,9 @@ declares the ``shape`` of that description:
   (delta, ..., delta)).
 
 Hull and staircase kinds list those ``points`` and cache them as integer
-rows over one common denominator, and the geometric evaluations the
-capacity formulas consume take any of them:
+rows over one common denominator.  ``shape_of`` reads a domain's shape
+and is the one check that an argument is a toric domain (of the shape an
+operation needs).  The geometric evaluations the capacity formulas consume:
 
 * ``support_value`` -- max of <v, w> over a hull, evaluated at
   nonnegative lattice vectors, where the max over the generator points is
@@ -37,7 +38,7 @@ import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
-from typing import Union
+from typing import Optional, Union
 
 from .errors import DimensionMismatch, UnboundedDomainError
 from .rationals import ExtendedRational, is_infinite, positive_int, to_rational
@@ -261,6 +262,17 @@ Hull = Union[ConvexToricDomain, Polydisk, Cube]
 Staircase = Union[ConcaveToricDomain, CylinderUnion]
 
 
+def shape_of(domain: object, expected: Optional[str] = None) -> str:
+    """The shape of a toric domain's region, checked to be ``expected`` when
+    that is given; anything else is a TypeError."""
+    shape = getattr(domain, "shape", None)
+    if shape not in ("ellipsoid", "hull", "staircase"):
+        raise TypeError(f"not a toric domain: {type(domain).__name__}")
+    if expected not in (None, shape):
+        raise TypeError(f"{domain} is a {shape} region, not a {expected}")
+    return shape
+
+
 def _check_vector(v: LatticeVector, n: int, positive: bool = False) -> None:
     if len(v) != n:
         raise DimensionMismatch(f"vector has length {len(v)}, domain has dimension {n}")
@@ -276,6 +288,7 @@ def support_value(domain: Hull, v: LatticeVector) -> Fraction:
     Because the region is the downward hull of the generators and v >= 0,
     the max over the generator points alone is the support value.
     """
+    shape_of(domain, "hull")
     _check_vector(v, domain.n)
     denom, rows = domain._scaled
     best = max(sum(a * b for a, b in zip(v, row)) for row in rows)
@@ -289,6 +302,7 @@ def antinorm_value(domain: Staircase, v: LatticeVector) -> Fraction:
     over the vertex set equals the true boundary minimum only when every
     component of v is positive.
     """
+    shape_of(domain, "staircase")
     _check_vector(v, domain.n, positive=True)
     denom, rows = domain._scaled
     best = min(sum(a * b for a, b in zip(v, row)) for row in rows)
@@ -331,14 +345,15 @@ def diagonal_intersection(domain: ToricDomain) -> Fraction:
     leaves it unbounded: then t = 0.  A polydisk's one point gives
     t = min(areas), a cube's or a cylinder union's gives t = delta.
     """
-    if domain.shape == "ellipsoid":
+    shape = shape_of(domain)
+    if shape == "ellipsoid":
         if not domain.finite_axes:
             raise UnboundedDomainError(
                 "diagonal intersection undefined: every ellipsoid axis is infinite"
             )
         return 1 / sum(1 / a for a in domain.finite_axes)
     denom, rows = domain._scaled
-    matrix = rows if domain.shape == "hull" else tuple(zip(*rows))
+    matrix = rows if shape == "hull" else tuple(zip(*rows))
     # Equal rows are one constraint and equal columns one variable.  Taken
     # cheapest first, the columns let Bland's rule enter the best one at
     # once when one constraint is left: a cube, polydisk or cylinder union

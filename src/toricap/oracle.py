@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterator, Sequence
 
-from .domains import Hull, Staircase, ToricDomain, antinorm_value, support_value
+from .domains import Hull, Staircase, ToricDomain, antinorm_value, shape_of, support_value
 from .errors import EnumerationCapExceeded, UnboundedDomainError
 from .rationals import ExtendedRational, is_infinite, positive_int, to_rational
 
@@ -83,8 +83,9 @@ def brute_capacity(
     polydisk or cube is a one-generator hull, a cylinder union the
     one-vertex staircase whose anti-norm is delta * sum(v).
     """
-    if domain.shape == "ellipsoid":
+    shape = shape_of(domain)
+    if shape == "ellipsoid":
         return brute_ellipsoid_capacity(domain.axes, k)
-    if domain.shape == "hull":
+    if shape == "hull":
         return brute_convex_capacity(domain, k, cap)
     return brute_concave_capacity(domain, k, cap)

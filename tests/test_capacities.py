@@ -21,12 +21,14 @@ from toricap import (
     asymptotic_slope,
     brute_concave_capacity,
     brute_convex_capacity,
+    brute_capacity,
     brute_ellipsoid_capacity,
     capacity_at,
     capacity_sequence,
     concave_capacity,
     convex_capacity,
     cylinder_union_capacity,
+    diagonal_intersection,
     ellipsoid_capacity,
     polydisk_capacity,
     product_capacities,
@@ -163,12 +165,15 @@ def test_witness_invariants_random():
 
 def test_searches_match_brute_force():
     rng = random.Random(29)
-    for _ in range(50):
-        d = random_convex(rng, max_n=3, max_points=4)
-        k = rng.randint(1, 9)
-        assert convex_capacity(d, k).value == brute_convex_capacity(d, k)
-        c = random_concave(rng, max_n=3, max_points=4)
-        assert concave_capacity(c, k).value == brute_concave_capacity(c, k)
+    # (dimension, largest k, instances): a random n <= 3 descends at most one
+    # coordinate before the last pair, n = 4 and n = 5 descend two and three
+    for n, kmax, count in ((None, 9, 50), (4, 8, 25), (5, 6, 25)):
+        for _ in range(count):
+            d = random_convex(rng, n=n, max_n=3, max_points=4)
+            k = rng.randint(1, kmax)
+            assert convex_capacity(d, k).value == brute_convex_capacity(d, k)
+            c = random_concave(rng, n=n, max_n=3, max_points=4)
+            assert concave_capacity(c, k).value == brute_concave_capacity(c, k)
 
 
 def test_degenerate_regions():
@@ -201,13 +206,21 @@ PLATEAU_CONVEX = {
         ((1, 0), (0, 1), (1, 1))],
     3: [((1, 1, 1),), ((1, 1, 0), (0, 1, 1), (1, 1, 0)), ((0, 1, 2), (0, 2, 1)),
         ((2, 1, 1), (1, 2, 1), (1, 1, 2))],
+    4: [((1, 1, 1, 1),), ((1, 1, 0, 1), (0, 1, 1, 1), (1, 1, 0, 1)),
+        ((0, 1, 2, 1), (0, 2, 1, 1)), ((2, 1, 1, 1), (1, 2, 1, 1), (1, 1, 2, 1), (1, 1, 1, 2))],
+    5: [((1, 1, 1, 1, 1),), ((1, 0, 1, 1, 0), (0, 1, 1, 0, 1)),
+        ((0, 1, 2, 1, 1), (0, 2, 1, 1, 1)), ((2, 1, 1, 1, 1), (1, 1, 1, 1, 2))],
 }
 PLATEAU_CONCAVE = {
     2: [((1, 1),), ((2, 0),), ((2, 0), (1, 1)), ((1, 2), (1, 2), (3, 1)), ((0, 2), (0, 1))],
     3: [((1, 1, 1),), ((3, 0, 0), (1, 1, 1)), ((0, 1, 2), (0, 2, 1), (0, 2, 1)),
         ((2, 0, 0), (0, 2, 0), (0, 0, 2))],
+    4: [((1, 1, 1, 1),), ((3, 0, 0, 0), (1, 1, 1, 1)), ((0, 1, 2, 1), (0, 2, 1, 1), (0, 2, 1, 1)),
+        ((2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2))],
+    5: [((1, 1, 1, 1, 1),), ((0, 1, 2, 1, 1), (0, 2, 1, 1, 1)),
+        ((2, 0, 0, 0, 0), (0, 2, 0, 0, 0), (0, 0, 2, 0, 0), (0, 0, 0, 2, 0), (0, 0, 0, 0, 2))],
 }
-PLATEAU_KMAX = {2: 40, 3: 20}
+PLATEAU_KMAX = {2: 40, 3: 20, 4: 10, 5: 7}
 
 
 def test_witnesses_are_lex_first_on_long_plateaus():
@@ -390,6 +403,43 @@ def test_searches_at_huge_k_match_the_ellipsoid():
             result = search(domain, k)
             assert time.perf_counter() - start < HUGE_K_SEARCH_SECONDS
             assert result.value == expected
+
+
+# Seconds allowed for c_1 and c_2 of a one-point region in n = 3000.  Each
+# search descends n - 2 coordinates; that takes about 0.15 s per search.
+HIGH_DIMENSION_SECONDS = 5.0
+
+
+@pytest.mark.parametrize("kind", [ConvexToricDomain, ConcaveToricDomain])
+def test_searches_in_high_dimension(kind):
+    n = 3000
+    point = (F(1),) * (n - 1) + (F(5) if kind is ConvexToricDomain else F(1, 5),)
+    start = time.perf_counter()
+    values = capacity_sequence(kind((point,)), 2).raw_values()
+    elapsed = time.perf_counter() - start
+    if kind is ConvexToricDomain:  # the polydisk closed form k * min(point)
+        assert values == [1, 2]
+    else:  # sum(w) + (k - 1) * max(w)
+        assert values == [sum(point), sum(point) + 1]
+    assert elapsed < HIGH_DIMENSION_SECONDS, f"{elapsed:.2f} s at n = {n}"
+
+
+def test_non_domains_are_rejected():
+    for call in (
+        lambda: capacity_at("E(1, 2)", 1),
+        lambda: capacity_sequence((1, 2), 3),
+        lambda: diagonal_intersection(None),
+        lambda: brute_capacity(object(), 2),
+    ):
+        with pytest.raises(TypeError, match="not a toric domain"):
+            call()
+
+
+def test_searches_reject_the_other_shape():
+    with pytest.raises(TypeError, match="staircase region, not a hull"):
+        convex_capacity(CylinderUnion(2, 1), 2)
+    with pytest.raises(TypeError, match="hull region, not a staircase"):
+        concave_capacity(Cube(2, 1), 2)
 
 
 # -------------------------------------------------------------------- products

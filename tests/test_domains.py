@@ -96,6 +96,8 @@ def test_support_value_errors():
         support_value(d, (1, 2, 3))
     with pytest.raises(ValueError):
         support_value(d, (1, -1))
+    with pytest.raises(TypeError, match="staircase region, not a hull"):
+        support_value(ConcaveToricDomain(((1, 2),)), (1, 1))
 
 
 def test_origin_only_domain_is_accepted():
@@ -121,6 +123,8 @@ def test_antinorm_requires_strictly_positive_vector():
         antinorm_value(d, (1, 0))
     with pytest.raises(DimensionMismatch):
         antinorm_value(d, (1,))
+    with pytest.raises(TypeError, match="hull region, not a staircase"):
+        antinorm_value(Polydisk((1, 2)), (1, 1))
 
 
 # ---------------------------------------------------------- diagonal crossing

@@ -52,6 +52,13 @@ def test_gromov_width_examples():
     assert gromov_width(ConcaveToricDomain(((1, 0), (0, 2)))) == 1
     assert gromov_width(ConcaveToricDomain(((2, 2, 2),))) == 6
     assert gromov_width(ConcaveToricDomain(((1, 0), (F(1, 2), F(1, 2)), (0, 1)))) == 1
+    assert gromov_width(CylinderUnion(2, 1)) == 2
+
+
+def test_gromov_width_rejects_a_hull():
+    # P(1, 1) has Gromov width 1; the anti-norm of its corner would say 2
+    with pytest.raises(TypeError, match="hull region, not a staircase"):
+        gromov_width(Cube(2, 1))
 
 
 def test_gromov_width_equals_first_capacity():
