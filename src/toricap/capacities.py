@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import heapq
 import operator
+from itertools import accumulate
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -223,7 +224,8 @@ def _lattice_search(
     if n == 1:
         return best, witness
     slopes = [a - b for a, b in zip(cols[-2], last)]
-    levels = [(cols[coord], [min(row[coord + 1 :]) for row in rows]) for coord in range(n - 2)]
+    tails = [list(accumulate(reversed(row), min))[::-1] for row in rows]  # min(row[i:])
+    levels = [(cols[coord], [t[coord + 1] for t in tails]) for coord in range(n - 2)]
     prefix = [0] * (n - 2)
 
     def solve_pair(remaining: int, current: Sequence[int]) -> None:
@@ -236,27 +238,28 @@ def _lattice_search(
     if n == 2:
         solve_pair(total, dots)
         return best, witness
-    # one frame per coordinate on the current path: the entry to try next,
-    # the budget left after it and the dot products with it
+    # one frame per coordinate on the current path: the first entry to try,
+    # the budget at that coordinate and the dot products with that entry
     stack = [(0, total, dots)]
     while stack:
         coord = len(stack) - 1
-        entry, rest, current = stack.pop()
+        first, remaining, current = stack.pop()
         column, mins = levels[coord]
-        while rest >= 0:
+        for entry in range(first, remaining + 1):
+            rest = remaining - entry
             floors = [d + rest * w for d, w in zip(current, mins)]
-            following = [d + c for d, c in zip(current, column)]
             if max(floors) < best:
                 prefix[coord] = entry
                 if coord < n - 3:
-                    stack += [(entry + 1, rest - 1, following), (0, rest, current)]
+                    following = [d + c for d, c in zip(current, column)]
+                    stack += [(entry + 1, remaining, following), (0, rest, current)]
                     break
                 solve_pair(rest, current)
             elif any(
                 f >= best and d + rest * c >= best for f, d, c in zip(floors, current, column)
             ):
                 break
-            entry, rest, current = entry + 1, rest - 1, following
+            current = [d + c for d, c in zip(current, column)]
     return best, witness
 
 
