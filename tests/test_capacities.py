@@ -406,8 +406,8 @@ def test_searches_at_huge_k_match_the_ellipsoid():
 
 
 # Seconds allowed for c_1 and c_2 of a one-point region in n = 3000.  Each
-# search descends n - 2 coordinates, in about 20 ms; a recursive descent
-# raised RecursionError from n = 996 on.
+# search descends n - 2 coordinates, in about 20 ms; n is set past Python's
+# default recursion limit of 1000, which a recursive descent would reach.
 HIGH_DIMENSION_SECONDS = 5.0
 
 
