@@ -25,9 +25,29 @@ max_w(d_w + <u, w>) over u in N^n with a given sum: a hull passes its rows
 and d = 0, a staircase its negated rows and d_w = -sum(w).  It runs
 depth-first over the leading coordinates, skips an entry whose bound over
 all completions cannot beat the incumbent, ends a coordinate's loop once
-that bound, linear in the entry, fails at both ends, and solves the last
-two coordinates (e, R - e) by a binary search on the objective, convex in
-e, in O(m log R).
+that bound, linear in the entry, fails at both ends, tries a last unit at
+each later coordinate, and solves the last two coordinates (e, R - e) by a
+binary search on the objective, convex in e, in O(m log R).
+
+Its bounds come from the matrix game of the rows against the coordinates,
+whose strategies the diagonal's simplex (``domains._max_total``) gives as
+its primal and dual.  Three devices use them, all exact:
+
+* a surrogate row per level: the tail's game gives integer weights y on
+  the rows, and a completion's value is at least its y-mix of the rows'
+  values over sum(y) (Glover's surrogate constraint; Geoffrion's
+  Lagrangean relaxation).  A node is cut once that mix exceeds the
+  incumbent less one, the values being integers;
+* a root stop: the whole game's bound, rounded up, is at most the
+  optimum, so the search ends once the incumbent reaches it;
+* a rounded incumbent: the game's column strategy times the sum, rounded
+  by largest remainders to a composition h, starts the incumbent at
+  F(h) + 1 while the witness stays (0, ..., 0, sum).
+
+The search visits compositions in lexicographic order and keeps only
+strict improvements, so the witness is still the lexicographically first
+optimizer.  The rows, their tail minima and the weights are prepared once
+per domain, kept with it as ``_scaled`` is, for every k.
 
 Ties are broken toward the lexicographically smallest optimizer so output
 is reproducible.  ``capacity_at`` and ``capacity_sequence`` read the table
@@ -46,6 +66,7 @@ from itertools import accumulate
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from .domains import (
@@ -56,6 +77,7 @@ from .domains import (
     Polydisk,
     Staircase,
     ToricDomain,
+    _max_total,
     _scaled_integer_rows,
     shape_of,
 )
@@ -196,71 +218,217 @@ def _lowest_minimizer(
     return lo, max(b + lo * s for b, s in zip(base, slopes))
 
 
-def _lattice_search(
-    rows: Sequence[Sequence[int]], dots: Sequence[int], total: int
-) -> tuple[int, tuple[int, ...]]:
-    """(value, witness): the least max_w(dots_w + <u, w>) over the rows w
-    and u in N^n with sum(u) = total, and its lexicographically smallest
-    minimizer u.
+def _tail_game(
+    rows: Sequence[Sequence[int]], sums: Sequence[int], start: int
+) -> tuple[list[int], dict[int, int]]:
+    """(y, x): optimal strategies, as integer weights, of the matrix game in
+    which a mix y of the rows raises and a mix x of the columns start..
+    lowers <y, column>.
 
-    The incumbent starts at the lexicographically first u, (0, ..., 0,
-    total).  Compositions are visited depth-first in lexicographic order
-    with the running dots_w + <u_partial, w>, one frame per coordinate on an
-    explicit stack, so a high dimension meets no recursion limit.  With r
-    units left after an entry, adding r * min_{i>coord} w_i to a row's dot
-    product bounds every completion from below.  An entry whose bound
-    reaches the incumbent for some row is skipped; once a row's bound,
-    linear in the entry, reaches it both at this entry and at the largest
-    one (adding r * w_coord), the loop ends.  The last two coordinates
-    (e, R - e) go to ``_lowest_minimizer``, the objective being convex in
-    e.  Only strict improvements replace the incumbent, so the witness is
-    lexicographically first.
+    ``_max_total`` solves it from the columns' side, on the entries
+    top - w_j with top the largest entry plus one: the least entry is 1, as
+    the program needs, and the optimal strategies are the game's own.  Its
+    primal is y, its dual x, kept on its support.  One row needs no
+    program: y = (1), x its cheapest column.  Any y >= 0 bounds the whole
+    tail, so a big game is played on part of it: more than 2m columns, for
+    m rows, on 2m of them (each row's cheapest, then those of least sum),
+    and more rows than twice the columns on at most that many (each
+    column's largest and those of greatest sum).  The rows go in by
+    decreasing sum, so that Bland's rule enters the likeliest ones first.
     """
-    n = len(rows[0])
-    cols = list(zip(*rows))
-    last = cols[-1]
-    best = max(d + total * c for d, c in zip(dots, last))
-    witness = (0,) * (n - 1) + (total,)
-    if n == 1:
-        return best, witness
-    slopes = [a - b for a, b in zip(cols[-2], last)]
-    tails = [list(accumulate(reversed(row), min))[::-1] for row in rows]  # min(row[i:])
-    levels = [(cols[coord], [t[coord + 1] for t in tails]) for coord in range(n - 2)]
-    prefix = [0] * (n - 2)
+    n, m = len(sums), len(rows)
+    tail = range(start, n)
+    if m == 1:
+        return [1], {min(tail, key=rows[0].__getitem__): 1}
+    if len(tail) > 2 * m:
+        cheapest = [min(tail, key=row.__getitem__) for row in rows]
+        lowest = heapq.nsmallest(2 * m, tail, key=sums.__getitem__)
+        tail = sorted(list(dict.fromkeys(cheapest + lowest))[: 2 * m])
+    order = sorted(range(m), key=lambda w: -sum(rows[w][j] for j in tail))
+    if m > 2 * len(tail):
+        keep = {max(order, key=lambda w: rows[w][j]) for j in tail}
+        keep.update(order[: len(tail)])
+        order = [w for w in order if w in keep]
+    top = max(rows[w][j] for w in order for j in tail) + 1
+    _, weights, x = _max_total([[top - rows[w][j] for w in order] for j in tail])
+    y = [0] * m
+    for w, weight in zip(order, weights):
+        y[w] = weight
+    return y, {j: xj for j, xj in zip(tail, x) if xj}
 
-    def solve_pair(remaining: int, current: Sequence[int]) -> None:
-        nonlocal best, witness
-        base = [d + remaining * c for d, c in zip(current, last)]
-        e, value = _lowest_minimizer(base, slopes, 0, remaining)
-        if value < best:
-            best, witness = value, (*prefix, e, remaining - e)
 
-    if n == 2:
-        solve_pair(total, dots)
+class _Search:
+    """The lattice search of one region: the least max_w(dots_w + <u, w>)
+    over its search rows w and u in N^n with sum(u) = total, and its
+    lexicographically smallest minimizer u.
+
+    A hull's rows are its scaled generators with zero dots, a staircase's
+    its negated scaled vertices with dots -sum(w).  ``domain._search``
+    keeps one per domain, so the rows and the bounds are prepared once for
+    every k.
+    """
+
+    def __init__(self, domain: Union[Hull, Staircase]) -> None:
+        _, rows = domain._scaled
+        if domain.shape == "staircase":
+            self.dots = [-sum(row) for row in rows]
+            rows = tuple(tuple(-c for c in row) for row in rows)
+        else:
+            self.dots = [0] * len(rows)
+        self.rows, self.n = rows, len(rows[0])
+        self.cols = list(zip(*rows))
+        self.last = self.cols[-1]
+        if self.n > 1:
+            self.slopes = [a - b for a, b in zip(self.cols[-2], self.last)]
+
+    @cached_property
+    def _bounds(self) -> tuple[list[tuple], tuple]:
+        """(levels, root), for n >= 3, from the games of ``_tail_game``.
+
+        For an entry at coord, levels[coord] is (column coord, each row's
+        minimum over the tail coord + 1.., y, sum(y), <y, column coord>,
+        the least <y, column> over the tail), y being the tail game's row
+        strategy.  root is (sum(y), the least <y, column>, <y, dots>, x)
+        for the whole game.  A tail's game is solved while it is at most
+        2m wide, then each time it has doubled, and once more for the whole
+        row; a y kept for wider tails still gets their exact least
+        <y, column>, from suffix minima over every column it serves.
+        """
+        rows, cols, n, m = self.rows, self.cols, self.n, len(self.rows)
+        sums = [sum(col) for col in cols]
+        tails = [list(accumulate(reversed(row), min))[::-1] for row in rows]  # min(row[i:])
+        levels: list = [None] * (n - 2)
+        solved = 0
+        for width in range(2, n + 1):
+            start = n - width  # the tail's first column
+            if width in (2, n) or (m > 1 and (width <= 2 * m or width >= 2 * solved)):
+                y, x = _tail_game(rows, sums, start)
+                solved, lo = width, 0 if m == 1 else max(0, n - 2 * width)
+                mixed = [sum(map(operator.mul, y, col)) for col in cols[lo:]]
+                least = list(accumulate(reversed(mixed), min))[::-1]
+            if start:
+                levels[start - 1] = (
+                    cols[start - 1], [t[start] for t in tails],
+                    y, sum(y), mixed[start - 1 - lo], least[start - lo],
+                )
+        return levels, (sum(y), least[0], sum(map(operator.mul, y, self.dots)), x)
+
+    def _rounded(self, total: int, x: dict[int, int]) -> list[int]:
+        """total * x / sum(x) rounded to a composition of total by largest
+        remainders."""
+        scale = sum(x.values())
+        h = [0] * self.n
+        for j, xj in x.items():
+            h[j] = total * xj // scale
+        ranked = sorted(x, key=lambda j: -(total * x[j] % scale))
+        for j in ranked[: total - sum(h)]:
+            h[j] += 1
+        return h
+
+    def __call__(self, total: int) -> tuple[int, tuple[int, ...]]:
+        """(value, witness) at one total.
+
+        The incumbent starts at the lexicographically first u, (0, ..., 0,
+        total).  Compositions are visited depth-first in lexicographic order
+        with the running dots_w + <u_partial, w>, one frame per coordinate on
+        an explicit stack, so a high dimension meets no recursion limit.
+        The values are integers, so an entry is skipped once a lower bound
+        on its completions exceeds the incumbent less one.  With r units
+        left after the entry, there are two bounds:
+
+        * per row, its dot product plus r * min_{i>coord} w_i;
+        * the surrogate row: the mix of those dot products by the tail
+          game's integer weights y, plus r * min_{i>coord} <y, column i>,
+          over sum(y) (Glover's surrogate constraint).
+
+        Either is linear in the entry; once one excludes both this entry
+        and the largest, the loop ends.  One unit left is tried at each
+        later coordinate, the last first, and the last two coordinates
+        (e, R - e) go to ``_lowest_minimizer``, the objective being convex
+        in e.
+
+        From n = 3 and a positive total the root game adds two devices.
+        The incumbent starts at F(h) + 1, h being its column strategy
+        rounded to a composition of the total, but keeps the witness
+        (0, ..., 0, total): h or a better u replaces it.  And the root's
+        surrogate bound, rounded up, is a lower bound on the optimum, so the
+        search stops once the incumbent reaches it.  Only strict
+        improvements replace the incumbent and the order is lexicographic,
+        so the witness is the lexicographically first minimizer.
+        """
+        n, dots, last = self.n, self.dots, self.last
+        best = max(d + total * c for d, c in zip(dots, last))
+        witness = (0,) * (n - 1) + (total,)
+        if n == 1 or total == 0:
+            return best, witness
+        prefix = [0] * (n - 2)
+
+        def solve_pair(remaining: int, current: Sequence[int]) -> None:
+            nonlocal best, witness
+            base = [d + remaining * c for d, c in zip(current, last)]
+            e, value = _lowest_minimizer(base, self.slopes, 0, remaining)
+            if value < best:
+                best, witness = value, (*prefix, e, remaining - e)
+
+        def solve_unit(coord: int, current: Sequence[int]) -> None:
+            nonlocal best, witness
+            for j in range(n - 1, coord, -1):
+                value = max(map(operator.add, current, self.cols[j]))
+                if value < best:
+                    unit = [0] * (n - coord - 1)
+                    unit[j - coord - 1] = 1
+                    best, witness = value, (*prefix[: coord + 1], *unit)
+
+        if n == 2:
+            solve_pair(total, dots)
+            return best, witness
+        levels, (weight, least, mixed, x) = self._bounds
+        stop = -(-(mixed + total * least) // weight)  # the surrogate bound at the root, rounded up
+        h = self._rounded(total, x)
+        rounded = max(d + sum(map(operator.mul, h, w)) for d, w in zip(dots, self.rows))
+        best = min(best, rounded + 1)
+        if best <= stop:
+            return best, witness
+        # one frame per coordinate on the current path: the first entry to
+        # try, the budget at that coordinate, the dot products with that
+        # entry and their mix by that level's y
+        stack = [(0, total, dots, sum(map(operator.mul, levels[0][2], dots)))]
+        while stack:
+            coord = len(stack) - 1
+            first, remaining, current, mixed = stack.pop()
+            column, mins, _, weight, step, least = levels[coord]
+            for entry in range(first, remaining + 1):
+                rest = remaining - entry
+                cap = (best - 1) * weight
+                if mixed + rest * least > cap:
+                    if mixed + rest * step > cap:
+                        break
+                else:
+                    floors = [d + rest * w for d, w in zip(current, mins)]
+                    if max(floors) < best:
+                        prefix[coord] = entry
+                        if coord == n - 3:
+                            solve_pair(rest, current)
+                        elif rest == 1:
+                            solve_unit(coord, current)
+                        else:
+                            following = [d + c for d, c in zip(current, column)]
+                            child = sum(map(operator.mul, levels[coord + 1][2], current))
+                            stack += [
+                                (entry + 1, remaining, following, mixed + step),
+                                (0, rest, current, child),
+                            ]
+                            break
+                        if best <= stop:
+                            return best, witness
+                    elif any(
+                        f >= best and d + rest * c >= best
+                        for f, d, c in zip(floors, current, column)
+                    ):
+                        break
+                current = [d + c for d, c in zip(current, column)]
+                mixed += step
         return best, witness
-    # one frame per coordinate on the current path: the first entry to try,
-    # the budget at that coordinate and the dot products with that entry
-    stack = [(0, total, dots)]
-    while stack:
-        coord = len(stack) - 1
-        first, remaining, current = stack.pop()
-        column, mins = levels[coord]
-        for entry in range(first, remaining + 1):
-            rest = remaining - entry
-            floors = [d + rest * w for d, w in zip(current, mins)]
-            if max(floors) < best:
-                prefix[coord] = entry
-                if coord < n - 3:
-                    following = [d + c for d, c in zip(current, column)]
-                    stack += [(entry + 1, remaining, following), (0, rest, current)]
-                    break
-                solve_pair(rest, current)
-            elif any(
-                f >= best and d + rest * c >= best for f, d, c in zip(floors, current, column)
-            ):
-                break
-            current = [d + c for d, c in zip(current, column)]
-    return best, witness
 
 
 def convex_capacity(domain: Hull, k: int) -> CapacityResult:
@@ -269,9 +437,8 @@ def convex_capacity(domain: Hull, k: int) -> CapacityResult:
     products."""
     positive_int(k, "capacity index k")
     shape_of(domain, "hull")
-    denom, rows = domain._scaled
-    best, witness = _lattice_search(rows, [0] * len(rows), k)
-    return CapacityResult(k, Fraction(best, denom), witness, Branch.CONVEX_SEARCH)
+    best, witness = domain._search(k)
+    return CapacityResult(k, Fraction(best, domain._scaled[0]), witness, Branch.CONVEX_SEARCH)
 
 
 def concave_capacity(domain: Staircase, k: int) -> CapacityResult:
@@ -281,11 +448,10 @@ def concave_capacity(domain: Staircase, k: int) -> CapacityResult:
     order, so u + 1 is the lexicographically smallest maximizer."""
     positive_int(k, "capacity index k")
     shape_of(domain, "staircase")
-    denom, rows = domain._scaled
-    negated = [[-c for c in row] for row in rows]
-    best, witness = _lattice_search(negated, [-sum(row) for row in rows], k - 1)
+    best, witness = domain._search(k - 1)
     return CapacityResult(
-        k, Fraction(-best, denom), tuple(e + 1 for e in witness), Branch.CONCAVE_SEARCH
+        k, Fraction(-best, domain._scaled[0]), tuple(e + 1 for e in witness),
+        Branch.CONCAVE_SEARCH,
     )
 
 

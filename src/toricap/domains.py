@@ -38,7 +38,7 @@ import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .errors import DimensionMismatch, UnboundedDomainError
 from .rationals import ExtendedRational, is_infinite, positive_int, to_rational
@@ -132,6 +132,14 @@ class _Points:
     @cached_property
     def _scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         return _scaled_integer_rows(self.points)
+
+    @cached_property
+    def _search(self):
+        """The region's lattice search with the bounds it prepares, kept
+        with the domain like ``_scaled`` (see ``capacities._Search``)."""
+        from .capacities import _Search  # capacities imports this module
+
+        return _Search(self)
 
 
 @dataclass(frozen=True)
@@ -361,11 +369,15 @@ def diagonal_intersection(domain: ToricDomain) -> Fraction:
     columns = sorted(set(zip(*dict.fromkeys(matrix))), key=lambda c: (sum(c), c))
     if any(not any(column) for column in columns):
         return Fraction(0)
-    return 1 / _max_total(tuple(zip(*columns))) / denom
+    value, _, _ = _max_total(tuple(zip(*columns)))
+    return 1 / value / denom
 
 
-def _max_total(matrix: tuple[tuple[int, ...], ...]) -> Fraction:
-    """Max of sum(x) subject to matrix @ x <= 1 and x >= 0, exactly.
+def _max_total(
+    matrix: Sequence[Sequence[int]],
+) -> tuple[Fraction, list[int], list[int]]:
+    """(value, primal, dual) of max sum(x) subject to matrix @ x <= 1 and
+    x >= 0, exactly.
 
     ``matrix`` is nonnegative and has no zero column, so the program is
     bounded and the origin is a feasible start.  The simplex tableau is kept
@@ -373,7 +385,12 @@ def _max_total(matrix: tuple[tuple[int, ...], ...]) -> Fraction:
     determinant of the current basis, so each pivot's division is exact and
     only integers are touched until the final quotient.  Bland's rule (least
     entering index, least leaving basic variable among ratio ties) rules out
-    cycling on the degenerate pivots that duplicate or tied points cause.
+    cycling on the degenerate pivots that duplicate or tied points cause;
+    the ratios are compared as integer cross products.  ``primal`` and
+    ``dual`` are d times an optimal x and an optimal y >= 0 of the dual
+    program (min sum(y) subject to y @ matrix >= 1), read off the final
+    right-hand side and the cost row's slack entries: integers, each summing
+    to d times the value.
     """
     m, n = len(matrix), len(matrix[0])
     # columns: the n variables, the m slacks, then the right-hand side
@@ -386,13 +403,20 @@ def _max_total(matrix: tuple[tuple[int, ...], ...]) -> Fraction:
     while True:
         col = next((j for j, c in enumerate(cost[:-1]) if c < 0), None)
         if col is None:
-            return Fraction(cost[-1], d)
-        # the program is bounded, so an improving column has a positive entry
-        pivot_row = min(
-            (i for i, row in enumerate(tableau) if row[col] > 0),
-            key=lambda i: (Fraction(tableau[i][-1], tableau[i][col]), basis[i]),
-        )
-        prow = tableau[pivot_row]
+            primal = [0] * n
+            for row, b in zip(tableau, basis):
+                if b < n:
+                    primal[b] = row[-1]
+            return Fraction(cost[-1], d), primal, cost[n:-1]
+        # the program is bounded, so an improving column has a positive
+        # entry; the least ratio rhs / entry, then the least basic variable
+        pivot_row = None
+        for i, row in enumerate(tableau):
+            if row[col] > 0 and (
+                pivot_row is None
+                or (row[-1] * prow[col], basis[i]) < (prow[-1] * row[col], basis[pivot_row])
+            ):
+                pivot_row, prow = i, row
         p = prow[col]
         for i, row in enumerate(tableau):
             if i != pivot_row:

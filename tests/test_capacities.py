@@ -37,7 +37,14 @@ from toricap import (
 )
 import toricap.capacities as capacities_module
 from toricap.oracle import compositions
-from helpers import grow_concave, grow_convex, random_axes, random_concave, random_convex
+from helpers import (
+    grow_concave,
+    grow_convex,
+    random_axes,
+    random_concave,
+    random_convex,
+    random_point,
+)
 
 F = Fraction
 
@@ -163,6 +170,49 @@ def test_witness_invariants_random():
         assert antinorm_value(c, s.witness) == s.value
 
 
+def _lex_first_optimum(domain, k):
+    """(c_k, its lexicographically first optimizer) by enumeration: the
+    least support value over compositions of k for a hull, the greatest
+    anti-norm over positive compositions of k + n - 1 for a staircase."""
+    if domain.shape == "hull":
+        vectors, value_of, pick = compositions(k, domain.n), support_value, min
+    else:
+        vectors = (tuple(e + 1 for e in u) for u in compositions(k - 1, domain.n))
+        value_of, pick = antinorm_value, max
+    values = {v: value_of(domain, v) for v in vectors}
+    optimum = pick(values.values())
+    return optimum, next(v for v, x in values.items() if x == optimum)
+
+
+def _search_result(domain, k):
+    search = convex_capacity if domain.shape == "hull" else concave_capacity
+    r = search(domain, k)
+    return r.value, r.witness
+
+
+def _degenerate_searches(rng, n):
+    """Hulls and staircases in dimension n that defeat a careless bound or
+    incumbent: a coordinate zero at every point, duplicated points, one
+    point, and staircase vertices with zero entries."""
+    flat = random_convex(rng, n=n, max_points=4)
+    gone = rng.randrange(n)
+    flat = ConvexToricDomain(
+        tuple(tuple(0 if i == gone else c for i, c in enumerate(p)) for p in flat.generators)
+    )
+    hull = random_convex(rng, n=n, max_points=3)
+    stair = random_concave(rng, n=n, max_points=3)
+    zeros = [tuple(F(0) if rng.random() < 0.5 else c for c in p) for p in stair.vertices]
+    zeros = [p if any(p) else stair.vertices[0] for p in zeros]
+    return [
+        flat,
+        ConvexToricDomain(hull.generators * 2),
+        ConcaveToricDomain(stair.vertices + stair.vertices[:1]),
+        ConvexToricDomain(hull.generators[:1]),
+        ConcaveToricDomain(stair.vertices[:1]),
+        ConcaveToricDomain(tuple(zeros)),
+    ]
+
+
 def test_searches_match_brute_force():
     rng = random.Random(29)
     # (dimension, largest k, instances): a random n <= 3 descends at most one
@@ -171,9 +221,17 @@ def test_searches_match_brute_force():
         for _ in range(count):
             d = random_convex(rng, n=n, max_n=3, max_points=4)
             k = rng.randint(1, kmax)
-            assert convex_capacity(d, k).value == brute_convex_capacity(d, k)
+            assert _search_result(d, k) == _lex_first_optimum(d, k)
             c = random_concave(rng, n=n, max_n=3, max_points=4)
-            assert concave_capacity(c, k).value == brute_concave_capacity(c, k)
+            assert _search_result(c, k) == _lex_first_optimum(c, k)
+    for n, kmax in ((3, 9), (4, 7), (5, 5)):
+        for _ in range(4):
+            flat, *others = _degenerate_searches(rng, n)
+            for k in range(1, kmax + 1):
+                assert _search_result(flat, k) == _lex_first_optimum(flat, k)
+                assert convex_capacity(flat, k).value == 0
+                for d in others:
+                    assert _search_result(d, k) == _lex_first_optimum(d, k), (d.points, k)
 
 
 def test_degenerate_regions():
@@ -200,23 +258,28 @@ def test_ellipsoid_triple_agreement():
 
 
 # regions whose optimum is attained on long runs of vectors: a generator
-# (1, ..., 1), duplicate rows, a zero column and staircase vertices on an axis
+# (1, ..., 1), duplicate rows, a zero column and staircase vertices on an
+# axis.  In each table the last entry of n = 3 and of n = 4 rounds the
+# root game's strategy to an optimum that is not the lexicographically
+# first: for the hull on (3, 2, 3) and (0, 3, 0) at k = 2, (1, 1, 0) and
+# not (0, 1, 1)
 PLATEAU_CONVEX = {
     2: [((1, 1),), ((1, 1), (1, 1), (2, 0)), ((0, 1), (0, 3)), ((2, 1), (1, 2)),
         ((1, 0), (0, 1), (1, 1))],
     3: [((1, 1, 1),), ((1, 1, 0), (0, 1, 1), (1, 1, 0)), ((0, 1, 2), (0, 2, 1)),
-        ((2, 1, 1), (1, 2, 1), (1, 1, 2))],
+        ((2, 1, 1), (1, 2, 1), (1, 1, 2)), ((3, 2, 3), (0, 3, 0))],
     4: [((1, 1, 1, 1),), ((1, 1, 0, 1), (0, 1, 1, 1), (1, 1, 0, 1)),
-        ((0, 1, 2, 1), (0, 2, 1, 1)), ((2, 1, 1, 1), (1, 2, 1, 1), (1, 1, 2, 1), (1, 1, 1, 2))],
+        ((0, 1, 2, 1), (0, 2, 1, 1)), ((2, 1, 1, 1), (1, 2, 1, 1), (1, 1, 2, 1), (1, 1, 1, 2)),
+        ((3, 0, 1, 2), (0, 2, 3, 1))],
     5: [((1, 1, 1, 1, 1),), ((1, 0, 1, 1, 0), (0, 1, 1, 0, 1)),
         ((0, 1, 2, 1, 1), (0, 2, 1, 1, 1)), ((2, 1, 1, 1, 1), (1, 1, 1, 1, 2))],
 }
 PLATEAU_CONCAVE = {
     2: [((1, 1),), ((2, 0),), ((2, 0), (1, 1)), ((1, 2), (1, 2), (3, 1)), ((0, 2), (0, 1))],
     3: [((1, 1, 1),), ((3, 0, 0), (1, 1, 1)), ((0, 1, 2), (0, 2, 1), (0, 2, 1)),
-        ((2, 0, 0), (0, 2, 0), (0, 0, 2))],
+        ((2, 0, 0), (0, 2, 0), (0, 0, 2)), ((2, 0, 1), (1, 2, 1), (2, 2, 3))],
     4: [((1, 1, 1, 1),), ((3, 0, 0, 0), (1, 1, 1, 1)), ((0, 1, 2, 1), (0, 2, 1, 1), (0, 2, 1, 1)),
-        ((2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2))],
+        ((2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)), ((1, 3, 3, 1), (2, 1, 1, 3))],
     5: [((1, 1, 1, 1, 1),), ((0, 1, 2, 1, 1), (0, 2, 1, 1, 1)),
         ((2, 0, 0, 0, 0), (0, 2, 0, 0, 0), (0, 0, 2, 0, 0), (0, 0, 0, 2, 0), (0, 0, 0, 0, 2))],
 }
@@ -225,23 +288,11 @@ PLATEAU_KMAX = {2: 40, 3: 20, 4: 10, 5: 7}
 
 def test_witnesses_are_lex_first_on_long_plateaus():
     for n, kmax in PLATEAU_KMAX.items():
-        for points in PLATEAU_CONVEX[n]:
-            d = ConvexToricDomain(points)
+        regions = [ConvexToricDomain(p) for p in PLATEAU_CONVEX[n]]
+        regions += [ConcaveToricDomain(p) for p in PLATEAU_CONCAVE[n]]
+        for d in regions:
             for k in range(1, kmax + 1):
-                values = {v: support_value(d, v) for v in compositions(k, n)}
-                lowest = min(values.values())
-                r = convex_capacity(d, k)
-                assert r.value == lowest
-                assert r.witness == next(v for v, x in values.items() if x == lowest)
-        for points in PLATEAU_CONCAVE[n]:
-            c = ConcaveToricDomain(points)
-            for k in range(1, kmax + 1):
-                vectors = (tuple(e + 1 for e in u) for u in compositions(k - 1, n))
-                values = {v: antinorm_value(c, v) for v in vectors}
-                highest = max(values.values())
-                r = concave_capacity(c, k)
-                assert r.value == highest
-                assert r.witness == next(v for v, x in values.items() if x == highest)
+                assert _search_result(d, k) == _lex_first_optimum(d, k), (d.points, k)
 
 
 # ------------------------------------------------------------------ sequences
@@ -405,24 +456,97 @@ def test_searches_at_huge_k_match_the_ellipsoid():
             assert result.value == expected
 
 
-# Seconds allowed for c_1 and c_2 of a one-point region in n = 3000.  Each
-# search descends n - 2 coordinates, in about 20 ms; n is set past Python's
-# default recursion limit of 1000, which a recursive descent would reach.
+# Seconds allowed for c_1 and c_2 of each region in n = 3000.  Each search
+# descends up to n - 2 coordinates; the slowest region, the hull of 12
+# scattered points, takes about 0.7 s with its bounds prepared.  n is set
+# past Python's default recursion limit of 1000, which a recursive descent
+# would reach.
 HIGH_DIMENSION_SECONDS = 5.0
+
+
+def _high_dimension_points(kind, n):
+    """One point, 3 and 12 points of distinct scattered coordinates, and 12
+    points whose coordinates rise along every tail, so that each level's
+    cheapest column is a new one."""
+    rng = random.Random(n)
+    one = (F(1),) * (n - 1) + (F(5) if kind is ConvexToricDomain else F(1, 5),)
+    scattered = tuple(tuple(map(F, rng.sample(range(1, 20 * n), n))) for _ in range(12))
+    rising = tuple(
+        tuple(F(7 * i + 1 + i * (w + 1) % 7) for i in range(n)) for w in range(12)
+    )
+    return [(one,), scattered[:3], scattered, rising]
 
 
 @pytest.mark.parametrize("kind", [ConvexToricDomain, ConcaveToricDomain])
 def test_searches_in_high_dimension(kind):
     n = 3000
-    point = (F(1),) * (n - 1) + (F(5) if kind is ConvexToricDomain else F(1, 5),)
-    start = time.perf_counter()
-    values = capacity_sequence(kind((point,)), 2).raw_values()
-    elapsed = time.perf_counter() - start
-    if kind is ConvexToricDomain:  # the polydisk closed form k * min(point)
-        assert values == [1, 2]
-    else:  # sum(w) + (k - 1) * max(w)
-        assert values == [sum(point), sum(point) + 1]
-    assert elapsed < HIGH_DIMENSION_SECONDS, f"{elapsed:.2f} s at n = {n}"
+    for points in _high_dimension_points(kind, n):
+        start = time.perf_counter()
+        first, second = capacity_sequence(kind(points), 2).values
+        elapsed = time.perf_counter() - start
+        assert elapsed < HIGH_DIMENSION_SECONDS, f"{elapsed:.2f} s at n = {n}"
+        if kind is ConvexToricDomain:  # the best single coordinate
+            assert first.value == min(map(max, zip(*points)))
+            assert support_value(kind(points), second.witness) == second.value
+            assert first.value <= second.value <= 2 * first.value
+        else:  # u = 0, then one unit on the best coordinate
+            sums = [sum(p) for p in points]
+            assert first.value == min(sums)
+            assert second.value == max(
+                min(s + c for s, c in zip(sums, column)) for column in zip(*points)
+            )
+        if len(points) == 1:  # k * min(w) for a hull, sum(w) + (k - 1) * max(w)
+            total = sum(points[0])  # for a staircase
+            expected = [1, 2] if kind is ConvexToricDomain else [total, total + 1]
+            assert [first.value, second.value] == expected
+
+
+def _pruning_corpus():
+    """40 seeded hulls and staircases, n 3-5 and 4-8 points, with their K."""
+    rng = random.Random(40)
+    for i in range(40):
+        n = 3 + i % 3
+        points = [random_point(rng, n, positive=True)]
+        while len(points) < rng.randint(4, 8):
+            point = random_point(rng, n)
+            if any(point):
+                points.append(point)
+        kind = ConvexToricDomain if i % 2 else ConcaveToricDomain
+        yield kind(tuple(points)), (20, 16, 12)[i % 3]
+
+
+# Pair solves (``_lowest_minimizer`` calls) over ``_pruning_corpus`` with
+# the per-row bounds alone, before the surrogate rows, the root stop and
+# the rounded incumbent.
+PAIR_SOLVES_WITH_ROW_BOUNDS = 6304
+
+
+def test_bounds_halve_the_pair_solves(monkeypatch):
+    calls = []
+    solve = capacities_module._lowest_minimizer
+    monkeypatch.setattr(
+        capacities_module, "_lowest_minimizer", lambda *args: calls.append(1) or solve(*args)
+    )
+    for domain, kmax in _pruning_corpus():
+        capacity_sequence(domain, kmax)
+    assert len(calls) <= PAIR_SOLVES_WITH_ROW_BOUNDS // 2, len(calls)
+
+
+def test_search_stops_at_the_root_bound(monkeypatch):
+    # the staircase on the unit vectors (an ellipsoid E(1, ..., 1)): the
+    # root game's bound, rounded up, is every c_k, so each search ends at
+    # its first optimal pair solve; rounded down it would go on
+    calls = []
+    solve = capacities_module._lowest_minimizer
+    monkeypatch.setattr(
+        capacities_module, "_lowest_minimizer", lambda *args: calls.append(1) or solve(*args)
+    )
+    for n in (3, 4):
+        calls.clear()
+        units = tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
+        values = capacity_sequence(ConcaveToricDomain(units), 30).raw_values()
+        assert values == [ellipsoid_capacity((1,) * n, k) for k in range(1, 31)]
+        assert len(calls) <= 30, len(calls)
 
 
 def test_non_domains_are_rejected():

@@ -20,6 +20,7 @@ from toricap import (
     support_value,
 )
 from helpers import grow_concave, grow_convex, random_concave, random_convex
+from toricap.domains import _max_total
 
 F = Fraction
 
@@ -259,3 +260,19 @@ def test_ellipsoid_conversion_formulas():
         v = tuple(rng.randint(1, 6) for _ in range(n))
         assert support_value(e.to_convex(), v) == max(a * x for a, x in zip(axes, v))
         assert antinorm_value(e.to_concave(), v) == min(a * x for a, x in zip(axes, v))
+
+
+def test_max_total_returns_optimal_primal_and_dual():
+    # the strategies the lattice search reads: x and y, scaled by one d,
+    # are feasible for the program and its dual and attain the same total
+    rng = random.Random(1968)
+    for _ in range(200):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        matrix = [[rng.randint(0, 5) for _ in range(n)] for _ in range(m)]
+        for j in range(n):
+            matrix[rng.randrange(m)][j] += 1  # no zero column
+        value, primal, dual = _max_total(matrix)
+        assert sum(primal) == sum(dual) and min(primal + dual) >= 0
+        d = sum(primal) / value
+        assert all(sum(a * x for a, x in zip(row, primal)) <= d for row in matrix)
+        assert all(sum(y * row[j] for y, row in zip(dual, matrix)) >= d for j in range(n))
