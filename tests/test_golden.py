@@ -29,6 +29,7 @@ CASES = {
     "caps_concave": ["caps", "--domain", "concave.json", "--kmax", "14"],
     "caps_convex5": ["caps", "--domain", "convex5.json", "--kmax", "12"],
     "caps_concave5": ["caps", "--domain", "concave5.json", "--kmax", "12"],
+    "caps_oracle_convex": ["caps", "--domain", "convex.json", "--kmax", "10", "--oracle"],
     "cube_convex": ["cube", "--domain", "convex.json"],
     "cube_polydisk": ["cube", "--domain", "polydisk.json"],
     "cube_cylinder_union": ["cube", "--domain", "cylinder_union.json"],
@@ -44,6 +45,15 @@ CASES = {
         "box.json",
         "--target",
         "lagrangian_bidisk.json",
+        "--kmax",
+        "12",
+    ],
+    "obstruct_convex_concave": [
+        "obstruct",
+        "--source",
+        "convex.json",
+        "--target",
+        "concave.json",
         "--kmax",
         "12",
     ],
