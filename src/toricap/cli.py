@@ -10,6 +10,12 @@ Subcommands::
     toricap slope --domain d.json --kmax 40
     toricap lagrangian-bound --domain d.json
 
+Every subcommand has one report path.  Its ``_cmd_*`` function computes
+the values, formats each once (``format_rational``, ``decimal_string``) and
+returns three builders over those strings: the table text, the CSV rows and
+the JSON payload, with a flag for an oracle mismatch.  ``_render`` alone
+reads the requested format and runs only that builder.
+
 Exit codes: 0 success, 1 domain or semantic error (including an oracle
 mismatch under ``--oracle``), 2 usage error.
 """
@@ -25,7 +31,7 @@ import sys
 from decimal import Context
 from fractions import Fraction
 
-from .capacities import CapacitySequence, capacity_sequence
+from .capacities import capacity_sequence
 from .domains import Staircase, ToricDomain
 from .embeddings import (
     asymptotic_slope,
@@ -115,183 +121,135 @@ def _approx(value: Fraction) -> str:
     return f"{mantissa.rstrip('0').rstrip('.')}e{exponent}"
 
 
-def _witness_text(witness) -> str:
-    return ";".join(str(e) for e in witness) if witness is not None else ""
+def _format_table(rows: list[list[str]]) -> str:
+    """``rows`` (header first) in left-aligned columns two spaces apart."""
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return "".join(
+        "  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n" for row in rows
+    )
 
 
-def _caps_rows(seq: CapacitySequence, oracle_values) -> list[list[str]]:
-    rows = []
+def _render(fmt: str, table, csv_rows, payload) -> str:
+    """The report in format ``fmt``: the text ``table()`` returns, the rows
+    ``csv_rows()`` returns (header first) as CSV, or ``payload()`` as JSON.
+    Only the requested builder runs."""
+    if fmt == "table":
+        return table()
+    if fmt == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(csv_rows())
+        return buf.getvalue()
+    return json.dumps(payload(), indent=2) + "\n"
+
+
+def _cmd_caps(args) -> tuple[tuple, bool]:
+    domain = load_domain(args.domain)
+    seq = capacity_sequence(domain, args.kmax)
+    header = ["k", "value_rational", "value_decimal", "witness", "branch"]
+    if args.oracle:
+        header.append("oracle_rational")
+    rows, mismatch = [header], False
     for result in seq.values:
+        witness = result.witness
         row = [
             str(result.k),
             format_rational(result.value),
             decimal_string(result.value),
-            _witness_text(result.witness),
+            ";".join(map(str, witness)) if witness is not None else "",
             result.branch.value,
         ]
-        if oracle_values is not None:
-            row.append(format_rational(oracle_values[result.k - 1]))
+        if args.oracle:
+            expected = brute_capacity(domain, result.k)
+            row.append(format_rational(expected))
+            mismatch = mismatch or expected != result.value
         rows.append(row)
-    return rows
+
+    def payload():
+        entries = []
+        for result, row in zip(seq.values, rows[1:]):
+            entry = dict(zip(("k", "value", "decimal", "witness", "branch", "oracle"), row))
+            witness = result.witness
+            entry.update(k=result.k, witness=list(witness) if witness is not None else None)
+            entries.append(entry)
+        return {"domain": domain_to_jsonable(domain), "kmax": args.kmax, "capacities": entries}
+
+    return (lambda: f"domain: {domain}\n" + _format_table(rows), lambda: rows, payload), mismatch
 
 
-def _format_table(header: list[str], rows: list[list[str]]) -> str:
-    widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
-              for i, h in enumerate(header)]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
-    for row in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-    return "\n".join(lines) + "\n"
-
-
-def _format_csv(header: list[str], rows: list[list[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def _cmd_caps(args) -> tuple[str, int]:
-    domain = load_domain(args.domain)
-    seq = capacity_sequence(domain, args.kmax)
-    oracle_values = None
-    mismatch = None
-    if args.oracle:
-        oracle_values = [brute_capacity(domain, k) for k in range(1, args.kmax + 1)]
-        mismatch = next(
-            (
-                k
-                for k in range(1, args.kmax + 1)
-                if oracle_values[k - 1] != seq.value(k)
-            ),
-            None,
-        )
-
-    header = ["k", "value_rational", "value_decimal", "witness", "branch"]
-    if oracle_values is not None:
-        header.append("oracle_rational")
-    rows = _caps_rows(seq, oracle_values)
-
-    if args.format == "table":
-        text = f"domain: {domain}\n" + _format_table(header, rows)
-    elif args.format == "csv":
-        text = _format_csv(header, rows)
-    else:
-        payload = {
-            "domain": domain_to_jsonable(domain),
-            "kmax": args.kmax,
-            "capacities": [
-                {
-                    "k": r.k,
-                    "value": format_rational(r.value),
-                    "decimal": decimal_string(r.value),
-                    "witness": list(r.witness) if r.witness is not None else None,
-                    "branch": r.branch.value,
-                }
-                for r in seq.values
-            ],
-        }
-        if oracle_values is not None:
-            for entry, val in zip(payload["capacities"], oracle_values):
-                entry["oracle"] = format_rational(val)
-        text = json.dumps(payload, indent=2) + "\n"
-
-    if mismatch is not None:
-        return text, 1
-    return text, 0
-
-
-def _cmd_obstruct(args) -> tuple[str, int]:
+def _cmd_obstruct(args) -> tuple[tuple, bool]:
     source = load_domain(args.source)
     target = load_domain(args.target)
     report = obstruct(source, target, args.kmax)
-    if args.format == "table":
-        header = ["k", "c_k(source)", "c_k(target)", "violates"]
-        rows = [
-            [str(k), format_rational(a), format_rational(b), "yes" if a > b else ""]
-            for k, a, b in report.rows
-        ]
+    rows = [(k, format_rational(a), format_rational(b), a > b) for k, a, b in report.rows]
+
+    def table():
         verdict = (
             f"violation at k={report.first_violation}"
             if report.first_violation is not None
             else f"no violation up to k={report.kmax}"
         )
-        text = (
+        return (
             f"source: {source}\ntarget: {target}\n"
-            + _format_table(header, rows)
+            + _format_table(
+                [["k", "c_k(source)", "c_k(target)", "violates"]]
+                + [[str(k), a, b, "yes" if v else ""] for k, a, b, v in rows]
+            )
             + verdict
             + "\n"
         )
-    elif args.format == "csv":
-        header = ["k", "source_rational", "target_rational", "violation"]
-        rows = [
-            [str(k), format_rational(a), format_rational(b), "1" if a > b else "0"]
-            for k, a, b in report.rows
-        ]
-        text = _format_csv(header, rows)
-    else:
-        payload = {
+
+    return (
+        table,
+        lambda: [["k", "source_rational", "target_rational", "violation"]]
+        + [[str(k), a, b, "1" if v else "0"] for k, a, b, v in rows],
+        lambda: {
             "source": domain_to_jsonable(source),
             "target": domain_to_jsonable(target),
             "kmax": report.kmax,
             "first_violation": report.first_violation,
-            "rows": [
-                {"k": k, "source": format_rational(a), "target": format_rational(b)}
-                for k, a, b in report.rows
-            ],
-        }
-        text = json.dumps(payload, indent=2) + "\n"
-    return text, 0
+            "rows": [{"k": k, "source": a, "target": b} for k, a, b, _ in rows],
+        },
+    ), False
 
 
-def _cmd_slope(args) -> tuple[str, int]:
+def _cmd_slope(args) -> tuple[tuple, bool]:
     domain = load_domain(args.domain)
     report = asymptotic_slope(domain, args.kmax)
-    if args.format == "table":
-        text = (
+    estimate, exact, lower, upper = (
+        format_rational(x) for x in (report.estimate, report.exact, report.lower, report.upper)
+    )
+    return (
+        lambda: (
             f"domain: {domain}\n"
-            f"estimate c_K/K = {format_rational(report.estimate)} "
-            f"(≈{_approx(report.estimate)}) at K={args.kmax}\n"
-            f"exact limit    = {format_rational(report.exact)}\n"
-            f"bracket: {format_rational(report.lower)} <= c_K/K <= "
-            f"{format_rational(report.upper)}\n"
-        )
-    elif args.format == "csv":
-        header = ["kmax", "estimate_rational", "estimate_decimal", "exact_rational",
-                  "lower_rational", "upper_rational"]
-        row = [
-            str(args.kmax),
-            format_rational(report.estimate),
-            decimal_string(report.estimate),
-            format_rational(report.exact),
-            format_rational(report.lower),
-            format_rational(report.upper),
-        ]
-        text = _format_csv(header, [row])
-    else:
-        payload = {
+            f"estimate c_K/K = {estimate} (≈{_approx(report.estimate)}) at K={args.kmax}\n"
+            f"exact limit    = {exact}\n"
+            f"bracket: {lower} <= c_K/K <= {upper}\n"
+        ),
+        lambda: [
+            ["kmax", "estimate_rational", "estimate_decimal", "exact_rational",
+             "lower_rational", "upper_rational"],
+            [str(args.kmax), estimate, decimal_string(report.estimate), exact, lower, upper],
+        ],
+        lambda: {
             "domain": domain_to_jsonable(domain),
             "kmax": args.kmax,
-            "estimate": format_rational(report.estimate),
+            "estimate": estimate,
             "estimate_decimal": decimal_string(report.estimate),
-            "exact": format_rational(report.exact),
-            "lower": format_rational(report.lower),
-            "upper": format_rational(report.upper),
-        }
-        text = json.dumps(payload, indent=2) + "\n"
-    return text, 0
+            "exact": exact,
+            "lower": lower,
+            "upper": upper,
+        },
+    ), False
 
 
-def _cmd_scalar(args, compute) -> tuple[str, int]:
+def _cmd_scalar(args, compute) -> tuple[tuple, bool]:
     value = compute(load_domain(args.domain))
-    if args.format == "table":
-        return f"{format_rational(value)} (≈{_approx(value)})\n", 0
-    if args.format == "csv":
-        return f"value_rational,value_decimal\n{format_rational(value)},{decimal_string(value)}\n", 0
-    return json.dumps(
-        {"value": format_rational(value), "decimal": decimal_string(value)}, indent=2
-    ) + "\n", 0
+    exact = format_rational(value)
+    return (
+        lambda: f"{exact} (≈{_approx(value)})\n",
+        lambda: [["value_rational", "value_decimal"], [exact, decimal_string(value)]],
+        lambda: {"value": exact, "decimal": decimal_string(value)},
+    ), False
 
 
 def _gromov_domain(domain: ToricDomain) -> Staircase:
@@ -313,7 +271,8 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:  # argparse handles usage errors and --help
         return int(exc.code or 0)
     try:
-        text, code = args.run(args)
+        builders, mismatch = args.run(args)
+        text = _render(args.format, *builders)
     except (ToricapError, ValueError, TypeError) as exc:
         print(f"toricap: error: {exc}", file=sys.stderr)
         return 1
@@ -327,9 +286,10 @@ def run(argv: list[str]) -> int:
             return 1
     else:
         sys.stdout.write(text)
-    if code != 0:
+    if mismatch:
         print("toricap: error: oracle disagreement (see oracle column)", file=sys.stderr)
-    return code
+        return 1
+    return 0
 
 
 def main() -> None:

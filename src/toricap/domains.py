@@ -106,21 +106,27 @@ class Ellipsoid:
     def finite_axes(self) -> tuple[Fraction, ...]:
         return tuple(a for a in self.axes if not is_infinite(a))
 
-    def _simplex_vertices(self) -> tuple[Point, ...]:
-        if len(self.finite_axes) != self.n:
-            raise UnboundedDomainError("cannot convert an infinite-axis ellipsoid")
+    def _axis_vertices(self) -> tuple[Point, ...]:
+        """The vertices a_i * e_i of the finite axes."""
         return tuple(
             tuple(a if j == i else Fraction(0) for j in range(self.n))
             for i, a in enumerate(self.axes)
+            if not is_infinite(a)
         )
 
     def to_convex(self) -> "ConvexToricDomain":
         """Simplex form: generators a_i * e_i.  Finite axes only."""
-        return ConvexToricDomain(self._simplex_vertices())
+        if len(self.finite_axes) != self.n:
+            raise UnboundedDomainError("cannot convert an infinite-axis ellipsoid")
+        return ConvexToricDomain(self._axis_vertices())
 
     def to_concave(self) -> "ConcaveToricDomain":
-        """Staircase form with the same simplex vertices.  Finite axes only."""
-        return ConcaveToricDomain(self._simplex_vertices())
+        """Staircase form: the staircase spanned by a_i * e_i over the finite
+        axes, since an infinite axis bounds nothing.  Needs a finite axis."""
+        vertices = self._axis_vertices()
+        if not vertices:
+            raise UnboundedDomainError("every axis is infinite: no staircase bounds the region")
+        return ConcaveToricDomain(vertices)
 
     def __str__(self) -> str:
         return "E(" + ", ".join("inf" if is_infinite(a) else str(a) for a in self.axes) + ")"

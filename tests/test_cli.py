@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -74,6 +75,40 @@ def test_table_approximation_outside_float_range(write_spec, capsys, delta, appr
     assert capsys.readouterr().out == f"{delta} (≈{approx})\n"
     assert run_cli(["slope", "-d", path, "-k", "5"]) == 0
     assert f"estimate c_K/K = {delta} (≈{approx}) at K=5\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "axes,out",
+    [(["2", "inf"], "2 (≈2)\n"), (["5/3", "inf", "7/4"], "5/3 (≈1.66667)\n")],
+    ids=["E(2,inf)", "E(5/3,inf,7/4)"],
+)
+def test_gromov_on_an_ellipsoid_with_an_infinite_axis(write_spec, capsys, axes, out):
+    # an infinite axis bounds nothing: the width is the least finite axis
+    path = write_spec("e.json", json.dumps({"type": "ellipsoid", "a": axes}))
+    assert run_cli(["gromov", "-d", path]) == 0
+    assert capsys.readouterr().out == out
+    everywhere = write_spec("all.json", '{"type":"ellipsoid","a":["inf","inf"]}')
+    assert run_cli(["gromov", "-d", everywhere]) == 1
+    assert "every axis is infinite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("oracle", [False, True])
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_caps_formats_each_value_once(write_spec, capsys, monkeypatch, fmt, oracle):
+    # the benchmark's tracer counts these calls through the cli module's names
+    path = write_spec("e.json", '{"type":"ellipsoid","a":["3/2","5/3","7/4"]}')
+    calls = Counter()
+    for name in ("format_rational", "decimal_string"):
+        def counted(x, _name=name, _original=getattr(cli, name)):
+            calls[_name] += 1
+            return _original(x)
+
+        monkeypatch.setattr(cli, name, counted)
+    kmax = 17
+    argv = ["caps", "-d", path, "-k", str(kmax), "--format", fmt] + ["--oracle"] * oracle
+    assert run_cli(argv) == 0
+    capsys.readouterr()
+    assert calls == {"format_rational": kmax * (1 + oracle), "decimal_string": kmax}
 
 
 def test_obstruct_violation_message(write_spec, capsys):

@@ -3,7 +3,8 @@
 Each case pairs domains whose moment regions coincide: an ellipsoid and
 its simplex as a hull and as a staircase, a cube, the polydisk of equal
 sides and its one-generator hull, a cylinder union and its one-vertex
-staircase, and the cylinder E(2, inf) and the staircase of the single
+staircase, and an ellipsoid with an infinite axis and the staircase of
+its finite axes' vertices, such as the cylinder E(2, inf) and the single
 vertex (2, 0).  Their c_1..c_K, cube capacities and slopes must agree,
 and so must their Gromov widths wherever ``toricap gromov`` accepts both.
 """
@@ -54,10 +55,14 @@ CASES = {
     "cylinder_union_n2": _cylinder_union_forms(2, F(9, 10)),
     "cylinder_union_n3": _cylinder_union_forms(3, F(9, 10)),
     "cylinder_e2_inf": [Ellipsoid((2, "inf")), ConcaveToricDomain(((2, 0),))],
+    "ellipsoid_n3_inf": [
+        Ellipsoid((F(5, 3), "inf", F(7, 4))),
+        ConcaveToricDomain(((F(5, 3), 0, 0), (0, 0, F(7, 4)))),
+    ],
 }
 
 # cases where every form is accepted by ``gromov``
-GROMOV_ON_ALL = {"cylinder_union_n2", "cylinder_union_n3"}
+GROMOV_ON_ALL = {"cylinder_union_n2", "cylinder_union_n3", "cylinder_e2_inf", "ellipsoid_n3_inf"}
 
 
 def _gromov(domain):

@@ -262,6 +262,17 @@ def test_ellipsoid_conversion_formulas():
         assert antinorm_value(e.to_concave(), v) == min(a * x for a, x in zip(axes, v))
 
 
+def test_ellipsoid_conversions_with_infinite_axes():
+    # an infinite axis bounds nothing: the staircase keeps the finite axes' vertices
+    e = Ellipsoid((F(5, 3), "inf", F(7, 4)))
+    assert e.to_concave().vertices == ((F(5, 3), 0, 0), (0, 0, F(7, 4)))
+    assert Ellipsoid((2, "inf")).to_concave().vertices == ((2, 0),)
+    with pytest.raises(UnboundedDomainError):
+        e.to_convex()
+    with pytest.raises(UnboundedDomainError):
+        Ellipsoid(("inf", "inf")).to_concave()
+
+
 def test_max_total_returns_optimal_primal_and_dual():
     # the strategies the lattice search reads: x and y, scaled by one d,
     # are feasible for the program and its dual and attain the same total

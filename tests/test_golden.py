@@ -9,6 +9,7 @@ branch labels, alignment) for refactors that must not change a byte.
 
 from __future__ import annotations
 
+import argparse
 from pathlib import Path
 
 import pytest
@@ -71,3 +72,14 @@ def test_cli_output_matches_golden(case, fmt, capsys):
     assert cli.run(golden_argv(case, fmt)) == 0
     out = capsys.readouterr().out
     assert out.encode("utf-8") == (GOLDEN / f"{case}.{fmt}").read_bytes()
+
+
+def test_every_subcommand_has_a_golden_case():
+    (subparsers,) = (
+        action
+        for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    covered = {argv[0] for argv in CASES.values()}
+    assert set(subparsers.choices) - covered == set()
+    assert any(argv[0] == "caps" and "--oracle" in argv for argv in CASES.values())
