@@ -129,13 +129,13 @@ def _format_table(rows: list[list[str]]) -> str:
     )
 
 
-def _render(fmt: str, table, csv_rows, payload) -> str:
-    """The report in format ``fmt``: the text ``table()`` returns, the rows
+def _render(args, table, csv_rows, payload) -> str:
+    """The report in ``args.format``: the text ``table()`` returns, the rows
     ``csv_rows()`` returns (header first) as CSV, or ``payload()`` as JSON.
     Only the requested builder runs."""
-    if fmt == "table":
+    if args.format == "table":
         return table()
-    if fmt == "csv":
+    if args.format == "csv":
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(csv_rows())
         return buf.getvalue()
@@ -272,7 +272,7 @@ def run(argv: list[str]) -> int:
         return int(exc.code or 0)
     try:
         builders, mismatch = args.run(args)
-        text = _render(args.format, *builders)
+        text = _render(args, *builders)
     except (ToricapError, ValueError, TypeError) as exc:
         print(f"toricap: error: {exc}", file=sys.stderr)
         return 1

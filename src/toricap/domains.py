@@ -116,9 +116,10 @@ class Ellipsoid:
 
     def to_convex(self) -> "ConvexToricDomain":
         """Simplex form: generators a_i * e_i.  Finite axes only."""
-        if len(self.finite_axes) != self.n:
+        vertices = self._axis_vertices()
+        if len(vertices) != self.n:
             raise UnboundedDomainError("cannot convert an infinite-axis ellipsoid")
-        return ConvexToricDomain(self._axis_vertices())
+        return ConvexToricDomain(vertices)
 
     def to_concave(self) -> "ConcaveToricDomain":
         """Staircase form: the staircase spanned by a_i * e_i over the finite
