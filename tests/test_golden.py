@@ -34,6 +34,8 @@ CASES = {
     "cube_convex": ["cube", "--domain", "convex.json"],
     "cube_polydisk": ["cube", "--domain", "polydisk.json"],
     "cube_cylinder_union": ["cube", "--domain", "cylinder_union.json"],
+    "cube_concave": ["cube", "--domain", "concave.json"],
+    "cube_concave5": ["cube", "--domain", "concave5.json"],
     "gromov_concave": ["gromov", "--domain", "concave.json"],
     "gromov_ellipsoid": ["gromov", "--domain", "ellipsoid.json"],
     "slope_concave": ["slope", "--domain", "concave.json", "--kmax", "20"],
