@@ -30,8 +30,8 @@ each later coordinate, and solves the last two coordinates (e, R - e) by a
 binary search on the objective, convex in e, in O(m log R).
 
 Its bounds come from the matrix game of the rows against the coordinates,
-whose strategies the diagonal's simplex (``domains._max_total``) gives as
-its primal and dual.  Three devices use them, all exact:
+whose strategies ``domains._game`` returns: the one solver of matrix games,
+which also gives the diagonal.  Three devices use them, all exact:
 
 * a surrogate row per level: the tail's game gives integer weights y on
   the rows, and a completion's value is at least its y-mix of the rows'
@@ -45,17 +45,16 @@ its primal and dual.  Three devices use them, all exact:
   F(h) + 1 while the witness stays (0, ..., 0, sum).
 
 The search visits compositions in lexicographic order and keeps only
-strict improvements, so the witness is still the lexicographically first
-optimizer.  The rows, their tail minima and the weights are prepared once
-per domain, kept with it as ``_scaled`` is, for every k.
+strict improvements, so the witness is the lexicographically first
+optimizer and output is reproducible.  The rows, their tail minima and the
+weights are prepared once per domain, kept with it as ``_scaled`` is.
 
-Ties are broken toward the lexicographically smallest optimizer so output
-is reproducible.  ``capacity_at`` and ``capacity_sequence`` read the table
-and otherwise search.  The product combinator takes its min-plus
-convolution on the factors' values scaled to integers over one common
-denominator.  Every sequence -- the ellipsoid merge, a progression, one
-search per k or a product -- passes one check that it is nondecreasing
-(on its integers where it has them) before it is returned.
+``capacity_at`` and ``capacity_sequence`` read the table and otherwise
+search.  The product combinator takes its min-plus convolution on the
+factors' values scaled to integers over one common denominator.  Every
+sequence -- the ellipsoid merge, a progression, one search per k or a
+product -- passes one check that it is nondecreasing (on its integers
+where it has them) before it is returned.
 """
 
 from __future__ import annotations
@@ -77,7 +76,7 @@ from .domains import (
     Polydisk,
     Staircase,
     ToricDomain,
-    _max_total,
+    _game,
     _scaled_integer_rows,
     shape_of,
 )
@@ -221,38 +220,32 @@ def _lowest_minimizer(
 def _tail_game(
     rows: Sequence[Sequence[int]], sums: Sequence[int], start: int
 ) -> tuple[list[int], dict[int, int]]:
-    """(y, x): optimal strategies, as integer weights, of the matrix game in
-    which a mix y of the rows raises and a mix x of the columns start..
-    lowers <y, column>.
+    """(y, x): the optimal strategies ``_game`` gives for the rows against
+    the columns start.., x kept on its support.
 
-    ``_max_total`` solves it from the columns' side, on the entries
-    top - w_j with top the largest entry plus one: the least entry is 1, as
-    the program needs, and the optimal strategies are the game's own.  Its
-    primal is y, its dual x, kept on its support.  One row needs no
-    program: y = (1), x its cheapest column.  Any y >= 0 bounds the whole
-    tail, so a big game is played on part of it: more than 2m columns, for
-    m rows, on 2m of them (each row's cheapest, then those of least sum),
-    and more rows than twice the columns on at most that many (each
-    column's largest and those of greatest sum).  The rows go in by
-    decreasing sum, so that Bland's rule enters the likeliest ones first.
+    Any y >= 0 bounds the whole tail, so a big game is played on part of
+    it: more than 2m columns, for m rows, on 2m of them (each row's
+    cheapest, then those of least sum), and more rows than twice the
+    columns on at most that many (each column's largest and those of
+    greatest sum).  A tail has two or more columns: ``itemgetter`` gives
+    tuples.  This is the search's policy; ``_game`` sets the game up.
     """
-    n, m = len(sums), len(rows)
-    tail = range(start, n)
-    if m == 1:
-        return [1], {min(tail, key=rows[0].__getitem__): 1}
+    m, tail = len(rows), range(start, len(sums))
     if len(tail) > 2 * m:
         cheapest = [min(tail, key=row.__getitem__) for row in rows]
         lowest = heapq.nsmallest(2 * m, tail, key=sums.__getitem__)
         tail = sorted(list(dict.fromkeys(cheapest + lowest))[: 2 * m])
-    order = sorted(range(m), key=lambda w: -sum(rows[w][j] for j in tail))
+    matrix = list(map(operator.itemgetter(*tail), rows))
+    players = range(m)
     if m > 2 * len(tail):
-        keep = {max(order, key=lambda w: rows[w][j]) for j in tail}
-        keep.update(order[: len(tail)])
-        order = [w for w in order if w in keep]
-    top = max(rows[w][j] for w in order for j in tail) + 1
-    _, weights, x = _max_total([[top - rows[w][j] for w in order] for j in tail])
+        totals = list(map(sum, matrix))
+        order = sorted(players, key=totals.__getitem__, reverse=True)
+        keep = {max(order, key=column.__getitem__) for column in zip(*matrix)}
+        players = sorted(keep.union(order[: len(tail)]))
+        matrix = [matrix[w] for w in players]
+    _, weights, x = _game(matrix)
     y = [0] * m
-    for w, weight in zip(order, weights):
+    for w, weight in zip(players, weights):
         y[w] = weight
     return y, {j: xj for j, xj in zip(tail, x) if xj}
 
@@ -347,14 +340,11 @@ class _Search:
         (e, R - e) go to ``_lowest_minimizer``, the objective being convex
         in e.
 
-        From n = 3 and a positive total the root game adds two devices.
-        The incumbent starts at F(h) + 1, h being its column strategy
-        rounded to a composition of the total, but keeps the witness
-        (0, ..., 0, total): h or a better u replaces it.  And the root's
-        surrogate bound, rounded up, is a lower bound on the optimum, so the
-        search stops once the incumbent reaches it.  Only strict
-        improvements replace the incumbent and the order is lexicographic,
-        so the witness is the lexicographically first minimizer.
+        From n = 3 and a positive total the root game adds the rounded
+        incumbent F(h) + 1, whose witness stays (0, ..., 0, total), and the
+        root stop.  Only strict improvements replace the incumbent and the
+        order is lexicographic, so the witness is the lexicographically
+        first minimizer.
         """
         n, dots, last = self.n, self.dots, self.last
         best = max(d + total * c for d, c in zip(dots, last))

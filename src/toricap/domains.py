@@ -25,8 +25,8 @@ operation needs).  The geometric evaluations the capacity formulas consume:
   at strictly positive lattice vectors, where the min over the staircase
   vertices is exact;
 * ``diagonal_intersection`` -- the largest t with (t, ..., t) inside the
-  region: a closed form for an ellipsoid, else the value of a matrix game
-  solved as a small linear program by an exact simplex;
+  region: a closed form for an ellipsoid, else the value of a matrix game,
+  which ``_game`` solves as a small linear program by an exact simplex;
 * ``scale_domain`` -- multiply the region by a positive rational.
 
 All coordinates are ``Fraction``; everything here is immutable and pure.
@@ -35,6 +35,7 @@ All coordinates are ``Fraction``; everything here is immutable and pure.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
@@ -347,18 +348,12 @@ def diagonal_intersection(domain: ToricDomain) -> Fraction:
     t = 1/sum(1/a_i) over its finite axes, and only an ellipsoid with every
     axis infinite has no diagonal bound.
 
-    For a hull or a staircase t is the value of a matrix game between the
-    points p_j and the coordinates i.  A hull gives t = max over convex
-    combinations l of min_i (sum_j l_j p_j)_i, which by the minimax theorem
-    is min over y in the coordinate simplex of max_j <y, p_j>; a staircase
-    gives t = min over l of max_i (sum_j l_j p_j)_i.  Either is a min over
-    mixed strategies s of max (A s), and dividing s by t gives x >= 0 with
-    A x <= 1 and sum(x) = 1/t, so t = 1/max{sum(x) : A x <= 1, x >= 0}.
-    A is the rows p_j for a hull and their transpose for a staircase, and
-    ``_max_total`` solves the program.  A zero column of A -- a coordinate
-    that is zero at every hull point, or a staircase vertex at the origin --
-    leaves it unbounded: then t = 0.  A polydisk's one point gives
-    t = min(areas), a cube's or a cylinder union's gives t = delta.
+    A hull's t = max over convex combinations l of min_i (sum_j l_j p_j)_i
+    is the value of the game (``_game``) of its points p_j against the
+    coordinates i; a staircase's t = min over l of max_i (sum_j l_j p_j)_i
+    is minus the value of the game on its negated points.  So a polydisk's
+    one point gives t = min(areas), and a coordinate zero at every hull
+    point, or a staircase vertex at the origin, gives t = 0.
     """
     shape = shape_of(domain)
     if shape == "ellipsoid":
@@ -367,17 +362,30 @@ def diagonal_intersection(domain: ToricDomain) -> Fraction:
                 "diagonal intersection undefined: every ellipsoid axis is infinite"
             )
         return 1 / sum(1 / a for a in domain.finite_axes)
-    denom, rows = domain._scaled
-    matrix = rows if shape == "hull" else tuple(zip(*rows))
-    # Equal rows are one constraint and equal columns one variable.  Taken
-    # cheapest first, the columns let Bland's rule enter the best one at
-    # once when one constraint is left: a cube, polydisk or cylinder union
-    # of any dimension takes one pivot.
-    columns = sorted(set(zip(*dict.fromkeys(matrix))), key=lambda c: (sum(c), c))
-    if any(not any(column) for column in columns):
-        return Fraction(0)
-    value, _, _ = _max_total(tuple(zip(*columns)))
-    return 1 / value / denom
+    (denom, rows), sign = domain._scaled, 1 if shape == "hull" else -1
+    return sign * _game([[sign * c for c in row] for row in rows])[0] / denom
+
+
+def _game(matrix: Sequence[Sequence[int]]) -> tuple[Fraction, list[int], list[int]]:
+    """(value, y, x) of the game in which a mix y of the rows raises and a
+    mix x of the columns lowers <y, matrix x>, with optimal integer weights:
+    min_j <y, column j> / sum(y) = value = max_w <row w, x> / sum(x).
+
+    The one setup of ``_max_total``, one constraint per row: a taller game
+    is played as its negated transpose, so the tableau stays linear in the
+    longer side.  The entries are shifted to at least 1, making the total
+    1 / (value + shift), and the columns go in cheapest first.
+    """
+    if len(matrix) > len(matrix[0]):
+        value, y, x = _game([list(map(operator.neg, column)) for column in zip(*matrix)])
+        return -value, x, y
+    shift = 1 - min(map(min, matrix))
+    order = sorted(range(len(matrix[0])), key=list(map(sum, zip(*matrix))).__getitem__)
+    total, primal, y = _max_total([[row[j] + shift for j in order] for row in matrix])
+    x = [0] * len(order)
+    for j, xj in zip(order, primal):
+        x[j] = xj
+    return Fraction(total.denominator - shift * total.numerator, total.numerator), y, x
 
 
 def _max_total(

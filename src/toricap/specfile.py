@@ -1,8 +1,8 @@
 """The domain-spec file format: JSON syntax, exact rational content.
 
-Rationals travel as ``"p/q"`` strings or plain JSON integers; anything
-with a decimal point or exponent is rejected so nothing ever rounds.
-``"inf"`` is accepted only for ellipsoid axes.  Examples::
+Rationals travel as ``"p/q"`` strings or plain JSON integers; a number
+with a decimal point or exponent, or ``Infinity``, is rejected so nothing
+rounds.  ``"inf"`` is accepted only for ellipsoid axes.  Examples::
 
     {"type": "ellipsoid", "a": ["1", "2"]}
     {"type": "ellipsoid", "a": ["1", "inf"]}
@@ -33,10 +33,12 @@ from .domains import (
     ToricDomain,
 )
 from .errors import DimensionMismatch, DomainFormatError
-from .rationals import ExtendedRational, format_rational, positive_int, to_rational
+from .rationals import INF, ExtendedRational, format_rational, positive_int, to_rational
 
 
 def _rational_field(raw: object, path: str, allow_infinite: bool = False) -> ExtendedRational:
+    if raw == INF:  # json.loads reads 1e400 and Infinity as a float infinity
+        raise DomainFormatError(f'{path}: infinite JSON number rejected: write "inf"')
     try:
         return to_rational(raw, allow_infinite=allow_infinite)
     except (TypeError, ValueError) as exc:
@@ -137,6 +139,6 @@ def load_domain(path: str) -> ToricDomain:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
-        raise DomainFormatError(f"cannot read {path}: {exc.strerror}") from None
+    except (OSError, UnicodeDecodeError) as exc:  # a decoding error has no strerror
+        raise DomainFormatError(f"cannot read {path}: {getattr(exc, 'strerror', exc)}") from None
     return parse_domain(text)

@@ -202,6 +202,14 @@ def test_domain_errors_exit_1(write_spec, capsys):
     assert "a[1]" in err
 
 
+def test_obstruct_names_the_spec_file_that_is_not_utf8(write_spec, tmp_path, capsys):
+    good = write_spec("e12.json", '{"type":"ellipsoid","a":["1","2"]}')
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe")
+    assert run_cli(["obstruct", "--source", good, "--target", str(bad), "-k", "3"]) == 1
+    assert f"cannot read {bad}: " in capsys.readouterr().err
+
+
 def test_unbounded_domain_errors_exit_1(write_spec, capsys):
     cyl = write_spec("z.json", '{"type":"ellipsoid","a":["1","inf"]}')
     assert run_cli(["cube", "-d", cyl]) == 0

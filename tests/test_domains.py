@@ -1,3 +1,4 @@
+import operator
 import random
 import time
 from fractions import Fraction
@@ -19,8 +20,8 @@ from toricap import (
     scale_domain,
     support_value,
 )
-from helpers import grow_concave, grow_convex, random_concave, random_convex
-from toricap.domains import _max_total
+from helpers import grow_concave, grow_convex, random_concave, random_convex, random_point
+from toricap.domains import _game, _max_total
 
 F = Fraction
 
@@ -165,6 +166,68 @@ def test_diagonal_of_one_point_regions_in_huge_dimension():
         start = time.perf_counter()
         assert diagonal_intersection(domain) == expected
         assert time.perf_counter() - start < HUGE_DIMENSION_SECONDS
+
+
+# Seconds allowed for each diagonal below, measured at 0.05 s and 0.4 s on
+# a 2-core x86 machine with Python 3.11.  A program with one constraint per
+# point of the hull or per coordinate of the staircase took 8.5 s and
+# 17.5 s on them there.
+HOSTILE_DIAGONAL_SECONDS = 2.0
+
+
+def test_diagonal_stays_linear_in_the_longer_side():
+    # many hull points in few coordinates, few staircase vertices in many
+    # coordinates; the expected values come from that slower program
+    rng = random.Random(2000)
+    hull = ConvexToricDomain(tuple(random_point(rng, 6, positive=True) for _ in range(2000)))
+    rng = random.Random(1500)
+    stair = ConcaveToricDomain(tuple(random_point(rng, 1500, positive=True) for _ in range(12)))
+    cases = [
+        (hull, F(825250921, 174340028)),
+        (stair, F(3656165157553494353, 1072812325207249201)),
+    ]
+    for domain, expected in cases:
+        start = time.perf_counter()
+        assert diagonal_intersection(domain) == expected
+        elapsed = time.perf_counter() - start
+        assert elapsed < HOSTILE_DIAGONAL_SECONDS, f"{elapsed:.2f} s on {domain}"
+
+
+def _random_game(rng):
+    """An integer matrix, taller or wider, with negative and zero entries;
+    a third of them get a zero column."""
+    rows, cols = rng.choice([(1, rng.randint(1, 6)), (rng.randint(1, 6), 1)] + [
+        (rng.randint(1, 7), rng.randint(1, 7))
+    ] * 4)
+    matrix = [[rng.randint(-5, 5) * rng.randint(0, 1) for _ in range(cols)] for _ in range(rows)]
+    if rng.random() < 1 / 3:
+        j = rng.randrange(cols)
+        for row in matrix:
+            row[j] = 0
+    return matrix
+
+
+def test_game_strategies_certify_its_value():
+    # y and x are optimal: the least column y holds and the largest row x
+    # holds are both the value, so neither player can do better
+    rng = random.Random(1928)
+    for _ in range(400):
+        matrix = _random_game(rng)
+        value, y, x = _game(matrix)
+        assert len(y) == len(matrix) and len(x) == len(matrix[0])
+        assert min(y) >= 0 and min(x) >= 0 and sum(y) > 0 and sum(x) > 0
+        columns = list(zip(*matrix))
+        floor = min(F(sum(map(operator.mul, y, column)), sum(y)) for column in columns)
+        ceiling = max(F(sum(map(operator.mul, row, x)), sum(x)) for row in matrix)
+        assert floor == value == ceiling, matrix
+
+
+def test_game_examples():
+    assert _game([[3]]) == (3, [1], [1])
+    assert _game([[0, 0, 0]])[0] == 0
+    # matching pennies, and a taller game played as its negated transpose
+    assert _game([[1, -1], [-1, 1]])[0] == 0
+    assert _game([[4, 1], [3, 2], [0, 5]])[0] == F(5, 2)
 
 
 def test_diagonal_intersection_matches_ellipsoid_conversions():

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from toricap import (
     DomainFormatError,
     Ellipsoid,
     Polydisk,
+    load_domain,
     parse_domain,
     render_domain,
 )
@@ -49,6 +51,8 @@ def test_syntax_error_reports_line_and_column():
     [
         ('{"type":"ellipsoid","a":["1","0.5"]}', r"a\[1\]"),
         ('{"type":"ellipsoid","a":[1.5]}', r"a\[0\]"),
+        ('{"type":"ellipsoid","a":["1",1e400]}', r"a\[1\]: infinite JSON number"),
+        ('{"type":"ellipsoid","a":["1",Infinity]}', r"a\[1\]: infinite JSON number"),
         ('{"type":"ellipsoid","a":["0"]}', "positive"),
         ('{"type":"polydisk","a":[]}', "a"),
         ('{"type":"cube","n":0,"delta":"1"}', "n"),
@@ -66,6 +70,13 @@ def test_syntax_error_reports_line_and_column():
 def test_semantic_errors_carry_field_paths(text, fragment):
     with pytest.raises(DomainFormatError, match=fragment):
         parse_domain(text)
+
+
+def test_non_utf8_spec_file_names_its_path(tmp_path):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b"\xff\xfe")
+    with pytest.raises(DomainFormatError, match=f"cannot read {re.escape(str(path))}: "):
+        load_domain(str(path))
 
 
 def test_decimal_json_numbers_rejected():
