@@ -33,11 +33,13 @@ Its bounds come from the matrix game of the rows against the coordinates,
 whose strategies ``domains._game`` returns: the one solver of matrix games,
 which also gives the diagonal.  Three devices use them, all exact:
 
-* a surrogate row per level: the tail's game gives integer weights y on
-  the rows, and a completion's value is at least its y-mix of the rows'
+* a surrogate row per level: a game gives integer weights y on the
+  rows, and a completion's value is at least its y-mix of the rows'
   values over sum(y) (Glover's surrogate constraint; Geoffrion's
   Lagrangean relaxation).  A node is cut once that mix exceeds the
-  incumbent less one, the values being integers;
+  incumbent less one, the values being integers.  With m rows, a tail of
+  at most 2m columns plays its own game and a wider one takes the whole
+  game's y;
 * a root stop: the whole game's bound, rounded up, is at most the
   optimum, so the search ends once the incumbent reaches it;
 * a rounded incumbent: the game's column strategy times the sum, rounded
@@ -117,7 +119,7 @@ class CapacitySequence:
         return len(self.values)
 
     def value(self, k: int) -> Fraction:
-        if not 1 <= k <= self.kmax:
+        if isinstance(k, bool) or not isinstance(k, int) or not 1 <= k <= self.kmax:
             raise ValueError(f"k={k} outside computed range 1..{self.kmax}")
         return self.values[k - 1].value
 
@@ -223,30 +225,17 @@ def _tail_game(
     """(y, x): the optimal strategies ``_game`` gives for the rows against
     the columns start.., x kept on its support.
 
-    Any y >= 0 bounds the whole tail, so a big game is played on part of
-    it: more than 2m columns, for m rows, on 2m of them (each row's
-    cheapest, then those of least sum), and more rows than twice the
-    columns on at most that many (each column's largest and those of
-    greatest sum).  A tail has two or more columns: ``itemgetter`` gives
-    tuples.  This is the search's policy; ``_game`` sets the game up.
+    Any y >= 0 bounds the whole tail, so a tail of more than 2m columns,
+    for m rows, is played on 2m of them: each row's cheapest, then those
+    of least sum.  Every row plays.  A tail has two or more columns:
+    ``itemgetter`` gives tuples.
     """
     m, tail = len(rows), range(start, len(sums))
     if len(tail) > 2 * m:
         cheapest = [min(tail, key=row.__getitem__) for row in rows]
         lowest = heapq.nsmallest(2 * m, tail, key=sums.__getitem__)
         tail = sorted(list(dict.fromkeys(cheapest + lowest))[: 2 * m])
-    matrix = list(map(operator.itemgetter(*tail), rows))
-    players = range(m)
-    if m > 2 * len(tail):
-        totals = list(map(sum, matrix))
-        order = sorted(players, key=totals.__getitem__, reverse=True)
-        keep = {max(order, key=column.__getitem__) for column in zip(*matrix)}
-        players = sorted(keep.union(order[: len(tail)]))
-        matrix = [matrix[w] for w in players]
-    _, weights, x = _game(matrix)
-    y = [0] * m
-    for w, weight in zip(players, weights):
-        y[w] = weight
+    _, y, x = _game(list(map(operator.itemgetter(*tail), rows)))
     return y, {j: xj for j, xj in zip(tail, x) if xj}
 
 
@@ -280,30 +269,27 @@ class _Search:
 
         For an entry at coord, levels[coord] is (column coord, each row's
         minimum over the tail coord + 1.., y, sum(y), <y, column coord>,
-        the least <y, column> over the tail), y being the tail game's row
-        strategy.  root is (sum(y), the least <y, column>, <y, dots>, x)
-        for the whole game.  A tail's game is solved while it is at most
-        2m wide, then each time it has doubled, and once more for the whole
-        row; a y kept for wider tails still gets their exact least
-        <y, column>, from suffix minima over every column it serves.
+        the least <y, column> over the tail).  With m rows, a tail of at
+        most 2m columns takes the y of its own game; a wider one takes the
+        y of the whole row's game, whose least <y, column> over every tail
+        comes from one pass of suffix minima.  root is (sum(y), the least
+        <y, column>, <y, dots>, x) for that whole game.
         """
         rows, cols, n, m = self.rows, self.cols, self.n, len(self.rows)
         sums = [sum(col) for col in cols]
         tails = [list(accumulate(reversed(row), min))[::-1] for row in rows]  # min(row[i:])
-        levels: list = [None] * (n - 2)
-        solved = 0
-        for width in range(2, n + 1):
-            start = n - width  # the tail's first column
-            if width in (2, n) or (m > 1 and (width <= 2 * m or width >= 2 * solved)):
-                y, x = _tail_game(rows, sums, start)
-                solved, lo = width, 0 if m == 1 else max(0, n - 2 * width)
-                mixed = [sum(map(operator.mul, y, col)) for col in cols[lo:]]
-                least = list(accumulate(reversed(mixed), min))[::-1]
-            if start:
-                levels[start - 1] = (
-                    cols[start - 1], [t[start] for t in tails],
-                    y, sum(y), mixed[start - 1 - lo], least[start - lo],
-                )
+        y, x = _tail_game(rows, sums, 0)
+        mixed = [sum(map(operator.mul, y, col)) for col in cols]
+        least = list(accumulate(reversed(mixed), min))[::-1]
+        levels = []
+        for start in range(1, n - 1):  # the tail's first column
+            weights, step, low = y, mixed[start - 1], least[start]
+            if n - start <= 2 * m:  # a narrow tail plays its own game
+                weights, _ = _tail_game(rows, sums, start)
+                step, *rest = [sum(map(operator.mul, weights, col)) for col in cols[start - 1 :]]
+                low = min(rest)
+            mins = [t[start] for t in tails]
+            levels.append((cols[start - 1], mins, weights, sum(weights), step, low))
         return levels, (sum(y), least[0], sum(map(operator.mul, y, self.dots)), x)
 
     def _rounded(self, total: int, x: dict[int, int]) -> list[int]:

@@ -41,7 +41,7 @@ from .embeddings import (
     obstruct,
 )
 from .errors import ToricapError
-from .oracle import brute_capacity
+from .oracle import DEFAULT_ENUMERATION_CAP, brute_capacity
 from .rationals import decimal_string, format_rational
 from .specfile import domain_to_jsonable, load_domain
 
@@ -72,7 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_caps.add_argument(
         "--oracle",
         action="store_true",
-        help="append brute-force oracle values and fail on any mismatch",
+        help="append brute-force oracle values and fail on any mismatch; "
+        "each k may enumerate 10^7 / K candidates",
     )
     p_caps.set_defaults(run=_cmd_caps)
 
@@ -159,7 +160,7 @@ def _cmd_caps(args) -> tuple[tuple, bool]:
             result.branch.value,
         ]
         if args.oracle:
-            expected = brute_capacity(domain, result.k)
+            expected = brute_capacity(domain, result.k, DEFAULT_ENUMERATION_CAP // args.kmax)
             row.append(format_rational(expected))
             mismatch = mismatch or expected != result.value
         rows.append(row)

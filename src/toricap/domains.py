@@ -292,10 +292,11 @@ def shape_of(domain: object, expected: Optional[str] = None) -> str:
 def _check_vector(v: LatticeVector, n: int, positive: bool = False) -> None:
     if len(v) != n:
         raise DimensionMismatch(f"vector has length {len(v)}, domain has dimension {n}")
+    least, kind = (1, "strictly positive") if positive else (0, "nonnegative")
     for entry in v:
-        if entry < 0 or (positive and entry == 0):
-            kind = "strictly positive" if positive else "nonnegative"
-            raise ValueError(f"vector entries must be {kind}, got {tuple(v)}")
+        # a float would leave exact arithmetic, and a bool is no coordinate
+        if isinstance(entry, bool) or not isinstance(entry, int) or entry < least:
+            raise ValueError(f"vector entries must be {kind} integers, got {tuple(v)}")
 
 
 def support_value(domain: Hull, v: LatticeVector) -> Fraction:

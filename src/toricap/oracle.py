@@ -30,11 +30,9 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (head,) + tail
 
 
-def _check_cap(count: int, cap: int) -> None:
+def _check_cap(count: int, cap: int, what: str = "compositions") -> None:
     if count > cap:
-        raise EnumerationCapExceeded(
-            f"{count} compositions exceed the enumeration cap of {cap}"
-        )
+        raise EnumerationCapExceeded(f"{count} {what} exceed the enumeration cap of {cap}")
 
 
 def brute_convex_capacity(
@@ -60,8 +58,11 @@ def brute_concave_capacity(
     return max(antinorm_value(domain, v) for v in shifted)
 
 
-def brute_ellipsoid_capacity(axes: Sequence[ExtendedRational], k: int) -> Fraction:
-    """k-th element of the sorted merge of the first k multiples of each axis."""
+def brute_ellipsoid_capacity(
+    axes: Sequence[ExtendedRational], k: int, cap: int = DEFAULT_ENUMERATION_CAP
+) -> Fraction:
+    """k-th element of the sorted merge of the first k multiples of each
+    finite axis: n * k of them, which the cap bounds."""
     positive_int(k, "k")
     finite = [
         to_rational(a, allow_infinite=True)
@@ -70,6 +71,7 @@ def brute_ellipsoid_capacity(axes: Sequence[ExtendedRational], k: int) -> Fracti
     ]
     if not finite:
         raise UnboundedDomainError("every axis is infinite: the spectrum is empty")
+    _check_cap(len(finite) * k, cap, "multiples")
     merged = sorted(m * a for a in finite for m in range(1, k + 1))
     return merged[k - 1]
 
@@ -85,7 +87,7 @@ def brute_capacity(
     """
     shape = shape_of(domain)
     if shape == "ellipsoid":
-        return brute_ellipsoid_capacity(domain.axes, k)
+        return brute_ellipsoid_capacity(domain.axes, k, cap)
     if shape == "hull":
         return brute_convex_capacity(domain, k, cap)
     return brute_concave_capacity(domain, k, cap)

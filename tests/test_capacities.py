@@ -154,6 +154,14 @@ def test_booleans_are_not_integers():
             call()
 
 
+def test_sequence_value_takes_only_an_integer_index():
+    seq = capacity_sequence(Ellipsoid((1, 2)), 3)
+    assert [seq.value(k) for k in (1, 2, 3)] == [1, 2, 2]
+    for k in (True, 1.0, F(1), 0, 4):
+        with pytest.raises(ValueError, match=r"outside computed range 1\.\.3"):
+            seq.value(k)
+
+
 def test_witness_invariants_random():
     rng = random.Random(23)
     for _ in range(40):
@@ -215,14 +223,16 @@ def _degenerate_searches(rng, n):
 
 def test_searches_match_brute_force():
     rng = random.Random(29)
-    # (dimension, largest k, instances): a random n <= 3 descends at most one
-    # coordinate before the last pair, n = 4 and n = 5 descend two and three
-    for n, kmax, count in ((None, 9, 50), (4, 8, 25), (5, 6, 25)):
+    # (dimension, largest k, instances, most points): a random n <= 3
+    # descends at most one coordinate before the last pair, n = 4 and n = 5
+    # descend two and three; in n = 8 a tail wider than twice the points
+    # takes the root game's weights
+    for n, kmax, count, most in ((None, 9, 50, 4), (4, 8, 25, 4), (5, 6, 25, 4), (8, 5, 25, 3)):
         for _ in range(count):
-            d = random_convex(rng, n=n, max_n=3, max_points=4)
+            d = random_convex(rng, n=n, max_n=3, max_points=most)
             k = rng.randint(1, kmax)
             assert _search_result(d, k) == _lex_first_optimum(d, k)
-            c = random_concave(rng, n=n, max_n=3, max_points=4)
+            c = random_concave(rng, n=n, max_n=3, max_points=most)
             assert _search_result(c, k) == _lex_first_optimum(c, k)
     for n, kmax in ((3, 9), (4, 7), (5, 5)):
         for _ in range(4):
@@ -499,6 +509,38 @@ def test_searches_in_high_dimension(kind):
             total = sum(points[0])  # for a staircase
             expected = [1, 2] if kind is ConvexToricDomain else [total, total + 1]
             assert [first.value, second.value] == expected
+
+
+# Seconds allowed for the bounds and c_1 .. c_6 of each region below,
+# measured at about 0.15 s each on a 2-core x86 machine with Python 3.11,
+# where every game is played with all 2,000 rows.
+MANY_POINTS_SECONDS = 2.0
+
+
+def test_searches_with_many_points_in_few_coordinates():
+    # the values and witnesses are frozen from a search whose games were
+    # played on a subsample of the rows
+    rng = random.Random(2000)
+    hull = ConvexToricDomain(tuple(random_point(rng, 6, positive=True) for _ in range(2000)))
+    rng = random.Random(6)
+    stair = ConcaveToricDomain(tuple(random_point(rng, 6, positive=True) for _ in range(2000)))
+    cases = [
+        (hull, ["8", "15", "18", "22", "151/6", "92/3"], [
+            (0, 0, 0, 0, 0, 1), (0, 1, 0, 0, 0, 1), (0, 0, 1, 1, 1, 0),
+            (1, 1, 1, 1, 0, 0), (1, 1, 1, 1, 1, 0), (1, 1, 2, 0, 1, 1),
+        ]),
+        (stair, ["157/60", "101/30", "58/15", "67/15", "149/30", "111/20"], [
+            (1, 1, 1, 1, 1, 1), (1, 2, 1, 1, 1, 1), (2, 2, 1, 1, 1, 1),
+            (2, 2, 1, 2, 1, 1), (3, 2, 1, 2, 1, 1), (3, 2, 1, 3, 1, 1),
+        ]),
+    ]
+    for domain, values, witnesses in cases:
+        start = time.perf_counter()
+        seq = capacity_sequence(domain, 6)
+        elapsed = time.perf_counter() - start
+        assert elapsed < MANY_POINTS_SECONDS, f"{elapsed:.2f} s on {domain.shape}"
+        assert [str(r.value) for r in seq.values] == values
+        assert [r.witness for r in seq.values] == witnesses
 
 
 def _pruning_corpus():

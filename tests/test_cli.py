@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -160,9 +161,29 @@ def test_caps_oracle_agreement(write_spec, capsys):
 
 def test_caps_oracle_mismatch_exits_nonzero(write_spec, capsys, monkeypatch):
     path = write_spec("e.json", '{"type":"ellipsoid","a":["1"]}')
-    monkeypatch.setattr(cli, "brute_capacity", lambda domain, k: F(999))
+    monkeypatch.setattr(cli, "brute_capacity", lambda domain, k, cap: F(999))
     assert run_cli(["caps", "-d", path, "-k", "2", "--oracle"]) == 1
     assert "oracle" in capsys.readouterr().err
+
+
+# Seconds allowed for each capped run below, measured at under 0.4 s on a
+# 2-core x86 machine with Python 3.11.  With the whole cap for each k, the
+# cube's k = 3000 alone enumerated 4.5 million compositions in 14 s.
+ORACLE_CAP_SECONDS = 5.0
+
+
+@pytest.mark.parametrize(
+    "spec, kmax",
+    [('{"type":"cube","n":3,"delta":"1"}', 3000), ('{"type":"ellipsoid","a":["1","2"]}', 10**5)],
+    ids=["cube", "ellipsoid"],
+)
+def test_caps_oracle_shares_one_cap(write_spec, capsys, spec, kmax):
+    # each k may enumerate 10^7 / K candidates, so the run stops at the cap
+    path = write_spec("d.json", spec)
+    start = time.perf_counter()
+    assert run_cli(["caps", "-d", path, "-k", str(kmax), "--oracle", "--format", "csv"]) == 1
+    assert time.perf_counter() - start < ORACLE_CAP_SECONDS
+    assert f"exceed the enumeration cap of {10**7 // kmax}" in capsys.readouterr().err
 
 
 def test_slope_output(write_spec, capsys):

@@ -1,5 +1,6 @@
 import operator
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -100,6 +101,15 @@ def test_support_value_errors():
         support_value(d, (1, -1))
     with pytest.raises(TypeError, match="staircase region, not a hull"):
         support_value(ConcaveToricDomain(((1, 2),)), (1, 1))
+
+
+def test_vector_entries_must_be_integers():
+    # a float or Fraction entry is no lattice coordinate, nor is a bool
+    hull, stair = ConvexToricDomain(((1, 2),)), ConcaveToricDomain(((1, 2),))
+    for v in ((0.5, 1), (F(1, 2), 1), (1, F(1)), (True, 1), (1, False)):
+        for value_of, domain in ((support_value, hull), (antinorm_value, stair)):
+            with pytest.raises(ValueError, match=re.escape(f"integers, got {v}")):
+                value_of(domain, v)
 
 
 def test_origin_only_domain_is_accepted():

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -57,6 +58,14 @@ def test_enumeration_cap():
         brute_convex_capacity(wide, 100, cap=1000)
     with pytest.raises(EnumerationCapExceeded):
         brute_concave_capacity(ConcaveToricDomain(((1,) * 6,)), 100, cap=1000)
+    # an ellipsoid sorts n * k multiples: a huge k fails at once
+    start = time.perf_counter()
+    with pytest.raises(EnumerationCapExceeded, match="200000000 multiples"):
+        brute_ellipsoid_capacity((1, 2), 10**8)
+    with pytest.raises(EnumerationCapExceeded, match="8 multiples exceed .* cap of 7"):
+        brute_capacity(Ellipsoid((1, 2, "inf", 3, 4)), 2, cap=7)
+    assert time.perf_counter() - start < 1
+    assert brute_capacity(Ellipsoid((1, 2, "inf", 3, 4)), 2, cap=8) == 2
 
 
 def test_brute_capacity_covers_every_domain_kind():
