@@ -64,11 +64,10 @@ from __future__ import annotations
 import heapq
 import operator
 from itertools import accumulate
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .domains import (
     Cube,
@@ -97,8 +96,7 @@ class Branch(str, Enum):
     PRODUCT_COMBINATOR = "ProductCombinator"
 
 
-@dataclass(frozen=True)
-class CapacityResult:
+class CapacityResult(NamedTuple):
     """One capacity value, with the optimizing vector when a search ran."""
 
     k: int
@@ -107,8 +105,7 @@ class CapacityResult:
     branch: Branch
 
 
-@dataclass(frozen=True)
-class CapacitySequence:
+class CapacitySequence(NamedTuple):
     """Capacities c_1 .. c_K of one domain (or of a product of domains)."""
 
     domain: Union[ToricDomain, str]

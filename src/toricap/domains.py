@@ -29,14 +29,18 @@ operation needs).  The geometric evaluations the capacity formulas consume:
   which ``_game`` solves as a small linear program by an exact simplex;
 * ``scale_domain`` -- multiply the region by a positive rational.
 
-All coordinates are ``Fraction``; everything here is immutable and pure.
+Every kind is a ``_Record``: an immutable value whose ``_fields`` are set
+once by its ``__init__``, which normalises and checks them; equality and
+hashing go by the kind and those fields, so ``Cube(2, 1)`` and
+``CylinderUnion(2, 1)`` differ.  Only the caches of ``_Points`` are added
+later, to the instance dict.  All coordinates are ``Fraction`` and every
+function here is pure.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence, Union
@@ -78,8 +82,35 @@ def _scaled_integer_rows(points: tuple[Point, ...]) -> tuple[int, tuple[tuple[in
     return denom, rows
 
 
-@dataclass(frozen=True)
-class Ellipsoid:
+class _Record:
+    """An immutable value: the fields named in ``_fields``, set once by the
+    kind's ``__init__`` through ``object.__setattr__``."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash((self.__class__, self._values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Ellipsoid(_Record):
     """E(a_1, ..., a_n): the region sum_i x_i/a_i <= 1.
 
     An axis may be ``math.inf`` (or the string ``"inf"``), giving a
@@ -88,10 +119,11 @@ class Ellipsoid:
     """
 
     axes: tuple[ExtendedRational, ...]
+    _fields = ("axes",)
     shape = "ellipsoid"
 
-    def __post_init__(self) -> None:
-        axes = tuple(to_rational(a, allow_infinite=True) for a in self.axes)
+    def __init__(self, axes: Sequence[object]) -> None:
+        axes = tuple(to_rational(a, allow_infinite=True) for a in axes)
         if not axes:
             raise ValueError("ellipsoid needs at least one axis")
         for a in axes:
@@ -134,7 +166,7 @@ class Ellipsoid:
         return "E(" + ", ".join("inf" if is_infinite(a) else str(a) for a in self.axes) + ")"
 
 
-class _Points:
+class _Points(_Record):
     """A hull or staircase kind: its region is given by ``points``."""
 
     @cached_property
@@ -150,15 +182,15 @@ class _Points:
         return _Search(self)
 
 
-@dataclass(frozen=True)
 class Polydisk(_Points):
     """P(a_1, ..., a_n): the box 0 <= x_i <= a_i, the hull of its far corner."""
 
     areas: tuple[Fraction, ...]
+    _fields = ("areas",)
     shape = "hull"
 
-    def __post_init__(self) -> None:
-        areas = tuple(to_rational(a) for a in self.areas)
+    def __init__(self, areas: Sequence[object]) -> None:
+        areas = tuple(to_rational(a) for a in areas)
         if not areas:
             raise ValueError("polydisk needs at least one factor")
         for a in areas:
@@ -178,18 +210,19 @@ class Polydisk(_Points):
         return "P(" + ", ".join(str(a) for a in self.areas) + ")"
 
 
-@dataclass(frozen=True)
 class _Diagonal(_Points):
     """A region given by the one point (delta, ..., delta) in n dimensions."""
 
     n: int
     delta: Fraction
+    _fields = ("n", "delta")
 
-    def __post_init__(self) -> None:
-        positive_int(self.n, f"{self._what} dimension")
-        delta = to_rational(self.delta)
+    def __init__(self, n: int, delta: object) -> None:
+        positive_int(n, f"{self._what} dimension")
+        delta = to_rational(delta)
         if delta <= 0:
             raise ValueError(f"{self._what} size must be positive, got {delta}")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "delta", delta)
 
     @property
@@ -200,7 +233,6 @@ class _Diagonal(_Points):
         return f"{type(self).__name__}_{self.n}({self.delta})"
 
 
-@dataclass(frozen=True)
 class Cube(_Diagonal):
     """The cube P(delta, ..., delta) in n complex dimensions: the hull of its
     far corner."""
@@ -209,7 +241,6 @@ class Cube(_Diagonal):
     _what = "cube"
 
 
-@dataclass(frozen=True)
 class CylinderUnion(_Diagonal):
     """Union of the n symplectic cylinders min_i x_i <= delta (unbounded):
     the region below the one staircase vertex (delta, ..., delta)."""
@@ -219,24 +250,20 @@ class CylinderUnion(_Diagonal):
 
 
 class _PointSet(_Points):
-    """A hull or staircase listed point by point, in the field ``_field``."""
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, self._field, _normalize_points(self.points, self._what))
+    """A hull or staircase listed point by point, in its one field."""
 
     @property
     def points(self) -> tuple[Point, ...]:
-        return getattr(self, self._field)
+        return getattr(self, self._fields[0])
 
     @property
     def n(self) -> int:
         return len(self.points[0])
 
     def __str__(self) -> str:
-        return f"{type(self).__name__}({len(self.points)} {self._field}, n={self.n})"
+        return f"{type(self).__name__}({len(self.points)} {self._fields[0]}, n={self.n})"
 
 
-@dataclass(frozen=True)
 class ConvexToricDomain(_PointSet):
     """Region generated by points: the downward convex hull in the orthant.
 
@@ -248,11 +275,13 @@ class ConvexToricDomain(_PointSet):
     """
 
     generators: tuple[Point, ...]
+    _fields = ("generators",)
     shape = "hull"
-    _field = _what = "generators"
+
+    def __init__(self, generators: object) -> None:
+        object.__setattr__(self, "generators", _normalize_points(generators, "generators"))
 
 
-@dataclass(frozen=True)
 class ConcaveToricDomain(_PointSet):
     """Region below a staircase boundary spanned by the given vertices.
 
@@ -267,8 +296,11 @@ class ConcaveToricDomain(_PointSet):
     """
 
     vertices: tuple[Point, ...]
+    _fields = ("vertices",)
     shape = "staircase"
-    _field, _what = "vertices", "staircase vertices"
+
+    def __init__(self, vertices: object) -> None:
+        object.__setattr__(self, "vertices", _normalize_points(vertices, "staircase vertices"))
 
 
 ToricDomain = Union[
@@ -339,7 +371,7 @@ def scale_domain(domain: ToricDomain, s: object) -> ToricDomain:
     factor = to_rational(s)
     if factor <= 0:
         raise ValueError(f"scale factor must be positive, got {factor}")
-    return type(domain)(*(_rescaled(getattr(domain, f.name), factor) for f in fields(domain)))
+    return type(domain)(*(_rescaled(value, factor) for value in domain._values()))
 
 
 def diagonal_intersection(domain: ToricDomain) -> Fraction:

@@ -18,7 +18,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -28,8 +27,7 @@ from .errors import DimensionMismatch
 from .rationals import positive_int
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(NamedTuple):
     """Per-k comparison of two capacity sequences.
 
     ``first_violation`` is the least k <= kmax with

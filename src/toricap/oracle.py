@@ -10,7 +10,7 @@ hours.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Iterator, Sequence
 
 from .domains import Hull, Staircase, ToricDomain, antinorm_value, shape_of, support_value
@@ -62,18 +62,19 @@ def brute_ellipsoid_capacity(
     axes: Sequence[ExtendedRational], k: int, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> Fraction:
     """k-th element of the sorted merge of the first k multiples of each
-    finite axis: n * k of them, which the cap bounds."""
+    finite axis: n * k of them, which the cap bounds.  The axes are scaled
+    to integers over their least common denominator, so the sort compares
+    plain ints."""
     positive_int(k, "k")
-    finite = [
-        to_rational(a, allow_infinite=True)
-        for a in axes
-        if not is_infinite(to_rational(a, allow_infinite=True))
-    ]
+    rationals = [to_rational(a, allow_infinite=True) for a in axes]
+    finite = [a for a in rationals if not is_infinite(a)]
     if not finite:
         raise UnboundedDomainError("every axis is infinite: the spectrum is empty")
     _check_cap(len(finite) * k, cap, "multiples")
-    merged = sorted(m * a for a in finite for m in range(1, k + 1))
-    return merged[k - 1]
+    denom = lcm(*(a.denominator for a in finite))
+    steps = [a.numerator * (denom // a.denominator) for a in finite]
+    merged = sorted(m * p for p in steps for m in range(1, k + 1))
+    return Fraction(merged[k - 1], denom)
 
 
 def brute_capacity(

@@ -23,8 +23,9 @@ INF = math.inf
 #: A Fraction, or math.inf (the only float ever allowed through).
 ExtendedRational = Union[Fraction, float]
 
-# integer or integer/integer, no decimal point, no exponent
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+# integer or integer/integer, no decimal point, no exponent: the signed
+# numerator and the denominator's digits
+_RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?")
 _INF_STRINGS = frozenset({"inf", "+inf", "infinity", "oo"})
 
 
@@ -60,12 +61,14 @@ def to_rational(value: object, allow_infinite: bool = False) -> ExtendedRational
             if allow_infinite:
                 return INF
             raise ValueError("infinity is not allowed here")
-        if not _RATIONAL_RE.match(text):
+        match = _RATIONAL_RE.fullmatch(text)
+        if match is None:
             raise ValueError(
                 f"cannot parse {value!r} as an exact rational: expected 'p' or 'p/q'"
             )
+        numerator, denominator = match.groups()
         try:
-            return Fraction(text)
+            return Fraction(int(numerator), int(denominator or 1))
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")

@@ -168,14 +168,20 @@ def test_caps_oracle_mismatch_exits_nonzero(write_spec, capsys, monkeypatch):
 
 # Seconds allowed for each capped run below, measured at under 0.4 s on a
 # 2-core x86 machine with Python 3.11.  With the whole cap for each k, the
-# cube's k = 3000 alone enumerated 4.5 million compositions in 14 s.
+# cube's k = 3000 alone enumerated 4.5 million compositions in 14 s, and
+# an oracle sorting Fraction multiples took 5.7 s to reach the ellipsoid's
+# cap at k = 1667 of K = 3000.
 ORACLE_CAP_SECONDS = 5.0
 
 
 @pytest.mark.parametrize(
     "spec, kmax",
-    [('{"type":"cube","n":3,"delta":"1"}', 3000), ('{"type":"ellipsoid","a":["1","2"]}', 10**5)],
-    ids=["cube", "ellipsoid"],
+    [
+        ('{"type":"cube","n":3,"delta":"1"}', 3000),
+        ('{"type":"ellipsoid","a":["1","2"]}', 10**5),
+        ('{"type":"ellipsoid","a":["1","2"]}', 3000),
+    ],
+    ids=["cube", "ellipsoid", "ellipsoid-deep"],
 )
 def test_caps_oracle_shares_one_cap(write_spec, capsys, spec, kmax):
     # each k may enumerate 10^7 / K candidates, so the run stops at the cap

@@ -7,6 +7,8 @@ import pytest
 
 from toricap import INF, decimal_string, format_rational, is_infinite, to_rational
 
+F = Fraction
+
 
 def test_parse_integer_and_fraction_strings():
     assert to_rational("3") == Fraction(3)
@@ -106,3 +108,59 @@ def test_decimal_string_ignores_the_thread_context():
         assert decimal_string(Fraction(10**40, 3)) == "3.3333333333333333333E+39"
         got = [[decimal_string(x), decimal_string(x, 3), decimal_string(x, 30)] for x in cases]
     assert got == expected
+
+
+_CANNOT = "cannot parse {!r} as an exact rational: expected 'p' or 'p/q'"
+_TOO_LONG = (
+    "Exceeds the limit (4300 digits) for integer string conversion: value has {} digits; "
+    "use sys.set_int_max_str_digits() to increase the limit"
+)
+
+# (text, its Fraction or the exact message of the ValueError it raises)
+PARSE_TABLE = [
+    ("3", F(3)),
+    (" 3 ", F(3)),
+    ("+3", F(3)),
+    ("-3", F(-3)),
+    ("\t-7/2\n", F(-7, 2)),
+    ("+4/2", F(2)),
+    ("-0", F(0)),
+    ("0/5", F(0)),
+    ("\xa05\xa0", F(5)),
+    ("- 3", _CANNOT.format("- 3")),
+    ("+-3", _CANNOT.format("+-3")),
+    ("3 /4", _CANNOT.format("3 /4")),
+    ("3/ 4", _CANNOT.format("3/ 4")),
+    ("3/-4", _CANNOT.format("3/-4")),
+    ("1/0", "zero denominator in '1/0'"),
+    ("-0/0", "zero denominator in '-0/0'"),
+    ("1.5", _CANNOT.format("1.5")),
+    ("3/", _CANNOT.format("3/")),
+    ("/3", _CANNOT.format("/3")),
+    ("1e3", _CANNOT.format("1e3")),
+    ("1_000", _CANNOT.format("1_000")),
+    ("", _CANNOT.format("")),
+    (" ", _CANNOT.format(" ")),
+    ("inf", "infinity is not allowed here"),
+    # decimal digits of other scripts are digits; a superscript is not
+    ("٣", F(3)),
+    ("١/٤", F(1, 4)),
+    ("７/２", F(7, 2)),
+    ("²", _CANNOT.format("²")),
+    # past int's default limit on the length of a decimal string
+    ("1" + "0" * 4400, _TOO_LONG.format(4401)),
+    ("-1" + "0" * 4400, _TOO_LONG.format(4401)),
+    ("1/" + "1" * 4400, _TOO_LONG.format(4400)),
+    ("9" * 4300 + "/7", F(10**4300 - 1, 7)),
+]
+
+
+@pytest.mark.parametrize("text, expected", PARSE_TABLE, ids=lambda v: repr(v)[:12])
+def test_string_parsing_table(text, expected):
+    if isinstance(expected, Fraction):
+        value = to_rational(text)
+        assert type(value) is Fraction and value == expected
+    else:
+        with pytest.raises(ValueError) as info:
+            to_rational(text)
+        assert str(info.value) == expected
