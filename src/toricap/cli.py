@@ -13,8 +13,10 @@ Subcommands::
 Every subcommand has one report path.  Its ``_cmd_*`` function computes
 the values, formats each once (``format_rational``, ``decimal_string``) and
 returns three builders over those strings: the table text, the CSV rows and
-the JSON payload, with a flag for an oracle mismatch.  ``_render`` alone
-reads the requested format and runs only that builder.
+the JSON text, with a flag for an oracle mismatch.  ``_render`` alone
+reads the requested format and runs only that builder.  Each table and each
+JSON list of rows is written from one row template, built once per report
+and filled once per row; all JSON text comes from the one ``_json`` helper.
 
 Exit codes: 0 success, 1 domain or semantic error (including an oracle
 mismatch under ``--oracle``), 2 usage error.
@@ -30,6 +32,7 @@ import json
 import sys
 from decimal import Context
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .capacities import capacity_sequence
 from .domains import Staircase, ToricDomain
@@ -123,24 +126,44 @@ def _approx(value: Fraction) -> str:
 
 
 def _format_table(rows: list[list[str]]) -> str:
-    """``rows`` (header first) in left-aligned columns two spaces apart."""
+    """``rows`` (header first) in left-aligned columns two spaces apart, from one row template."""
     widths = [max(map(len, column)) for column in zip(*rows)]
-    return "".join(
-        "  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n" for row in rows
-    )
+    line = "  ".join(f"%-{w}s" for w in widths)
+    return "".join((line % tuple(row)).rstrip() + "\n" for row in rows)
 
 
-def _render(args, table, csv_rows, payload) -> str:
-    """The report in ``args.format``: the text ``table()`` returns, the rows
-    ``csv_rows()`` returns (header first) as CSV, or ``payload()`` as JSON.
-    Only the requested builder runs."""
-    if args.format == "table":
-        return table()
+def _json_value(value) -> str:
+    """A str, int, None or non-empty tuple of ints as ``json.dumps(...,
+    indent=2)`` writes it in an object that is an item of a top-level list."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, tuple):
+        return "[\n        " + ",\n        ".join(map(str, value)) + "\n      ]"
+    return "null" if value is None else str(value)
+
+
+def _json(head: dict, key=None, fields=(), rows=()) -> str:
+    """What ``json.dumps(..., indent=2)`` prints, plus a newline, for ``head``
+    with the non-empty list ``key`` as its last member: one object per row,
+    mapping ``fields`` to the row's values, filled into one template."""
+    text = json.dumps(head, indent=2)
+    if key is None:
+        return text + "\n"
+    template = "    {\n" + ",\n".join(f'      "{f}": %s' for f in fields) + "\n    }"
+    body = ",\n".join(template % tuple(map(_json_value, row)) for row in rows)
+    return f'{text[:-2]},\n  "{key}": [\n{body}\n  ]\n}}\n'
+
+
+def _render(args, table, csv_rows, json_text) -> str:
+    """The report in ``args.format``: the rows ``csv_rows()`` returns (header
+    first) as CSV, or the text ``table()`` or ``json_text()`` returns, each
+    filled from one row template (``_format_table``, ``_json``).  Only the
+    requested builder runs."""
     if args.format == "csv":
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(csv_rows())
         return buf.getvalue()
-    return json.dumps(payload(), indent=2) + "\n"
+    return table() if args.format == "table" else json_text()
 
 
 def _cmd_caps(args) -> tuple[tuple, bool]:
@@ -165,16 +188,15 @@ def _cmd_caps(args) -> tuple[tuple, bool]:
             mismatch = mismatch or expected != result.value
         rows.append(row)
 
-    def payload():
-        entries = []
-        for result, row in zip(seq.values, rows[1:]):
-            entry = dict(zip(("k", "value", "decimal", "witness", "branch", "oracle"), row))
-            witness = result.witness
-            entry.update(k=result.k, witness=list(witness) if witness is not None else None)
-            entries.append(entry)
-        return {"domain": domain_to_jsonable(domain), "kmax": args.kmax, "capacities": entries}
+    def json_text():
+        return _json(
+            {"domain": domain_to_jsonable(domain), "kmax": args.kmax},
+            "capacities",
+            ("k", "value", "decimal", "witness", "branch", "oracle")[: len(header)],
+            [(r.k, row[1], row[2], r.witness, *row[4:]) for r, row in zip(seq.values, rows[1:])],
+        )
 
-    return (lambda: f"domain: {domain}\n" + _format_table(rows), lambda: rows, payload), mismatch
+    return (lambda: f"domain: {domain}\n" + _format_table(rows), lambda: rows, json_text), mismatch
 
 
 def _cmd_obstruct(args) -> tuple[tuple, bool]:
@@ -203,13 +225,12 @@ def _cmd_obstruct(args) -> tuple[tuple, bool]:
         table,
         lambda: [["k", "source_rational", "target_rational", "violation"]]
         + [[str(k), a, b, "1" if v else "0"] for k, a, b, v in rows],
-        lambda: {
+        lambda: _json({
             "source": domain_to_jsonable(source),
             "target": domain_to_jsonable(target),
             "kmax": report.kmax,
             "first_violation": report.first_violation,
-            "rows": [{"k": k, "source": a, "target": b} for k, a, b, _ in rows],
-        },
+        }, "rows", ("k", "source", "target"), [row[:3] for row in rows]),
     ), False
 
 
@@ -231,7 +252,7 @@ def _cmd_slope(args) -> tuple[tuple, bool]:
              "lower_rational", "upper_rational"],
             [str(args.kmax), estimate, decimal_string(report.estimate), exact, lower, upper],
         ],
-        lambda: {
+        lambda: _json({
             "domain": domain_to_jsonable(domain),
             "kmax": args.kmax,
             "estimate": estimate,
@@ -239,7 +260,7 @@ def _cmd_slope(args) -> tuple[tuple, bool]:
             "exact": exact,
             "lower": lower,
             "upper": upper,
-        },
+        }),
     ), False
 
 
@@ -249,7 +270,7 @@ def _cmd_scalar(args, compute) -> tuple[tuple, bool]:
     return (
         lambda: f"{exact} (≈{_approx(value)})\n",
         lambda: [["value_rational", "value_decimal"], [exact, decimal_string(value)]],
-        lambda: {"value": exact, "decimal": decimal_string(value)},
+        lambda: _json({"value": exact, "decimal": decimal_string(value)}),
     ), False
 
 

@@ -66,11 +66,9 @@ def obstruct(source: ToricDomain, target: ToricDomain, kmax: int) -> Obstruction
         raise DimensionMismatch(
             f"cannot compare domains of dimension {source.n} and {target.n}"
         )
-    src = capacity_sequence(source, kmax)
-    tgt = capacity_sequence(target, kmax)
-    rows = tuple(
-        (k, src.value(k), tgt.value(k)) for k in range(1, kmax + 1)
-    )
+    src = capacity_sequence(source, kmax).raw_values()
+    tgt = capacity_sequence(target, kmax).raw_values()
+    rows = tuple(zip(range(1, kmax + 1), src, tgt))
     first = next((k for k, a, b in rows if a > b), None)
     return ObstructionReport(kmax=kmax, first_violation=first, rows=rows)
 

@@ -31,6 +31,7 @@ CASES = {
     "caps_convex5": ["caps", "--domain", "convex5.json", "--kmax", "12"],
     "caps_concave5": ["caps", "--domain", "concave5.json", "--kmax", "12"],
     "caps_oracle_convex": ["caps", "--domain", "convex.json", "--kmax", "10", "--oracle"],
+    "caps_ellipsoid_wide": ["caps", "--domain", "ellipsoid.json", "--kmax", "120"],
     "cube_convex": ["cube", "--domain", "convex.json"],
     "cube_polydisk": ["cube", "--domain", "polydisk.json"],
     "cube_cylinder_union": ["cube", "--domain", "cylinder_union.json"],
@@ -60,6 +61,15 @@ CASES = {
         "--kmax",
         "12",
     ],
+    "obstruct_ellipsoid_polydisk": [
+        "obstruct",
+        "--source",
+        "ellipsoid.json",
+        "--target",
+        "polydisk.json",
+        "--kmax",
+        "110",
+    ],
 }
 
 
@@ -85,3 +95,9 @@ def test_every_subcommand_has_a_golden_case():
     covered = {argv[0] for argv in CASES.values()}
     assert set(subparsers.choices) - covered == set()
     assert any(argv[0] == "caps" and "--oracle" in argv for argv in CASES.values())
+    # the widened columns and the row-by-row JSON of a long report
+    for command in ("caps", "obstruct"):
+        assert any(
+            argv[0] == command and int(argv[argv.index("--kmax") + 1]) >= 100
+            for argv in CASES.values()
+        ), command

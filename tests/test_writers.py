@@ -1,0 +1,154 @@
+"""The table and JSON writers against slow references.
+
+``cli._format_table`` fills one line template per table, and ``cli._json``
+writes each list of row objects from one template.  Every golden case and a
+seeded corpus of CLI requests is checked against the slow formulas those
+writers must match byte for byte: the per-cell ``ljust`` join for tables,
+and ``json.dumps(..., indent=2)`` of the parsed output for JSON.
+"""
+
+from __future__ import annotations
+
+import json
+import random
+from fractions import Fraction
+
+import pytest
+
+import toricap.cli as cli
+from helpers import random_axes, random_concave, random_convex
+from test_golden import CASES, golden_argv
+from toricap import (
+    Cube,
+    CylinderUnion,
+    Ellipsoid,
+    Polydisk,
+    obstruct,
+    render_domain,
+    scale_domain,
+)
+
+KINDS = ("ellipsoid", "polydisk", "cube", "cylinder_union", "convex", "concave")
+SEARCHED_KMAX = 12  # the searched kinds stay small; the closed forms run to 150
+ORACLE_KMAX = 20  # the oracle enumerates compositions: only short sequences are cheap
+
+
+def reference_table(rows):
+    """The per-cell ``ljust`` join that ``cli._format_table`` replaced."""
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return "".join(
+        "  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n" for row in rows
+    )
+
+
+def _random_domain(rng: random.Random, kind: str, n: int):
+    if kind == "ellipsoid":
+        axes = list(random_axes(rng, n))
+        if n > 1 and rng.random() < 0.5:
+            axes[rng.randrange(n)] = "inf"
+        return Ellipsoid(axes)
+    if kind == "polydisk":
+        return Polydisk(random_axes(rng, n))
+    if kind in ("cube", "cylinder_union"):
+        delta = Fraction(rng.randint(1, 40), rng.randint(1, 7))
+        return (Cube if kind == "cube" else CylinderUnion)(n, delta)
+    if kind == "convex":
+        return random_convex(rng, n=n, max_points=4)
+    return random_concave(rng, n=n, max_points=4)
+
+
+def _kmax_cap(*kinds: str) -> int:
+    return SEARCHED_KMAX if {"convex", "concave"} & set(kinds) else 150
+
+
+def _corpus() -> dict[str, list]:
+    """Case name -> argv whose domain entries are domain values, not files.
+
+    Each kind runs at K = 1 and at its largest K before the random draws."""
+    rng = random.Random(1309)
+    cases = {}
+    for i in range(30):
+        kind = KINDS[i % len(KINDS)]
+        domain = _random_domain(rng, kind, rng.randint(1, 3))
+        kmax = (1, _kmax_cap(kind))[i // 6] if i < 12 else rng.randint(1, _kmax_cap(kind))
+        argv = ["caps", "--domain", domain, "--kmax", str(kmax)]
+        cases[f"caps-{i}-{kind}-k{kmax}"] = argv
+        if kmax <= ORACLE_KMAX:
+            cases[f"caps-{i}-{kind}-k{kmax}-oracle"] = argv + ["--oracle"]
+    for i in range(12):
+        n = rng.randint(1, 3)
+        kinds = (KINDS[i % len(KINDS)], KINDS[(i + 3) % len(KINDS)])
+        source = _random_domain(rng, kinds[0], n)
+        # a target scaled down from the source violates at k = 1; scaled up it never does
+        if i < 6:
+            kinds = kinds[:1]
+            target = scale_domain(source, Fraction(1, 2) if i % 2 else 2)
+        else:
+            target = _random_domain(rng, kinds[1], n)
+        kmax = rng.randint(1, _kmax_cap(*kinds))
+        cases[f"obstruct-{i}-{'-'.join(kinds)}-k{kmax}"] = [
+            "obstruct", "--source", source, "--target", target, "--kmax", str(kmax)
+        ]
+    return cases
+
+
+CORPUS = _corpus()
+
+
+@pytest.fixture(params=[("golden", case) for case in sorted(CASES)]
+                + [("corpus", case) for case in CORPUS], ids=lambda p: f"{p[0]}-{p[1]}")
+def request_argv(request, tmp_path):
+    """An argv without ``--format``, its domain specs written to files."""
+    source, case = request.param
+    if source == "golden":
+        return golden_argv(case, "table")[:-2]
+    argv = []
+    for i, arg in enumerate(CORPUS[case]):
+        if not isinstance(arg, str):
+            path = tmp_path / f"spec{i}.json"
+            path.write_text(render_domain(arg), encoding="utf-8")
+            arg = str(path)
+        argv.append(arg)
+    return argv
+
+
+def _run(argv, capsys) -> str:
+    assert cli.run(argv) == 0, capsys.readouterr().err
+    return capsys.readouterr().out
+
+
+def test_json_is_what_json_dumps_prints(request_argv, capsys):
+    out = _run(request_argv + ["--format", "json"], capsys)
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def test_table_is_the_ljust_join(request_argv, capsys, monkeypatch):
+    out = _run(request_argv + ["--format", "table"], capsys)
+    monkeypatch.setattr(cli, "_format_table", reference_table)
+    assert out == _run(request_argv + ["--format", "table"], capsys)
+
+
+def test_corpus_covers_both_obstruct_outcomes():
+    outcomes = {
+        obstruct(argv[2], argv[4], int(argv[6])).first_violation is None
+        for argv in CORPUS.values()
+        if argv[0] == "obstruct"
+    }
+    assert outcomes == {True, False}
+
+
+def test_long_caps_json_encodes_rows_without_json_dumps(tmp_path, capsys, monkeypatch):
+    spec = tmp_path / "e.json"
+    spec.write_text('{"type": "ellipsoid", "a": ["1", "3/2", "inf"]}', encoding="utf-8")
+    calls = []
+    dumps = json.dumps
+
+    def counting_dumps(obj, **kwargs):
+        calls.append(obj)
+        return dumps(obj, **kwargs)
+
+    # the rows must not reach the pure-Python encoder that indent= selects
+    monkeypatch.setattr(cli.json, "dumps", counting_dumps)
+    out = _run(["caps", "--domain", str(spec), "-k", "500", "--format", "json"], capsys)
+    assert len(json.loads(out)["capacities"]) == 500
+    assert len(calls) <= 1 and all("capacities" not in head for head in calls)
