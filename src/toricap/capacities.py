@@ -13,7 +13,8 @@ its branch label and its formula for c_k:
 
 The last two are arithmetic progressions in k, so a whole sequence is c_1
 and c_2 from the closed form, scaled to integers over one denominator and
-extended by their difference.
+extended by their difference.  Either way the integers become records in
+one pass of ``map``: one ``Fraction`` and one ``CapacityResult`` per value.
 
 A kind without a closed form is searched by the shape of its region (see
 ``domains``).  A hull's c_k is the least support value max_w <v, w> over
@@ -63,7 +64,7 @@ from __future__ import annotations
 
 import heapq
 import operator
-from itertools import accumulate
+from itertools import accumulate, count, repeat
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -472,12 +473,11 @@ def _progression(first: Fraction, second: Fraction, kmax: int) -> tuple[int, ran
 def _integer_results(
     denom: int, values: Sequence[int], branch: Branch
 ) -> tuple[CapacityResult, ...]:
-    """c_k = values[k - 1] / denom, checked nondecreasing on the integers."""
+    """c_k = values[k - 1] / denom, checked nondecreasing on the integers;
+    the records of a closed form or a product, built by one ``map``."""
     _require_nondecreasing(values)
-    return tuple(
-        CapacityResult(k, Fraction(value, denom), None, branch)
-        for k, value in enumerate(values, 1)
-    )
+    fractions = map(Fraction, values, repeat(denom))
+    return tuple(map(CapacityResult, count(1), fractions, repeat(None), repeat(branch)))
 
 
 def capacity_sequence(domain: ToricDomain, kmax: int) -> CapacitySequence:

@@ -16,7 +16,10 @@ returns three builders over those strings: the table text, the CSV rows and
 the JSON text, with a flag for an oracle mismatch.  ``_render`` alone
 reads the requested format and runs only that builder.  Each table and each
 JSON list of rows is written from one row template, built once per report
-and filled once per row; all JSON text comes from the one ``_json`` helper.
+and filled once per row; all JSON text comes from the one ``_json`` helper,
+which encodes each column by the type of its values.  ``caps`` works a
+column at a time: one list per formatted quantity, and each branch label
+read once.
 
 Exit codes: 0 success, 1 domain or semantic error (including an oracle
 mismatch under ``--oracle``), 2 usage error.
@@ -34,7 +37,7 @@ from decimal import Context
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from .capacities import capacity_sequence
+from .capacities import Branch, capacity_sequence
 from .domains import Staircase, ToricDomain
 from .embeddings import (
     asymptotic_slope,
@@ -142,15 +145,24 @@ def _json_value(value) -> str:
     return "null" if value is None else str(value)
 
 
-def _json(head: dict, key=None, fields=(), rows=()) -> str:
+def _json_column(column) -> map:
+    """The JSON text of each value in ``column``: an all-str or all-int
+    column is encoded by one C function, any other by ``_json_value``."""
+    types = set(map(type, column))
+    encode = encode_basestring_ascii if types == {str} else str if types == {int} else _json_value
+    return map(encode, column)
+
+
+def _json(head: dict, key=None, fields=(), columns=()) -> str:
     """What ``json.dumps(..., indent=2)`` prints, plus a newline, for ``head``
     with the non-empty list ``key`` as its last member: one object per row,
-    mapping ``fields`` to the row's values, filled into one template."""
+    mapping ``fields`` to the row's entries in ``columns``, filled into one
+    template."""
     text = json.dumps(head, indent=2)
     if key is None:
         return text + "\n"
     template = "    {\n" + ",\n".join(f'      "{f}": %s' for f in fields) + "\n    }"
-    body = ",\n".join(template % tuple(map(_json_value, row)) for row in rows)
+    body = ",\n".join(template % row for row in zip(*map(_json_column, columns)))
     return f'{text[:-2]},\n  "{key}": [\n{body}\n  ]\n}}\n'
 
 
@@ -166,37 +178,39 @@ def _render(args, table, csv_rows, json_text) -> str:
     return table() if args.format == "table" else json_text()
 
 
+# each branch's label, read once instead of through the enum's ``value`` per row
+_BRANCH_LABELS = {branch: branch.value for branch in Branch}
+
+
 def _cmd_caps(args) -> tuple[tuple, bool]:
     domain = load_domain(args.domain)
     seq = capacity_sequence(domain, args.kmax)
+    ks, values, witnesses, branches = zip(*seq.values)
+    rationals = list(map(format_rational, values))
+    decimals = list(map(decimal_string, values))
+    labels = list(map(_BRANCH_LABELS.__getitem__, branches))
     header = ["k", "value_rational", "value_decimal", "witness", "branch"]
+    oracle, mismatch = [], False
     if args.oracle:
+        cap = DEFAULT_ENUMERATION_CAP // args.kmax
+        expected = [brute_capacity(domain, k, cap) for k in ks]
+        oracle.append(list(map(format_rational, expected)))
         header.append("oracle_rational")
-    rows, mismatch = [header], False
-    for result in seq.values:
-        witness = result.witness
-        row = [
-            str(result.k),
-            format_rational(result.value),
-            decimal_string(result.value),
-            ";".join(map(str, witness)) if witness is not None else "",
-            result.branch.value,
-        ]
-        if args.oracle:
-            expected = brute_capacity(domain, result.k, DEFAULT_ENUMERATION_CAP // args.kmax)
-            row.append(format_rational(expected))
-            mismatch = mismatch or expected != result.value
-        rows.append(row)
+        mismatch = expected != list(values)
+
+    def rows():
+        joined = ["" if w is None else ";".join(map(str, w)) for w in witnesses]
+        return [header, *zip(map(str, ks), rationals, decimals, joined, labels, *oracle)]
 
     def json_text():
         return _json(
             {"domain": domain_to_jsonable(domain), "kmax": args.kmax},
             "capacities",
             ("k", "value", "decimal", "witness", "branch", "oracle")[: len(header)],
-            [(r.k, row[1], row[2], r.witness, *row[4:]) for r, row in zip(seq.values, rows[1:])],
+            (ks, rationals, decimals, witnesses, labels, *oracle),
         )
 
-    return (lambda: f"domain: {domain}\n" + _format_table(rows), lambda: rows, json_text), mismatch
+    return (lambda: f"domain: {domain}\n" + _format_table(rows()), rows, json_text), mismatch
 
 
 def _cmd_obstruct(args) -> tuple[tuple, bool]:
@@ -230,7 +244,7 @@ def _cmd_obstruct(args) -> tuple[tuple, bool]:
             "target": domain_to_jsonable(target),
             "kmax": report.kmax,
             "first_violation": report.first_violation,
-        }, "rows", ("k", "source", "target"), [row[:3] for row in rows]),
+        }, "rows", ("k", "source", "target"), [*zip(*rows)][:3]),
     ), False
 
 

@@ -54,7 +54,7 @@ LatticeVector = tuple[int, ...]
 
 def _normalize_points(rows: object, what: str) -> tuple[Point, ...]:
     try:
-        entries = tuple(tuple(to_rational(c) for c in row) for row in rows)  # type: ignore[union-attr]
+        entries = tuple(tuple(map(to_rational, row)) for row in rows)  # type: ignore[union-attr]
     except (TypeError, ValueError) as exc:
         raise type(exc)(f"invalid {what}: {exc}") from None
     if not entries:
@@ -68,7 +68,7 @@ def _normalize_points(rows: object, what: str) -> tuple[Point, ...]:
                 f"{what} have inconsistent dimensions ({len(row)} vs {width})"
             )
         for c in row:
-            if c < 0:
+            if c.numerator < 0:
                 raise ValueError(f"{what} must have nonnegative coordinates, got {c}")
     return entries
 

@@ -84,7 +84,8 @@ def positive_int(value: object, what: str) -> int:
 
 def format_rational(x: ExtendedRational) -> str:
     """Serialize as ``"p/q"`` (or ``"p"`` for integers, ``"inf"``)."""
-    if is_infinite(x):
+    if isinstance(x, float):
+        to_rational(x, allow_infinite=True)  # rejects every float but math.inf
         return "inf"
     return str(x)
 
@@ -97,14 +98,16 @@ _DECIMAL_CONTEXT = Context(prec=20, rounding=ROUND_HALF_EVEN)
 def decimal_string(x: ExtendedRational, digits: int = 20) -> str:
     """Decimal rendering with ``digits`` significant digits, round-half-even.
 
-    The division and the rendering use a context of their own, so the
-    caller's thread context (its precision, ``capitals``) never applies.
+    ``digits`` is a positive int.  The division and the rendering use a
+    context of their own, so the caller's thread context (its precision,
+    ``capitals``) never applies.
     """
-    if is_infinite(x):
+    if isinstance(x, float):
+        to_rational(x, allow_infinite=True)  # rejects every float but math.inf
         return "inf"
-    if digits == 20:
+    if digits == 20 and type(digits) is int:
         ctx = _DECIMAL_CONTEXT
     else:
-        ctx = Context(prec=digits, rounding=ROUND_HALF_EVEN)
+        ctx = Context(prec=positive_int(digits, "digits"), rounding=ROUND_HALF_EVEN)
     # Context.divide converts the integer operands exactly
-    return ctx.to_sci_string(ctx.divide(x.numerator, x.denominator))
+    return ctx.to_sci_string(ctx.divide(*x.as_integer_ratio()))

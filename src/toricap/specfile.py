@@ -61,7 +61,13 @@ def _point_list(raw: object, path: str) -> list[tuple[Fraction, ...]]:
     for i, row in enumerate(raw):
         if not isinstance(row, list) or not row:
             raise DomainFormatError(f"{path}[{i}]: expected a nonempty coordinate list")
-        points.append(tuple(_rational_field(c, f"{path}[{i}][{j}]") for j, c in enumerate(row)))
+        try:
+            points.append(tuple(map(to_rational, row)))
+        except (TypeError, ValueError):
+            # name the first coordinate that fails, with its path
+            for j, c in enumerate(row):
+                _rational_field(c, f"{path}[{i}][{j}]")
+            raise
     return points
 
 

@@ -405,6 +405,42 @@ def test_progression_sequences_match_per_k_closed_forms():
         assert seq.values == tuple(capacity_at(domain, k) for k in range(1, kmax + 1))
 
 
+def _assert_plain_records(seq, values, branch):
+    """``seq`` holds exactly the records one constructor call per value gives."""
+    expected = [CapacityResult(k, F(v), None, branch) for k, v in enumerate(values, 1)]
+    assert list(seq.values) == expected
+    for got, want in zip(seq.values, expected):
+        assert type(got) is CapacityResult and type(got.value) is Fraction
+        assert repr(got) == repr(want)
+
+
+def test_closed_form_and_product_records_are_plain_results():
+    rng = random.Random(61)
+    for axes in _ellipsoid_cases(rng, 8):
+        kmax = rng.randint(1, 40)
+        _assert_plain_records(
+            capacity_sequence(Ellipsoid(axes), kmax),
+            [brute_ellipsoid_capacity(axes, k) for k in range(1, kmax + 1)],
+            Branch.ELLIPSOID_SPECTRUM,
+        )
+    for domain in _progression_cases(rng, 30):
+        kmax = rng.randint(1, 200)
+        _assert_plain_records(
+            capacity_sequence(domain, kmax),
+            [capacity_at(domain, k).value for k in range(1, kmax + 1)],
+            capacity_at(domain, 1).branch,
+        )
+    for _ in range(10):
+        kmax = rng.randint(1, 40)
+        left = capacity_sequence(Ellipsoid(random_axes(rng, rng.randint(1, 3))), kmax)
+        right = capacity_sequence(rng.choice(list(_progression_cases(rng, 3))), kmax)
+        _assert_plain_records(
+            product_capacities(left, right, kmax),
+            _min_plus_reference(left, right, kmax),
+            Branch.PRODUCT_COMBINATOR,
+        )
+
+
 def test_integer_monotonicity_check_fires(monkeypatch):
     # every sequence path reads its producer by module-global name: the
     # ellipsoid merge, the progression, and the search of each shape

@@ -1,6 +1,7 @@
 import decimal
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -56,6 +57,42 @@ def test_decimal_string_round_half_even():
     # 1/16 = 0.0625: the 2-digit result must round to even (0.062, not 0.063)
     assert decimal_string(Fraction(1, 16), digits=2) == "0.062"
     assert decimal_string(Fraction(3, 16), digits=3) == "0.188"
+
+
+class _Float(float):
+    """A float subclass, as numeric libraries define them."""
+
+
+@pytest.mark.parametrize(
+    "x", [1.5, -math.inf, math.nan, 0.0, _Float(1.5)], ids=lambda x: f"{type(x).__name__}-{x}"
+)
+def test_formatters_reject_every_float_but_inf(x):
+    message = re.escape(f"floating-point value {x!r} rejected: use an int, a Fraction, ")
+    for formatter in (format_rational, decimal_string):
+        with pytest.raises(TypeError, match=message):
+            formatter(x)
+    # the wording to_rational uses for the same value
+    with pytest.raises(TypeError, match=message):
+        to_rational(x)
+
+
+def test_formatters_accept_inf_and_ints():
+    for inf in (INF, _Float("inf")):
+        assert format_rational(inf) == decimal_string(inf) == "inf"
+        assert decimal_string(inf, 3) == "inf"
+    assert format_rational(-7) == decimal_string(-7) == "-7"
+
+
+@pytest.mark.parametrize("digits", [True, False, 0, -1, 2.5, 20.0, "3", None])
+def test_decimal_string_digits_is_a_positive_int(digits):
+    with pytest.raises(ValueError, match=f"^digits must be a positive integer, got {digits}$"):
+        decimal_string(Fraction(2, 3), digits)
+
+
+def test_decimal_string_digits_edges():
+    assert decimal_string(Fraction(2, 3), 1) == "0.7"
+    assert decimal_string(Fraction(-2, 3), 2) == "-0.67"
+    assert decimal_string(Fraction(2, 3), 20) == decimal_string(Fraction(2, 3))
 
 
 def test_is_infinite():

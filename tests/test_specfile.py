@@ -72,6 +72,39 @@ def test_semantic_errors_carry_field_paths(text, fragment):
         parse_domain(text)
 
 
+_CANNOT = "cannot parse {!r} as an exact rational: expected 'p' or 'p/q'"
+
+# (point list, the exact message it raises), as parsing each coordinate with its path gave
+POINT_ERRORS = [
+    ('"generators":[["1","x"]]', "generators[0][1]: " + _CANNOT.format("x")),
+    (
+        '"generators":[["1","0"],["2",1.5]]',
+        "generators[1][1]: floating-point value 1.5 rejected: use an int, a Fraction, "
+        "or a 'p/q' string",
+    ),
+    ('"sigma":[["1","2"],["3",1e400]]', 'sigma[1][1]: infinite JSON number rejected: write "inf"'),
+    ('"sigma":[["1",true]]', "sigma[0][1]: booleans are not rationals"),
+    ('"sigma":[["1",["2"]]]', "sigma[0][1]: cannot interpret list as a rational"),
+    ('"generators":[["1/0","x"]]', "generators[0][0]: zero denominator in '1/0'"),
+    ('"generators":[["1","inf"]]', "generators[0][1]: infinity is not allowed here"),
+    ('"generators":[[null]]', "generators[0][0]: cannot interpret NoneType as a rational"),
+    ('"generators":[["1"],[]]', "generators[1]: expected a nonempty coordinate list"),
+    ('"generators":[["-1","2"]]', "convex: generators must have nonnegative coordinates, got -1"),
+    (
+        '"sigma":[["0","-1/2"]]',
+        "concave: staircase vertices must have nonnegative coordinates, got -1/2",
+    ),
+]
+
+
+@pytest.mark.parametrize("points, message", POINT_ERRORS, ids=[p for p, _ in POINT_ERRORS])
+def test_point_list_errors_name_the_first_bad_coordinate(points, message):
+    kind = "concave" if points.startswith('"sigma"') else "convex"
+    with pytest.raises(DomainFormatError) as info:
+        parse_domain(f'{{"type":"{kind}",{points}}}')
+    assert str(info.value) == message
+
+
 def test_non_utf8_spec_file_names_its_path(tmp_path):
     path = tmp_path / "latin.json"
     path.write_bytes(b"\xff\xfe")

@@ -152,3 +152,28 @@ def test_long_caps_json_encodes_rows_without_json_dumps(tmp_path, capsys, monkey
     out = _run(["caps", "--domain", str(spec), "-k", "500", "--format", "json"], capsys)
     assert len(json.loads(out)["capacities"]) == 500
     assert len(calls) <= 1 and all("capacities" not in head for head in calls)
+
+
+def _random_column(rng: random.Random, length: int) -> list:
+    """Values of the kinds a report's columns hold: all of one kind, or mixed."""
+    text = ["", "a", "é", "√2", 'say "hi"', "back\\slash", "tab\t", "\u2028", "😀", "ASCII"]
+    kinds = {
+        "str": lambda: rng.choice(text) + str(rng.randint(0, 99)),
+        "int": lambda: rng.choice((0, -1, 1, 10**25, -(10**30))) + rng.randint(0, 9),
+        "none": lambda: None,
+        "tuple": lambda: tuple(rng.randint(0, 10**6) for _ in range(rng.randint(1, 4))),
+    }
+    pool = rng.sample(sorted(kinds), rng.randint(1, len(kinds)))
+    return [kinds[rng.choice(pool)]() for _ in range(length)]
+
+
+def test_json_columns_are_what_json_dumps_prints():
+    rng = random.Random(1411)
+    for _ in range(200):
+        width, length = rng.randint(1, 6), rng.randint(1, 12)
+        fields = [f"f{i}" for i in range(width)]
+        columns = [_random_column(rng, length) for _ in range(width)]
+        head = {"domain": {"type": "é", "a": ["1", "3/2"]}, "kmax": length, "note": None}
+        rows = [dict(zip(fields, row)) for row in zip(*columns)]
+        expected = json.dumps({**head, "rows": rows}, indent=2) + "\n"
+        assert cli._json(head, "rows", fields, columns) == expected
