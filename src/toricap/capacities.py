@@ -24,11 +24,15 @@ minus the least max_w(-sum(w) + <u, -w>) over u in N^n with
 sum(u) = k - 1.  So one exact branch-and-bound finds the least
 max_w(d_w + <u, w>) over u in N^n with a given sum: a hull passes its rows
 and d = 0, a staircase its negated rows and d_w = -sum(w).  It runs
-depth-first over the leading coordinates, skips an entry whose bound over
-all completions cannot beat the incumbent, ends a coordinate's loop once
-that bound, linear in the entry, fails at both ends, tries a last unit at
-each later coordinate, and solves the last two coordinates (e, R - e) by a
-binary search on the objective, convex in e, in O(m log R).
+depth-first over the leading coordinates and skips an entry whose bound
+over all completions cannot beat the incumbent.  That bound is linear in
+the entry, so a coordinate's loop ends once it fails at both ends, and
+otherwise jumps over a whole run of cut entries by one ceiling division.
+The search tries a last unit at each later coordinate, and solves the last
+two coordinates (e, R - e) only inside the window of e where every row
+stays below the incumbent: an empty window costs no search, and in a
+nonempty one a binary search on the objective, convex in e, takes
+O(m log R).
 
 Its bounds come from the matrix game of the rows against the coordinates,
 whose strategies ``domains._game`` returns: the one solver of matrix games,
@@ -205,7 +209,9 @@ def _lowest_minimizer(
     f(e) = max_i(base_i + e * slopes_i).
 
     f is convex, so that e is the first one with f(e + 1) >= f(e), and a
-    binary search finds it in O(len(base) * log(hi - lo)).
+    binary search finds it in O(len(base) * log(hi - lo)).  The search
+    passes the window where f is below its incumbent, not all of [0, R]:
+    f being convex, that window holds every minimizer when it is nonempty.
     """
     while lo < hi:
         mid = (lo + hi) // 2
@@ -319,10 +325,18 @@ class _Search:
           over sum(y) (Glover's surrogate constraint).
 
         Either is linear in the entry; once one excludes both this entry
-        and the largest, the loop ends.  One unit left is tried at each
-        later coordinate, the last first, and the last two coordinates
-        (e, R - e) go to ``_lowest_minimizer``, the objective being convex
-        in e.
+        and the largest, the loop ends.  Otherwise the loop moves straight
+        to the first entry that the cutting bound passes, one ceiling
+        division away (the largest over the cutting rows, for the floors);
+        ``best`` changes only at leaves, so every entry jumped over is cut.
+        One unit left is tried at each later coordinate, the last first.
+        The last two coordinates (e, R - e) go to ``_lowest_minimizer``,
+        the objective being convex in e, on the window of e where every
+        row's b_w + e * s_w is below ``best``: a floor division per
+        positive slope, a ceiling division per negative one, and a
+        zero-slope row at or above ``best`` empties it.  An empty window
+        has no improving split and is not searched, so every pair solve
+        improves the incumbent.
 
         From n = 3 and a positive total the root game adds the rounded
         incumbent F(h) + 1, whose witness stays (0, ..., 0, total), and the
@@ -340,9 +354,17 @@ class _Search:
         def solve_pair(remaining: int, current: Sequence[int]) -> None:
             nonlocal best, witness
             base = [d + remaining * c for d, c in zip(current, last)]
-            e, value = _lowest_minimizer(base, self.slopes, 0, remaining)
-            if value < best:
-                best, witness = value, (*prefix, e, remaining - e)
+            lo, hi, cap = 0, remaining, best - 1
+            for b, s in zip(base, self.slopes):  # the e with b + e * s <= cap
+                if s > 0:
+                    hi = min(hi, (cap - b) // s)
+                elif s:
+                    lo = max(lo, -((cap - b) // -s))
+                elif b > cap:
+                    return
+            if lo <= hi:
+                e, best = _lowest_minimizer(base, self.slopes, lo, hi)
+                witness = (*prefix, e, remaining - e)
 
         def solve_unit(coord: int, current: Sequence[int]) -> None:
             nonlocal best, witness
@@ -369,14 +391,16 @@ class _Search:
         stack = [(0, total, dots, sum(map(operator.mul, levels[0][2], dots)))]
         while stack:
             coord = len(stack) - 1
-            first, remaining, current, mixed = stack.pop()
+            entry, remaining, current, mixed = stack.pop()
             column, mins, _, weight, step, least = levels[coord]
-            for entry in range(first, remaining + 1):
+            while entry <= remaining:
                 rest = remaining - entry
                 cap = (best - 1) * weight
-                if mixed + rest * least > cap:
+                over = mixed + rest * least - cap
+                if over > 0:
                     if mixed + rest * step > cap:
                         break
+                    skip = -(-over // (least - step))  # to the first entry it passes
                 else:
                     floors = [d + rest * w for d, w in zip(current, mins)]
                     if max(floors) < best:
@@ -395,13 +419,21 @@ class _Search:
                             break
                         if best <= stop:
                             return best, witness
+                        skip = 1
                     elif any(
                         f >= best and d + rest * c >= best
                         for f, d, c in zip(floors, current, column)
                     ):
                         break
-                current = [d + c for d, c in zip(current, column)]
-                mixed += step
+                    else:  # to the first entry every cutting row passes
+                        skip = max(
+                            -((best - 1 - f) // (w - c))
+                            for f, w, c in zip(floors, mins, column)
+                            if f >= best
+                        )
+                entry += skip
+                current = [d + skip * c for d, c in zip(current, column)]
+                mixed += skip * step
         return best, witness
 
 

@@ -10,6 +10,7 @@ hours.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import comb, lcm
 from typing import Iterator, Sequence
 
@@ -21,13 +22,15 @@ DEFAULT_ENUMERATION_CAP = 10**7
 
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of `parts` nonnegative ints summing to `total`, in lex order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in compositions(total - head, parts - 1):
-            yield (head,) + tail
+    """All tuples of `parts` nonnegative ints summing to `total`, in lex order.
+
+    Each is the gaps between parts - 1 bars placed among total + parts - 1
+    slots; taking the bars in lex order keeps the tuples in lex order, and
+    no recursion means no depth limit on `parts`.
+    """
+    slots = total + parts - 1
+    for bars in combinations(range(slots), parts - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, slots)))
 
 
 def _check_cap(count: int, cap: int, what: str = "compositions") -> None:

@@ -94,20 +94,27 @@ def format_rational(x: ExtendedRational) -> str:
 # neither is trapped, so no result depends on them.
 _DECIMAL_CONTEXT = Context(prec=20, rounding=ROUND_HALF_EVEN)
 
+#: The most significant digits ``decimal_string`` renders: far past any
+#: use, and far below ``decimal.MAX_PREC``, whose divisions would run for
+#: minutes or fail inside ``decimal``.
+MAX_DIGITS = 10_000
+
 
 def decimal_string(x: ExtendedRational, digits: int = 20) -> str:
     """Decimal rendering with ``digits`` significant digits, round-half-even.
 
-    ``digits`` is a positive int.  The division and the rendering use a
-    context of their own, so the caller's thread context (its precision,
-    ``capitals``) never applies.
+    ``digits`` is a positive int of at most ``MAX_DIGITS``.  The division
+    and the rendering use a context of their own, so the caller's thread
+    context (its precision, ``capitals``) never applies.
     """
+    if digits == 20 and type(digits) is int:
+        ctx = _DECIMAL_CONTEXT
+    elif positive_int(digits, "digits") > MAX_DIGITS:
+        raise ValueError(f"digits must be a positive integer at most {MAX_DIGITS}, got {digits}")
+    else:
+        ctx = Context(prec=digits, rounding=ROUND_HALF_EVEN)
     if isinstance(x, float):
         to_rational(x, allow_infinite=True)  # rejects every float but math.inf
         return "inf"
-    if digits == 20 and type(digits) is int:
-        ctx = _DECIMAL_CONTEXT
-    else:
-        ctx = Context(prec=positive_int(digits, "digits"), rounding=ROUND_HALF_EVEN)
     # Context.divide converts the integer operands exactly
     return ctx.to_sci_string(ctx.divide(*x.as_integer_ratio()))

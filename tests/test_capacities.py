@@ -610,6 +610,105 @@ def test_bounds_halve_the_pair_solves(monkeypatch):
     assert len(calls) <= PAIR_SOLVES_WITH_ROW_BOUNDS // 2, len(calls)
 
 
+# Pair solves over ``_pruning_corpus`` once each last pair is solved only
+# inside the window where a split beats the incumbent (1,346 without the
+# window).  A pair with an empty window is not solved, so every remaining
+# solve improves the incumbent.
+PAIR_SOLVES_IN_WINDOWS = 776
+
+
+def test_every_pair_solve_improves_the_incumbent(monkeypatch):
+    values = []  # per search, the value of each pair solve
+    solve = capacities_module._lowest_minimizer
+
+    def recorded(*args):
+        e, value = solve(*args)
+        values[-1].append(value)
+        return e, value
+
+    monkeypatch.setattr(capacities_module, "_lowest_minimizer", recorded)
+    for domain, kmax in _pruning_corpus():
+        for k in range(1, kmax + 1):
+            values.append([])
+            capacity_at(domain, k)
+    for search in values:
+        assert all(a > b for a, b in zip(search, search[1:])), search
+    solves = sum(map(len, values))
+    assert solves <= PAIR_SOLVES_IN_WINDOWS, solves
+
+
+def _cut_run_regions(rng):
+    """Hulls and staircases in n = 3 and 4 of 2 to 5 points, with p/q
+    coordinates (p <= 12, q <= 4), about a quarter of the entries zero and
+    some points repeated.  Their searches cut long runs of entries, by the
+    surrogate row and by the per-row floors, and skip each run at once."""
+    for n in (3, 4):
+        for kind in (ConvexToricDomain, ConcaveToricDomain):
+            for _ in range(12):
+                points = []
+                for _ in range(rng.randint(2, 5)):
+                    point = [
+                        F(0) if rng.random() < 0.25 else F(rng.randint(1, 12), rng.randint(1, 4))
+                        for _ in range(n)
+                    ]
+                    if not any(point):  # a staircase vertex at 0 collapses the region
+                        point[-1] = F(1)
+                    points.append(tuple(point))
+                points += points[: rng.randint(0, 2)]
+                yield kind(tuple(points))
+
+
+def test_skipped_runs_keep_values_and_lex_first_witnesses():
+    rng = random.Random(41)
+    for domain in _cut_run_regions(rng):
+        kmax = 40 if domain.n == 3 else 24
+        results = capacity_sequence(domain, kmax).values
+        for k in sorted({1, 2, rng.randint(3, kmax), rng.randint(3, kmax), kmax}):
+            value, witness = results[k - 1].value, results[k - 1].witness
+            assert value == brute_capacity(domain, k), (domain.points, k)
+            assert (value, witness) == _lex_first_optimum(domain, k), (domain.points, k)
+
+
+# Seconds allowed for c_1 .. c_32 of the staircase below, measured at about
+# 0.4 s (0.6 s before runs of cut entries were skipped) on a 2-core x86
+# machine with Python 3.11.
+DEEP_STAIRCASE_SECONDS = 5.0
+
+
+def test_deep_staircase_keeps_its_values_and_witnesses():
+    # 12 vertices in n = 8, far past the oracle's reach; the values and
+    # witnesses are frozen from a search that stepped through every entry
+    rng = random.Random(812)
+    vertices = tuple(
+        tuple(F(rng.randint(1, 12), rng.randint(1, 4)) for _ in range(8)) for _ in range(12)
+    )
+    values = [
+        "215/12", "257/12", "287/12", "335/12", "123/4", "407/12", "431/12", "157/4",
+        "169/4", "539/12", "193/4", "201/4", "643/12", "225/4", "237/4", "749/12", "261/4",
+        "815/12", "847/12", "883/12", "923/12", "955/12", "329/4", "341/4", "1055/12",
+        "1091/12", "1127/12", "1159/12", "1199/12", "1231/12", "1261/12", "433/4",
+    ]
+    witnesses = [
+        (1, 1, 1, 1, 1, 1, 1, 1), (1, 1, 1, 1, 1, 2, 1, 1), (1, 1, 1, 2, 1, 2, 1, 1),
+        (1, 1, 1, 2, 1, 3, 1, 1), (1, 2, 1, 2, 1, 3, 1, 1), (1, 1, 3, 1, 1, 4, 1, 1),
+        (1, 1, 3, 2, 1, 4, 1, 1), (1, 2, 4, 1, 1, 4, 1, 1), (1, 2, 1, 3, 2, 5, 1, 1),
+        (1, 1, 1, 4, 2, 6, 1, 1), (1, 2, 2, 3, 2, 6, 1, 1), (1, 2, 3, 3, 2, 6, 1, 1),
+        (1, 2, 4, 2, 2, 7, 1, 1), (1, 2, 1, 4, 3, 7, 1, 2), (1, 2, 1, 5, 3, 8, 1, 1),
+        (1, 3, 2, 4, 3, 8, 1, 1), (1, 2, 3, 4, 3, 9, 1, 1), (1, 4, 3, 4, 3, 8, 1, 1),
+        (1, 3, 4, 4, 3, 9, 1, 1), (1, 3, 1, 6, 4, 10, 1, 1), (1, 4, 1, 6, 4, 10, 1, 1),
+        (1, 3, 2, 6, 4, 11, 1, 1), (1, 2, 4, 5, 4, 12, 1, 1), (1, 2, 5, 4, 4, 12, 1, 2),
+        (1, 4, 1, 7, 5, 12, 1, 1), (1, 4, 1, 7, 5, 12, 1, 2), (1, 4, 2, 7, 5, 13, 1, 1),
+        (1, 3, 3, 7, 5, 14, 1, 1), (1, 4, 4, 6, 5, 14, 1, 1), (1, 3, 5, 6, 5, 15, 1, 1),
+        (1, 3, 6, 5, 5, 16, 1, 1), (1, 5, 1, 9, 6, 15, 1, 1),
+    ]
+    start = time.perf_counter()
+    results = capacity_sequence(ConcaveToricDomain(vertices), 32).values
+    elapsed = time.perf_counter() - start
+    assert elapsed < DEEP_STAIRCASE_SECONDS, f"{elapsed:.2f} s"
+    assert [str(r.value) for r in results] == values
+    assert [r.witness for r in results] == witnesses
+
+
 def test_search_stops_at_the_root_bound(monkeypatch):
     # the staircase on the unit vectors (an ellipsoid E(1, ..., 1)): the
     # root game's bound, rounded up, is every c_k, so each search ends at

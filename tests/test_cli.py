@@ -192,6 +192,16 @@ def test_caps_oracle_shares_one_cap(write_spec, capsys, spec, kmax):
     assert f"exceed the enumeration cap of {10**7 // kmax}" in capsys.readouterr().err
 
 
+def test_caps_oracle_in_high_dimension(write_spec, capsys):
+    # the oracle enumerates the 1,500 unit vectors of a 1,500-dimensional
+    # hull without recursing once per coordinate
+    spec = json.dumps({"type": "convex", "generators": [["1"] * 1500]})
+    path = write_spec("wide.json", spec)
+    assert run_cli(["caps", "-d", path, "-k", "1", "--oracle", "--format", "csv"]) == 0
+    (row,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
+    assert row["oracle_rational"] == row["value_rational"] == "1"
+
+
 def test_slope_output(write_spec, capsys):
     path = write_spec("lnd.json", '{"type":"cylinder_union","n":2,"delta":"1"}')
     assert run_cli(["slope", "-d", path, "-k", "9"]) == 0

@@ -1,5 +1,6 @@
 import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -27,6 +28,21 @@ def test_compositions_lexicographic():
     assert list(compositions(2, 2)) == [(0, 2), (1, 1), (2, 0)]
     assert list(compositions(0, 3)) == [(0, 0, 0)]
     assert len(list(compositions(5, 3))) == 21
+
+
+def test_compositions_match_a_filtered_product():
+    for total in range(5):
+        for parts in range(1, 5):
+            expected = [v for v in product(range(total + 1), repeat=parts) if sum(v) == total]
+            assert list(compositions(total, parts)) == expected
+
+
+def test_compositions_in_high_dimension():
+    # one part per coordinate, far past Python's default recursion limit
+    n = 1500
+    units = list(compositions(1, n))
+    assert units == [tuple(int(i == j) for i in range(n)) for j in reversed(range(n))]
+    assert list(compositions(0, n)) == [(0,) * n]
 
 
 def test_brute_convex_examples():

@@ -2,11 +2,13 @@ import decimal
 import math
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
 
 from toricap import INF, decimal_string, format_rational, is_infinite, to_rational
+from toricap.rationals import MAX_DIGITS
 
 F = Fraction
 
@@ -85,14 +87,31 @@ def test_formatters_accept_inf_and_ints():
 
 @pytest.mark.parametrize("digits", [True, False, 0, -1, 2.5, 20.0, "3", None])
 def test_decimal_string_digits_is_a_positive_int(digits):
-    with pytest.raises(ValueError, match=f"^digits must be a positive integer, got {digits}$"):
-        decimal_string(Fraction(2, 3), digits)
+    for x in (Fraction(2, 3), INF):
+        with pytest.raises(ValueError, match=f"^digits must be a positive integer, got {digits}$"):
+            decimal_string(x, digits)
 
 
 def test_decimal_string_digits_edges():
     assert decimal_string(Fraction(2, 3), 1) == "0.7"
     assert decimal_string(Fraction(-2, 3), 2) == "-0.67"
     assert decimal_string(Fraction(2, 3), 20) == decimal_string(Fraction(2, 3))
+
+
+@pytest.mark.parametrize("digits", [MAX_DIGITS + 1, 10**9, 10**18, 10**30])
+def test_decimal_string_digits_has_a_maximum(digits):
+    # 10**9 would start a billion-digit division, 10**18 is past
+    # decimal.MAX_PREC and 10**30 past a C ssize_t: each is refused at once
+    start = time.perf_counter()
+    message = f"^digits must be a positive integer at most {MAX_DIGITS}, got {digits}$"
+    for x in (Fraction(2, 3), INF):
+        with pytest.raises(ValueError, match=message):
+            decimal_string(x, digits)
+    assert time.perf_counter() - start < 1
+
+
+def test_decimal_string_renders_the_most_digits():
+    assert decimal_string(Fraction(2, 3), MAX_DIGITS) == "0." + "6" * (MAX_DIGITS - 1) + "7"
 
 
 def test_is_infinite():
