@@ -13,8 +13,9 @@ its branch label and its formula for c_k:
 
 The last two are arithmetic progressions in k, so a whole sequence is c_1
 and c_2 from the closed form, scaled to integers over one denominator and
-extended by their difference.  Either way the integers become records in
-one pass of ``map``: one ``Fraction`` and one ``CapacityResult`` per value.
+extended by their difference.  Either way a sequence stays integers over
+one denominator: the CLI formats them as they are, and only the library's
+records cost one ``Fraction`` and one ``CapacityResult`` per value.
 
 A kind without a closed form is searched by the shape of its region (see
 ``domains``).  A hull's c_k is the least support value max_w <v, w> over
@@ -56,12 +57,15 @@ strict improvements, so the witness is the lexicographically first
 optimizer and output is reproducible.  The rows, their tail minima and the
 weights are prepared once per domain, kept with it as ``_scaled`` is.
 
-``capacity_at`` and ``capacity_sequence`` read the table and otherwise
-search.  The product combinator takes its min-plus convolution on the
-factors' values scaled to integers over one common denominator.  Every
-sequence -- the ellipsoid merge, a progression, one search per k or a
-product -- passes one check that it is nondecreasing (on its integers
-where it has them) before it is returned.
+``capacity_at`` reads the table and otherwise searches.  Every sequence
+comes from one engine, ``_scaled_sequence``: (denom, values, witnesses,
+branch) with c_k = values[k - 1] / denom, from the ellipsoid merge, a
+progression, or ``capacity_at`` per k with the values scaled onto one
+denominator.  ``capacity_sequence`` builds its records from it, and the CLI
+formats its integers directly.  The product combinator takes its min-plus
+convolution on the factors' values scaled to integers over one common
+denominator, and builds its records with the same helper.  Every sequence
+passes one check, on its integers, that it is nondecreasing.
 """
 
 from __future__ import annotations
@@ -151,8 +155,8 @@ def ellipsoid_capacity(axes: Sequence[ExtendedRational], k: int) -> Fraction:
     is the least integer L with sum_i floor(L / p_i) >= k: that count only
     grows at multiples of some p_i, so its least solution is one of them.
     A binary search over L in [1, k * min(p)] costs O(n log(k * min(p)))
-    integer divisions, so a huge k stays cheap.  ``capacity_sequence``
-    computes whole ellipsoid sequences by a heap merge instead.
+    integer divisions, so a huge k stays cheap.  Whole ellipsoid
+    sequences come from a heap merge instead (``_ellipsoid_sequence``).
     """
     positive_int(k, "capacity index k")
     denom, steps = _integer_axes(axes)
@@ -487,7 +491,7 @@ def capacity_at(domain: ToricDomain, k: int) -> CapacityResult:
 
 def _require_nondecreasing(values: Sequence) -> None:
     """The one monotonicity check: c_1 .. c_K, as integers over one
-    denominator or as fractions, must never decrease."""
+    denominator, must never decrease."""
     drops = list(map(operator.gt, values, values[1:]))
     if any(drops):
         k = drops.index(True) + 2
@@ -502,38 +506,48 @@ def _progression(first: Fraction, second: Fraction, kmax: int) -> tuple[int, ran
     return denom, range(start, start + kmax * step, step)
 
 
-def _integer_results(
-    denom: int, values: Sequence[int], branch: Branch
-) -> tuple[CapacityResult, ...]:
-    """c_k = values[k - 1] / denom, checked nondecreasing on the integers;
-    the records of a closed form or a product, built by one ``map``."""
-    _require_nondecreasing(values)
-    fractions = map(Fraction, values, repeat(denom))
-    return tuple(map(CapacityResult, count(1), fractions, repeat(None), repeat(branch)))
+def _scaled_sequence(
+    domain: ToricDomain, kmax: int
+) -> tuple[int, Sequence[int], Optional[tuple], Branch]:
+    """(denom, values, witnesses, branch): c_k = values[k - 1] / denom for
+    k = 1 .. kmax, the one source of capacity sequences.
 
-
-def capacity_sequence(domain: ToricDomain, kmax: int) -> CapacitySequence:
-    """c_1 .. c_kmax of the domain.
-
-    A closed-form kind takes one pass on integers over a common
-    denominator: an ellipsoid merges the progressions of its axes, and a
-    polydisk, cube or cylinder union extends the progression through c_1
-    and c_2.  Any other kind runs one search per k.  Either way the values
-    pass the monotonicity check, the integers before any ``Fraction`` is
-    built.
+    A closed-form kind takes one pass on integers: an ellipsoid merges the
+    progressions of its axes, and a polydisk, cube or cylinder union
+    extends the progression through c_1 and c_2; its witnesses are None.
+    Any other kind runs ``capacity_at`` per k, and its values are scaled
+    onto one denominator.  The integers pass the monotonicity check.
     """
     positive_int(kmax, "kmax")
     shape = shape_of(domain)
-    if type(domain) not in _CLOSED_FORMS:
-        results = tuple(capacity_at(domain, k) for k in range(1, kmax + 1))
-        _require_nondecreasing([r.value for r in results])
-        return CapacitySequence(domain=domain, values=results)
-    branch, c_k = _CLOSED_FORMS[type(domain)]
-    if shape == "ellipsoid":
-        denom, values = _ellipsoid_sequence(domain.axes, kmax)
+    if type(domain) in _CLOSED_FORMS:
+        branch, c_k = _CLOSED_FORMS[type(domain)]
+        if shape == "ellipsoid":
+            denom, values = _ellipsoid_sequence(domain.axes, kmax)
+        else:
+            denom, values = _progression(c_k(domain, 1), c_k(domain, 2), kmax)
+        witnesses = None
     else:
-        denom, values = _progression(c_k(domain, 1), c_k(domain, 2), kmax)
-    return CapacitySequence(domain=domain, values=_integer_results(denom, values, branch))
+        results = [capacity_at(domain, k) for k in range(1, kmax + 1)]
+        denom, (values,) = _scaled_integer_rows((tuple(r.value for r in results),))
+        witnesses = tuple(r.witness for r in results)
+        branch = results[0].branch
+    _require_nondecreasing(values)
+    return denom, values, witnesses, branch
+
+
+def _records(
+    denom: int, values: Sequence[int], witnesses: Optional[tuple], branch: Branch
+) -> tuple[CapacityResult, ...]:
+    """The records c_k = values[k - 1] / denom, built by one ``map``."""
+    fractions = map(Fraction, values, repeat(denom))
+    witnesses = repeat(None) if witnesses is None else witnesses
+    return tuple(map(CapacityResult, count(1), fractions, witnesses, repeat(branch)))
+
+
+def capacity_sequence(domain: ToricDomain, kmax: int) -> CapacitySequence:
+    """c_1 .. c_kmax of the domain, as records of ``_scaled_sequence``."""
+    return CapacitySequence(domain=domain, values=_records(*_scaled_sequence(domain, kmax)))
 
 
 def product_capacities(
@@ -554,10 +568,9 @@ def product_capacities(
     denom, (li, ri) = _scaled_integer_rows(
         ((0, *left.raw_values()[:kmax]), (0, *right.raw_values()[:kmax]))
     )
-    results = _integer_results(
-        denom,
-        [min(map(operator.add, li[: k + 1], ri[k::-1])) for k in range(1, kmax + 1)],
-        Branch.PRODUCT_COMBINATOR,
-    )
+    values = [min(map(operator.add, li[: k + 1], ri[k::-1])) for k in range(1, kmax + 1)]
+    _require_nondecreasing(values)
     label = f"({left.domain}) x ({right.domain})"
-    return CapacitySequence(domain=label, values=results)
+    return CapacitySequence(
+        domain=label, values=_records(denom, values, None, Branch.PRODUCT_COMBINATOR)
+    )

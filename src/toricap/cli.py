@@ -18,8 +18,11 @@ reads the requested format and runs only that builder.  Each table and each
 JSON list of rows is written from one row template, built once per report
 and filled once per row; all JSON text comes from the one ``_json`` helper,
 which encodes each column by the type of its values.  ``caps`` works a
-column at a time: one list per formatted quantity, and each branch label
-read once.
+column at a time on the sequence engine's integers over one denominator:
+``format_rational(value, denom)`` and ``decimal_string(value, 20, denom)``
+fill one list each, with no record or ``Fraction`` per row, and the branch
+label is read once.  Its ``--oracle`` column is computed first, so a K
+past the enumeration cap fails before any sequence is built.
 
 Exit codes: 0 success, 1 domain or semantic error (including an oracle
 mismatch under ``--oracle``), 2 usage error.
@@ -35,9 +38,10 @@ import json
 import sys
 from decimal import Context
 from fractions import Fraction
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 
-from .capacities import Branch, capacity_sequence
+from .capacities import _scaled_sequence
 from .domains import Staircase, ToricDomain
 from .embeddings import (
     asymptotic_slope,
@@ -48,7 +52,7 @@ from .embeddings import (
 )
 from .errors import ToricapError
 from .oracle import DEFAULT_ENUMERATION_CAP, brute_capacity
-from .rationals import decimal_string, format_rational
+from .rationals import decimal_string, format_rational, positive_int
 from .specfile import domain_to_jsonable, load_domain
 
 
@@ -178,25 +182,23 @@ def _render(args, table, csv_rows, json_text) -> str:
     return table() if args.format == "table" else json_text()
 
 
-# each branch's label, read once instead of through the enum's ``value`` per row
-_BRANCH_LABELS = {branch: branch.value for branch in Branch}
-
-
 def _cmd_caps(args) -> tuple[tuple, bool]:
     domain = load_domain(args.domain)
-    seq = capacity_sequence(domain, args.kmax)
-    ks, values, witnesses, branches = zip(*seq.values)
-    rationals = list(map(format_rational, values))
-    decimals = list(map(decimal_string, values))
-    labels = list(map(_BRANCH_LABELS.__getitem__, branches))
+    kmax = positive_int(args.kmax, "kmax")
+    ks = range(1, kmax + 1)
     header = ["k", "value_rational", "value_decimal", "witness", "branch"]
-    oracle, mismatch = [], False
-    if args.oracle:
-        cap = DEFAULT_ENUMERATION_CAP // args.kmax
+    oracle = []
+    if args.oracle:  # first: past the enumeration cap every k fails at once
+        cap = DEFAULT_ENUMERATION_CAP // kmax
         expected = [brute_capacity(domain, k, cap) for k in ks]
         oracle.append(list(map(format_rational, expected)))
         header.append("oracle_rational")
-        mismatch = expected != list(values)
+    denom, values, witnesses, branch = _scaled_sequence(domain, kmax)
+    rationals = list(map(format_rational, values, repeat(denom)))
+    decimals = list(map(decimal_string, values, repeat(20), repeat(denom)))
+    labels = [branch.value] * kmax
+    witnesses = witnesses or [None] * kmax
+    mismatch = args.oracle and expected != list(map(Fraction, values, repeat(denom)))
 
     def rows():
         joined = ["" if w is None else ";".join(map(str, w)) for w in witnesses]
@@ -204,7 +206,7 @@ def _cmd_caps(args) -> tuple[tuple, bool]:
 
     def json_text():
         return _json(
-            {"domain": domain_to_jsonable(domain), "kmax": args.kmax},
+            {"domain": domain_to_jsonable(domain), "kmax": kmax},
             "capacities",
             ("k", "value", "decimal", "witness", "branch", "oracle")[: len(header)],
             (ks, rationals, decimals, witnesses, labels, *oracle),

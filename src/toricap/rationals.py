@@ -82,8 +82,22 @@ def positive_int(value: object, what: str) -> int:
     return value
 
 
-def format_rational(x: ExtendedRational) -> str:
-    """Serialize as ``"p/q"`` (or ``"p"`` for integers, ``"inf"``)."""
+def _bad_denom(denom: object) -> ValueError:
+    return ValueError(f"denom must be a positive integer, and 1 unless x is an int; got {denom!r}")
+
+
+def format_rational(x: ExtendedRational, denom: int = 1) -> str:
+    """Serialize as ``"p/q"`` (or ``"p"`` for integers, ``"inf"``).
+
+    An int ``x`` may come with a positive int ``denom``: the value is then
+    ``x / denom``, written in lowest terms as ``Fraction(x, denom)`` would
+    be, without building one.  Any other ``denom`` raises ``ValueError``.
+    """
+    if type(x) is int and type(denom) is int and denom > 0:
+        g = math.gcd(x, denom)
+        return str(x // g) if g == denom else f"{x // g}/{denom // g}"
+    if type(denom) is not int or denom != 1:
+        raise _bad_denom(denom)
     if isinstance(x, float):
         to_rational(x, allow_infinite=True)  # rejects every float but math.inf
         return "inf"
@@ -100,12 +114,16 @@ _DECIMAL_CONTEXT = Context(prec=20, rounding=ROUND_HALF_EVEN)
 MAX_DIGITS = 10_000
 
 
-def decimal_string(x: ExtendedRational, digits: int = 20) -> str:
+def decimal_string(x: ExtendedRational, digits: int = 20, denom: int = 1) -> str:
     """Decimal rendering with ``digits`` significant digits, round-half-even.
 
     ``digits`` is a positive int of at most ``MAX_DIGITS``.  The division
     and the rendering use a context of their own, so the caller's thread
-    context (its precision, ``capitals``) never applies.
+    context (its precision, ``capitals``) never applies.  An int ``x`` may
+    come with a positive int ``denom``: the value is then ``x / denom``,
+    divided as it stands, which renders the same as its lowest terms (the
+    rounded quotient and its ideal exponent 0 depend only on the value).
+    Any other ``denom`` raises ``ValueError``.
     """
     if digits == 20 and type(digits) is int:
         ctx = _DECIMAL_CONTEXT
@@ -113,6 +131,10 @@ def decimal_string(x: ExtendedRational, digits: int = 20) -> str:
         raise ValueError(f"digits must be a positive integer at most {MAX_DIGITS}, got {digits}")
     else:
         ctx = Context(prec=digits, rounding=ROUND_HALF_EVEN)
+    if type(x) is int and type(denom) is int and denom > 0:
+        return ctx.to_sci_string(ctx.divide(x, denom))
+    if type(denom) is not int or denom != 1:
+        raise _bad_denom(denom)
     if isinstance(x, float):
         to_rational(x, allow_infinite=True)  # rejects every float but math.inf
         return "inf"

@@ -7,8 +7,9 @@ from fractions import Fraction
 
 import pytest
 
+import toricap.capacities as capacities
 import toricap.cli as cli
-from toricap import capacity_sequence, parse_domain
+from toricap import Branch, CapacityResult, capacity_sequence, parse_domain
 
 F = Fraction
 
@@ -100,9 +101,9 @@ def test_caps_formats_each_value_once(write_spec, capsys, monkeypatch, fmt, orac
     path = write_spec("e.json", '{"type":"ellipsoid","a":["3/2","5/3","7/4"]}')
     calls = Counter()
     for name in ("format_rational", "decimal_string"):
-        def counted(x, _name=name, _original=getattr(cli, name)):
+        def counted(*args, _name=name, _original=getattr(cli, name), **kwargs):
             calls[_name] += 1
-            return _original(x)
+            return _original(*args, **kwargs)
 
         monkeypatch.setattr(cli, name, counted)
     kmax = 17
@@ -200,6 +201,78 @@ def test_caps_oracle_in_high_dimension(write_spec, capsys):
     assert run_cli(["caps", "-d", path, "-k", "1", "--oracle", "--format", "csv"]) == 0
     (row,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
     assert row["oracle_rational"] == row["value_rational"] == "1"
+
+
+SPECS = {
+    "ellipsoid": '{"type":"ellipsoid","a":["3/2","inf","5/3"]}',
+    "polydisk": '{"type":"polydisk","a":["5/2","7/3"]}',
+    "cube": '{"type":"cube","n":3,"delta":"7/4"}',
+    "cylinder_union": '{"type":"cylinder_union","n":2,"delta":"9/10"}',
+    "convex": '{"type":"convex","generators":[["1","0"],["1/2","2"]]}',
+    "concave": '{"type":"concave","sigma":[["1","0"],["0","2"]]}',
+}
+CLOSED_FORMS = ("ellipsoid", "polydisk", "cube", "cylinder_union")
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+@pytest.mark.parametrize("kind", CLOSED_FORMS)
+def test_caps_of_a_closed_form_builds_no_record(write_spec, capsys, monkeypatch, kind, fmt):
+    # the CLI formats the engine's integers: no CapacityResult per row
+    argv = ["caps", "-d", write_spec("d.json", SPECS[kind]), "-k", "40", "--format", fmt]
+    assert run_cli(argv) == 0
+    expected = capsys.readouterr().out
+
+    def no_record(*args):
+        raise AssertionError("a CapacityResult was built")
+
+    monkeypatch.setattr(capacities, "CapacityResult", no_record)
+    assert run_cli(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_caps_exits_1_when_a_sequence_decreases(write_spec, capsys, monkeypatch):
+    # every producer the engine reads by module-global name, falling
+    monkeypatch.setattr(capacities, "_ellipsoid_sequence", lambda axes, kmax: (3, [1, 4, 2, 5]))
+    monkeypatch.setattr(
+        capacities, "_progression", lambda first, second, kmax: (2, [5, 5, 7, 6])
+    )
+
+    def falling_search(domain, k):
+        return CapacityResult(k, F((5, 5, 7, 6)[k - 1], 2), (k,), Branch.CONVEX_SEARCH)
+
+    monkeypatch.setattr(capacities, "convex_capacity", falling_search)
+    monkeypatch.setattr(capacities, "concave_capacity", falling_search)
+    for kind, spec in SPECS.items():
+        path = write_spec(f"{kind}.json", spec)
+        assert run_cli(["caps", "-d", path, "-k", "4", "--format", "csv"]) == 1
+        k = 3 if kind == "ellipsoid" else 4
+        assert capsys.readouterr() == (
+            "", f"toricap: error: internal error: capacity sequence decreased at k={k}\n"
+        )
+
+
+@pytest.mark.parametrize(
+    "spec, error",
+    [
+        ('{"type":"ellipsoid","a":["1","2"]}', "2 multiples exceed the enumeration cap of 0"),
+        ('{"type":"cube","n":3,"delta":"1"}', "3 compositions exceed the enumeration cap of 0"),
+        ('{"type":"ellipsoid","a":["inf","inf"]}', "every axis is infinite: the spectrum is empty"),
+    ],
+    ids=["ellipsoid", "cube", "all-infinite"],
+)
+def test_caps_oracle_past_the_cap_fails_before_the_sequence(write_spec, capsys, monkeypatch,
+                                                             spec, error):
+    # past 10^7 every k's share of the cap is 0: the oracle column fails at
+    # k = 1, before a K-long sequence is built
+    def no_sequence(domain, kmax):
+        raise AssertionError("the sequence was built")
+
+    monkeypatch.setattr(cli, "_scaled_sequence", no_sequence)
+    path = write_spec("d.json", spec)
+    start = time.perf_counter()
+    assert run_cli(["caps", "-d", path, "-k", str(10**8), "--oracle", "--format", "csv"]) == 1
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr() == ("", f"toricap: error: {error}\n")
 
 
 def test_slope_output(write_spec, capsys):

@@ -166,6 +166,56 @@ def test_decimal_string_ignores_the_thread_context():
     assert got == expected
 
 
+def _scaled_cases():
+    """(value, denom) pairs as the sequence engine hands them to the
+    formatters: zero, negatives, terminating decimals (denom a product of
+    2s and 5s, value a multiple of denom or of 10^j * denom) and values of
+    more than 20 digits."""
+    rng = random.Random(1607)
+    sign = lambda: rng.choice((1, -1))  # noqa: E731
+    cases = [(0, 1), (0, 7), (0, 10**30), (-5, 1), (10**25, 1), (-(10**40), 3), (6, 4)]
+    for _ in range(2500):
+        two_five = 2 ** rng.randint(0, 70) * 5 ** rng.randint(0, 70)
+        d = rng.choice((rng.randint(1, 10 ** rng.randint(1, 30)), two_five))
+        cases += [
+            (sign() * rng.randint(0, 10 ** rng.randint(1, 45)), d),
+            (sign() * rng.randint(0, 10**30), two_five),
+            (sign() * d * rng.randint(0, 10 ** rng.randint(0, 25)), d),
+            (sign() * d * rng.randint(1, 999) * 10 ** rng.randint(1, 40), d),
+            (sign() * rng.randint(10**20, 10**45), rng.randint(1, 999)),
+        ]
+    return cases
+
+
+def test_scaled_formatters_match_the_fraction_path():
+    for value, denom in _scaled_cases():
+        x = Fraction(value, denom)
+        assert format_rational(value, denom) == format_rational(x), (value, denom)
+        for digits in (1, 3, 20, 60):
+            assert decimal_string(value, digits, denom) == decimal_string(x, digits), (
+                value, denom, digits)
+
+
+@pytest.mark.parametrize("denom", [0, -1, -6, True, False, 2.0, F(2), "2", None])
+def test_formatters_reject_a_bad_denom(denom):
+    # never a silent "1/0", a sign in the denominator or a float scale
+    for value in (1, 0, -4):
+        with pytest.raises(ValueError, match="^denom must be a positive integer"):
+            format_rational(value, denom)
+        for digits in (20, 3):
+            with pytest.raises(ValueError, match="^denom must be a positive integer"):
+                decimal_string(value, digits, denom)
+
+
+@pytest.mark.parametrize("x", [F(2, 3), F(4), INF], ids=str)
+@pytest.mark.parametrize("denom", [2, 3, 0, -1, True, 1.0])
+def test_formatters_take_a_denom_only_with_an_int(x, denom):
+    with pytest.raises(ValueError, match="^denom must be a positive integer"):
+        format_rational(x, denom)
+    with pytest.raises(ValueError, match="^denom must be a positive integer"):
+        decimal_string(x, 20, denom)
+
+
 _CANNOT = "cannot parse {!r} as an exact rational: expected 'p' or 'p/q'"
 _TOO_LONG = (
     "Exceeds the limit (4300 digits) for integer string conversion: value has {} digits; "

@@ -9,6 +9,8 @@ and ``json.dumps(..., indent=2)`` of the parsed output for JSON.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import random
 from fractions import Fraction
@@ -23,6 +25,10 @@ from toricap import (
     CylinderUnion,
     Ellipsoid,
     Polydisk,
+    capacity_sequence,
+    decimal_string,
+    format_rational,
+    load_domain,
     obstruct,
     render_domain,
     scale_domain,
@@ -177,3 +183,50 @@ def test_json_columns_are_what_json_dumps_prints():
         rows = [dict(zip(fields, row)) for row in zip(*columns)]
         expected = json.dumps({**head, "rows": rows}, indent=2) + "\n"
         assert cli._json(head, "rows", fields, columns) == expected
+
+
+CAPS_CASES = [("golden", case) for case in sorted(CASES) if CASES[case][0] == "caps"] + [
+    ("corpus", case) for case in CORPUS if CORPUS[case][0] == "caps"
+]
+
+
+def _record_rows(domain, kmax):
+    """The reference for a caps report: the public records of
+    ``capacity_sequence``, rendered by the formatters from their Fractions."""
+    return [
+        (str(r.k), format_rational(r.value), decimal_string(r.value),
+         "" if r.witness is None else ";".join(map(str, r.witness)), r.branch.value)
+        for r in capacity_sequence(domain, kmax).values
+    ]
+
+
+def _report_rows(out, fmt):
+    """(k, rational, decimal, witness, branch) of each row of a caps report."""
+    if fmt == "json":
+        return [
+            (str(r["k"]), r["value"], r["decimal"], ";".join(map(str, r["witness"] or ())),
+             r["branch"])
+            for r in json.loads(out)["capacities"]
+        ]
+    if fmt == "csv":
+        return [tuple(row[:5]) for row in list(csv.reader(io.StringIO(out)))[1:]]
+    header, *lines = out.splitlines()[1:]  # below the domain line
+    starts = [header.index(name) for name in header.split()]
+    bounds = list(zip(starts, starts[1:] + [None]))[:5]
+    return [tuple(line[a:b].strip() for a, b in bounds) for line in lines]
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+@pytest.mark.parametrize("source, case", CAPS_CASES, ids=lambda v: v)
+def test_caps_rows_are_the_records(source, case, fmt, tmp_path, capsys):
+    # the CLI formats integers over one denominator; the records are Fractions
+    if source == "golden":
+        argv = golden_argv(case, fmt)
+        domain = load_domain(argv[2])
+    else:
+        domain = CORPUS[case][2]
+        path = tmp_path / "spec.json"
+        path.write_text(render_domain(domain), encoding="utf-8")
+        argv = [*CORPUS[case][:2], str(path), *CORPUS[case][3:], "--format", fmt]
+    kmax = int(argv[argv.index("--kmax") + 1])
+    assert _report_rows(_run(argv, capsys), fmt) == _record_rows(domain, kmax)
