@@ -1,7 +1,8 @@
 """The capacity sequence c_k of a toric domain.
 
 One table, ``_CLOSED_FORMS``, gives each domain kind that has a closed form
-its branch label and its formula for c_k:
+its branch label and its formula for c_k, which checks its arguments by
+building that kind:
 
 * ellipsoid: c_k is the k-th smallest positive-integer multiple among the
   finite axes, counted with repetition.  With the axes scaled to integers
@@ -47,7 +48,7 @@ which also gives the diagonal.  Three devices use them, all exact:
   at most 2m columns plays its own game and a wider one takes the whole
   game's y;
 * a root stop: the whole game's bound, rounded up, is at most the
-  optimum, so the search ends once the incumbent reaches it;
+  optimum, so once the incumbent reaches it no further frame is taken;
 * a rounded incumbent: the game's column strategy times the sum, rounded
   by largest remainders to a composition h, starts the incumbent at
   F(h) + 1 while the witness stays (0, ..., 0, sum).
@@ -90,8 +91,8 @@ from .domains import (
     _scaled_integer_rows,
     shape_of,
 )
-from .errors import ToricapError, UnboundedDomainError
-from .rationals import ExtendedRational, is_infinite, positive_int, to_rational
+from .errors import ToricapError
+from .rationals import ExtendedRational, positive_int
 
 
 class Branch(str, Enum):
@@ -133,21 +134,6 @@ class CapacitySequence(NamedTuple):
         return [r.value for r in self.values]
 
 
-def _integer_axes(axes: Sequence[ExtendedRational]) -> tuple[int, tuple[int, ...]]:
-    """(denom, p): the finite axes are p_i / denom with p_i positive integers.
-
-    Infinite axes contribute no multiples at all and are dropped.
-    """
-    normalized = [to_rational(a, allow_infinite=True) for a in axes]
-    finite = [a for a in normalized if not is_infinite(a)]
-    if not finite:
-        raise UnboundedDomainError("every axis is infinite: the spectrum is empty")
-    if any(a <= 0 for a in finite):
-        raise ValueError("ellipsoid axes must be positive")
-    denom, (steps,) = _scaled_integer_rows((tuple(finite),))
-    return denom, steps
-
-
 def ellipsoid_capacity(axes: Sequence[ExtendedRational], k: int) -> Fraction:
     """k-th smallest integer multiple among the finite axes.
 
@@ -159,7 +145,7 @@ def ellipsoid_capacity(axes: Sequence[ExtendedRational], k: int) -> Fraction:
     sequences come from a heap merge instead (``_ellipsoid_sequence``).
     """
     positive_int(k, "capacity index k")
-    denom, steps = _integer_axes(axes)
+    denom, steps = Ellipsoid(axes)._scaled
     lo, hi = 1, k * min(steps)
     while lo < hi:
         mid = (lo + hi) // 2
@@ -170,13 +156,11 @@ def ellipsoid_capacity(axes: Sequence[ExtendedRational], k: int) -> Fraction:
     return Fraction(lo, denom)
 
 
-def _ellipsoid_sequence(
-    axes: Sequence[ExtendedRational], kmax: int
-) -> tuple[int, list[int]]:
-    """(denom, scaled c_1 .. c_kmax) of E(axes): the k-th item popped from a
-    heap merge of the integer progressions m * p_i is c_k * denom, so equal
-    axes count twice."""
-    denom, steps = _integer_axes(axes)
+def _ellipsoid_sequence(domain: Ellipsoid, kmax: int) -> tuple[int, list[int]]:
+    """(denom, scaled c_1 .. c_kmax) of the ellipsoid: the k-th item popped
+    from a heap merge of the integer progressions m * p_i is c_k * denom, so
+    equal axes count twice."""
+    denom, steps = domain._scaled
     heap = [(p, p) for p in steps]
     heapq.heapify(heap)
     values = []
@@ -190,20 +174,13 @@ def _ellipsoid_sequence(
 def polydisk_capacity(areas: Sequence[object], k: int) -> Fraction:
     """c_k = k * min(areas)."""
     positive_int(k, "capacity index k")
-    values = [to_rational(a) for a in areas]
-    if not values or any(a <= 0 for a in values):
-        raise ValueError("polydisk areas must be positive")
-    return k * min(values)
+    return k * min(Polydisk(areas).areas)
 
 
 def cylinder_union_capacity(n: int, delta: object, k: int) -> Fraction:
     """c_k = delta * (k + n - 1)."""
     positive_int(k, "capacity index k")
-    positive_int(n, "dimension")
-    d = to_rational(delta)
-    if d <= 0:
-        raise ValueError("cylinder-union size must be positive")
-    return d * (k + n - 1)
+    return CylinderUnion(n, delta).delta * (k + n - 1)
 
 
 def _lowest_minimizer(
@@ -387,13 +364,11 @@ class _Search:
         h = self._rounded(total, x)
         rounded = max(d + sum(map(operator.mul, h, w)) for d, w in zip(dots, self.rows))
         best = min(best, rounded + 1)
-        if best <= stop:
-            return best, witness
         # one frame per coordinate on the current path: the first entry to
         # try, the budget at that coordinate, the dot products with that
         # entry and their mix by that level's y
         stack = [(0, total, dots, sum(map(operator.mul, levels[0][2], dots)))]
-        while stack:
+        while stack and best > stop:
             coord = len(stack) - 1
             entry, remaining, current, mixed = stack.pop()
             column, mins, _, weight, step, least = levels[coord]
@@ -421,8 +396,6 @@ class _Search:
                                 (0, rest, current, child),
                             ]
                             break
-                        if best <= stop:
-                            return best, witness
                         skip = 1
                     elif any(
                         f >= best and d + rest * c >= best
@@ -523,7 +496,7 @@ def _scaled_sequence(
     if type(domain) in _CLOSED_FORMS:
         branch, c_k = _CLOSED_FORMS[type(domain)]
         if shape == "ellipsoid":
-            denom, values = _ellipsoid_sequence(domain.axes, kmax)
+            denom, values = _ellipsoid_sequence(domain, kmax)
         else:
             denom, values = _progression(c_k(domain, 1), c_k(domain, 2), kmax)
         witnesses = None

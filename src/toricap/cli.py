@@ -296,7 +296,7 @@ def _gromov_domain(domain: ToricDomain) -> Staircase:
     if domain.shape == "ellipsoid":
         return domain.to_concave()
     raise ToricapError(
-        "gromov requires a concave domain (or a finite-axis ellipsoid); "
+        "gromov requires a concave domain (or an ellipsoid with a finite axis); "
         f"got dimension-{domain.n} {type(domain).__name__}"
     )
 

@@ -32,9 +32,10 @@ operation needs).  The geometric evaluations the capacity formulas consume:
 Every kind is a ``_Record``: an immutable value whose ``_fields`` are set
 once by its ``__init__``, which normalises and checks them; equality and
 hashing go by the kind and those fields, so ``Cube(2, 1)`` and
-``CylinderUnion(2, 1)`` differ.  Only the caches of ``_Points`` are added
-later, to the instance dict.  All coordinates are ``Fraction`` and every
-function here is pure.
+``CylinderUnion(2, 1)`` differ.  That ``__init__`` is the one check of a
+kind's data; only the integer caches, such as ``_scaled``, are added later,
+to the instance dict.  All coordinates are ``Fraction`` and every function
+here is pure.
 """
 
 from __future__ import annotations
@@ -138,6 +139,14 @@ class Ellipsoid(_Record):
     @property
     def finite_axes(self) -> tuple[Fraction, ...]:
         return tuple(a for a in self.axes if not is_infinite(a))
+
+    @cached_property
+    def _scaled(self) -> tuple[int, tuple[int, ...]]:
+        """(denom, p): the finite axes are p_i / denom, p_i positive ints."""
+        if not self.finite_axes:
+            raise UnboundedDomainError("every axis is infinite: the spectrum is empty")
+        denom, (steps,) = _scaled_integer_rows((self.finite_axes,))
+        return denom, steps
 
     def _axis_vertices(self) -> tuple[Point, ...]:
         """The vertices a_i * e_i of the finite axes."""

@@ -53,7 +53,11 @@ def test_gromov(write_spec, capsys):
 def test_gromov_rejects_convex_input(write_spec, capsys):
     path = write_spec("p.json", '{"type":"polydisk","a":["1","2"]}')
     assert run_cli(["gromov", "-d", path]) == 1
-    assert "concave" in capsys.readouterr().err
+    assert capsys.readouterr() == (
+        "",
+        "toricap: error: gromov requires a concave domain (or an ellipsoid with a finite "
+        "axis); got dimension-2 Polydisk\n",
+    )
 
 
 def test_gromov_on_a_cylinder_union_is_its_staircase_width(write_spec, capsys):
@@ -296,6 +300,18 @@ def test_out_writes_file(write_spec, tmp_path, capsys):
     assert run_cli(["caps", "-d", path, "-k", "4", "--format", "csv", "--out", str(dest)]) == 0
     assert capsys.readouterr().out == ""
     assert dest.read_text().splitlines()[0] == "k,value_rational,value_decimal,witness,branch"
+
+
+@pytest.mark.parametrize(
+    "dest, reason",
+    [("missing/report.csv", "No such file or directory"), (".", "Is a directory")],
+    ids=["missing_directory", "a_directory"],
+)
+def test_out_that_cannot_be_written_exits_1(write_spec, tmp_path, capsys, dest, reason):
+    path = write_spec("e12.json", '{"type":"ellipsoid","a":["1","2"]}')
+    target = str(tmp_path / dest)
+    assert run_cli(["caps", "-d", path, "-k", "4", "--out", target]) == 1
+    assert capsys.readouterr() == ("", f"toricap: error: cannot write {target}: {reason}\n")
 
 
 def test_usage_errors_exit_2(write_spec, capsys):

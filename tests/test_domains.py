@@ -68,6 +68,25 @@ def test_validation_rejects_bad_inputs():
         CylinderUnion(2, 0)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda: ConvexToricDomain([[1, "x"]]),
+            "invalid generators: cannot parse 'x' as an exact rational: expected 'p' or 'p/q'",
+        ),
+        (lambda: ConvexToricDomain([[]]), "generators must have dimension >= 1"),
+        (lambda: Ellipsoid(()), "ellipsoid needs at least one axis"),
+        (lambda: Polydisk((1, 0)), "polydisk areas must be positive, got 0"),
+    ],
+    ids=["unparsable_coordinate", "empty_point", "no_axis", "zero_area"],
+)
+def test_validation_messages(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
 def test_constructors_coerce_rational_like_inputs():
     d = ConvexToricDomain((("1/2", 3),))
     assert d.generators == ((F(1, 2), F(3)),)

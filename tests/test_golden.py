@@ -30,6 +30,9 @@ CASES = {
     "caps_concave": ["caps", "--domain", "concave.json", "--kmax", "14"],
     "caps_convex5": ["caps", "--domain", "convex5.json", "--kmax", "12"],
     "caps_concave5": ["caps", "--domain", "concave5.json", "--kmax", "12"],
+    # E(1, 1, 1, 1) as a staircase: ties everywhere, so the witnesses pin
+    # the lexicographically first optimizer of every search
+    "caps_staircase_unit4": ["caps", "--domain", "staircase_unit4.json", "--kmax", "30"],
     "caps_oracle_convex": ["caps", "--domain", "convex.json", "--kmax", "10", "--oracle"],
     "caps_ellipsoid_wide": ["caps", "--domain", "ellipsoid.json", "--kmax", "120"],
     "cube_convex": ["cube", "--domain", "convex.json"],

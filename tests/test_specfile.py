@@ -12,6 +12,7 @@ from toricap import (
     DomainFormatError,
     Ellipsoid,
     Polydisk,
+    domain_to_jsonable,
     load_domain,
     parse_domain,
     render_domain,
@@ -88,6 +89,7 @@ POINT_ERRORS = [
     ('"generators":[["1/0","x"]]', "generators[0][0]: zero denominator in '1/0'"),
     ('"generators":[["1","inf"]]', "generators[0][1]: infinity is not allowed here"),
     ('"generators":[[null]]', "generators[0][0]: cannot interpret NoneType as a rational"),
+    ('"generators":[]', "generators: expected a nonempty list of points"),
     ('"generators":[["1"],[]]', "generators[1]: expected a nonempty coordinate list"),
     ('"generators":[["-1","2"]]', "convex: generators must have nonnegative coordinates, got -1"),
     (
@@ -103,6 +105,12 @@ def test_point_list_errors_name_the_first_bad_coordinate(points, message):
     with pytest.raises(DomainFormatError) as info:
         parse_domain(f'{{"type":"{kind}",{points}}}')
     assert str(info.value) == message
+
+
+def test_only_a_toric_domain_renders():
+    with pytest.raises(TypeError) as info:
+        domain_to_jsonable(object())
+    assert str(info.value) == "not a toric domain: object"
 
 
 def test_non_utf8_spec_file_names_its_path(tmp_path):
