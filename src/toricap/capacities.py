@@ -6,9 +6,9 @@ building that kind:
 
 * ellipsoid: c_k is the k-th smallest positive-integer multiple among the
   finite axes, counted with repetition.  With the axes scaled to integers
-  p_i over one common denominator, a whole sequence is a heap merge of the
-  progressions m * p_i, and a single k is the least integer L with
-  sum_i floor(L / p_i) >= k, found by binary search;
+  p_i over one common denominator, c_k is the least integer L with
+  sum_i floor(L / p_i) >= k, found by binary search, and a sequence is
+  every multiple m * p_i up to c_K, sorted;
 * polydisk (and cube): c_k = k * min(areas);
 * cylinder union: c_k = delta * (k + n - 1).
 
@@ -60,8 +60,8 @@ weights are prepared once per domain, kept with it as ``_scaled`` is.
 
 ``capacity_at`` reads the table and otherwise searches.  Every sequence
 comes from one engine, ``_scaled_sequence``: (denom, values, witnesses,
-branch) with c_k = values[k - 1] / denom, from the ellipsoid merge, a
-progression, or ``capacity_at`` per k with the values scaled onto one
+branch) with c_k = values[k - 1] / denom, from the ellipsoid's multiples,
+a progression, or ``capacity_at`` per k with the values scaled onto one
 denominator.  ``capacity_sequence`` builds its records from it, and the CLI
 formats its integers directly.  The product combinator takes its min-plus
 convolution on the factors' values scaled to integers over one common
@@ -73,7 +73,7 @@ from __future__ import annotations
 
 import heapq
 import operator
-from itertools import accumulate, count, repeat
+from itertools import accumulate, chain, count, repeat
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -134,18 +134,16 @@ class CapacitySequence(NamedTuple):
         return [r.value for r in self.values]
 
 
-def ellipsoid_capacity(axes: Sequence[ExtendedRational], k: int) -> Fraction:
-    """k-th smallest integer multiple among the finite axes.
+def _ellipsoid_cut(domain: Ellipsoid, k: int) -> tuple[int, tuple[int, ...], int]:
+    """(denom, p, L): the finite axes are the positive integers p_i over
+    denom, and L = c_k * denom is the least integer with
+    sum_i floor(L / p_i) >= k.
 
-    With the axes scaled to integers p_i over one common denominator, c_k
-    is the least integer L with sum_i floor(L / p_i) >= k: that count only
-    grows at multiples of some p_i, so its least solution is one of them.
-    A binary search over L in [1, k * min(p)] costs O(n log(k * min(p)))
-    integer divisions, so a huge k stays cheap.  Whole ellipsoid
-    sequences come from a heap merge instead (``_ellipsoid_sequence``).
+    That count only grows at multiples of some p_i, so its least solution
+    is one of them.  A binary search over L in [1, k * min(p)] costs
+    O(n log(k * min(p))) integer divisions, so a huge k stays cheap.
     """
-    positive_int(k, "capacity index k")
-    denom, steps = Ellipsoid(axes)._scaled
+    denom, (steps,) = _scaled_integer_rows((domain.finite_axes,))
     lo, hi = 1, k * min(steps)
     while lo < hi:
         mid = (lo + hi) // 2
@@ -153,22 +151,24 @@ def ellipsoid_capacity(axes: Sequence[ExtendedRational], k: int) -> Fraction:
             hi = mid
         else:
             lo = mid + 1
-    return Fraction(lo, denom)
+    return denom, steps, lo
+
+
+def ellipsoid_capacity(axes: Sequence[ExtendedRational], k: int) -> Fraction:
+    """k-th smallest integer multiple among the finite axes, counted with
+    repetition: the cut of ``_ellipsoid_cut``."""
+    positive_int(k, "capacity index k")
+    denom, _, cut = _ellipsoid_cut(Ellipsoid(axes), k)
+    return Fraction(cut, denom)
 
 
 def _ellipsoid_sequence(domain: Ellipsoid, kmax: int) -> tuple[int, list[int]]:
-    """(denom, scaled c_1 .. c_kmax) of the ellipsoid: the k-th item popped
-    from a heap merge of the integer progressions m * p_i is c_k * denom, so
-    equal axes count twice."""
-    denom, steps = domain._scaled
-    heap = [(p, p) for p in steps]
-    heapq.heapify(heap)
-    values = []
-    for _ in range(kmax):
-        value, step = heap[0]
-        values.append(value)
-        heapq.heapreplace(heap, (value + step, step))
-    return denom, values
+    """(denom, scaled c_1 .. c_kmax) of the ellipsoid: every multiple
+    m * p_i up to the cut c_kmax * denom, sorted, so equal axes count twice.
+    At most kmax + n - 1 multiples reach the cut: fewer than kmax lie below
+    it, and at most n end on it."""
+    denom, steps, cut = _ellipsoid_cut(domain, kmax)
+    return denom, sorted(chain.from_iterable(range(p, cut + 1, p) for p in steps))[:kmax]
 
 
 def polydisk_capacity(areas: Sequence[object], k: int) -> Fraction:
@@ -485,17 +485,16 @@ def _scaled_sequence(
     """(denom, values, witnesses, branch): c_k = values[k - 1] / denom for
     k = 1 .. kmax, the one source of capacity sequences.
 
-    A closed-form kind takes one pass on integers: an ellipsoid merges the
-    progressions of its axes, and a polydisk, cube or cylinder union
-    extends the progression through c_1 and c_2; its witnesses are None.
+    A closed-form kind takes one pass on integers: an ellipsoid sorts its
+    multiples up to c_kmax, and a polydisk, cube or cylinder union extends
+    the progression through c_1 and c_2; its witnesses are None.
     Any other kind runs ``capacity_at`` per k, and its values are scaled
     onto one denominator.  The integers pass the monotonicity check.
     """
     positive_int(kmax, "kmax")
-    shape = shape_of(domain)
     if type(domain) in _CLOSED_FORMS:
         branch, c_k = _CLOSED_FORMS[type(domain)]
-        if shape == "ellipsoid":
+        if type(domain) is Ellipsoid:
             denom, values = _ellipsoid_sequence(domain, kmax)
         else:
             denom, values = _progression(c_k(domain, 1), c_k(domain, 2), kmax)

@@ -293,8 +293,6 @@ def _cmd_scalar(args, compute) -> tuple[tuple, bool]:
 def _gromov_domain(domain: ToricDomain) -> Staircase:
     if domain.shape == "staircase":
         return domain
-    if domain.shape == "ellipsoid":
-        return domain.to_concave()
     raise ToricapError(
         "gromov requires a concave domain (or an ellipsoid with a finite axis); "
         f"got dimension-{domain.n} {type(domain).__name__}"

@@ -2,21 +2,20 @@
 
 A toric domain lives in R^{2n} but is described entirely by its moment-map
 image, a region of the nonnegative orthant of R^n.  Each domain kind
-declares the ``shape`` of that description:
+declares the ``shape`` of that description, and lists its ``points``:
 
-* ``"ellipsoid"`` -- ``Ellipsoid``, the simplex sum_i x_i/a_i <= 1, whose
-  axes may be infinite;
-* ``"hull"`` -- everything below the convex hull of some points: a
+* ``"hull"`` -- everything below the convex hull of the points: a
   ``ConvexToricDomain``, a ``Polydisk`` (the one point (a_1, ..., a_n)) or
   a ``Cube`` (the one point (delta, ..., delta));
-* ``"staircase"`` -- everything below the staircase spanned by some
-  vertices: a ``ConcaveToricDomain`` or a ``CylinderUnion`` (the one vertex
-  (delta, ..., delta)).
+* ``"staircase"`` -- everything below the staircase spanned by the points:
+  a ``ConcaveToricDomain``, a ``CylinderUnion`` (the one vertex
+  (delta, ..., delta)) or an ``Ellipsoid`` (the vertices a_i * e_i of its
+  finite axes: an infinite axis bounds nothing).
 
-Hull and staircase kinds list those ``points`` and cache them as integer
-rows over one common denominator.  ``shape_of`` reads a domain's shape
-and is the one check that an argument is a toric domain (of the shape an
-operation needs).  The geometric evaluations the capacity formulas consume:
+Each kind caches its points as integer rows over one common denominator.
+``shape_of`` reads a domain's shape and is the one check that an argument
+is a toric domain (of the shape an operation needs).  The geometric
+evaluations the capacity formulas consume:
 
 * ``support_value`` -- max of <v, w> over a hull, evaluated at
   nonnegative lattice vectors, where the max over the generator points is
@@ -25,8 +24,8 @@ operation needs).  The geometric evaluations the capacity formulas consume:
   at strictly positive lattice vectors, where the min over the staircase
   vertices is exact;
 * ``diagonal_intersection`` -- the largest t with (t, ..., t) inside the
-  region: a closed form for an ellipsoid, else the value of a matrix game,
-  which ``_game`` solves as a small linear program by an exact simplex;
+  region: the value of a matrix game, which ``_game`` solves as a small
+  linear program by an exact simplex, or for an ellipsoid a closed form;
 * ``scale_domain`` -- multiply the region by a positive rational.
 
 Every kind is a ``_Record``: an immutable value whose ``_fields`` are set
@@ -84,8 +83,9 @@ def _scaled_integer_rows(points: tuple[Point, ...]) -> tuple[int, tuple[tuple[in
 
 
 class _Record:
-    """An immutable value: the fields named in ``_fields``, set once by the
-    kind's ``__init__`` through ``object.__setattr__``."""
+    """A domain kind: an immutable value, the fields named in ``_fields``
+    set once by the kind's ``__init__`` through ``object.__setattr__``,
+    whose region is given by its ``points``."""
 
     _fields: tuple[str, ...] = ()
 
@@ -110,18 +110,32 @@ class _Record:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
+    @cached_property
+    def _scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        return _scaled_integer_rows(self.points)
+
+    @cached_property
+    def _search(self):
+        """The region's lattice search with the bounds it prepares, kept
+        with the domain like ``_scaled`` (see ``capacities._Search``)."""
+        from .capacities import _Search  # capacities imports this module
+
+        return _Search(self)
+
 
 class Ellipsoid(_Record):
-    """E(a_1, ..., a_n): the region sum_i x_i/a_i <= 1.
+    """E(a_1, ..., a_n): the region sum_i x_i/a_i <= 1, below the staircase
+    of its vertices a_i * e_i.
 
     An axis may be ``math.inf`` (or the string ``"inf"``), giving a
-    symplectic cylinder factor; such axes are simply absent from the
-    capacity spectrum.
+    symplectic cylinder factor: it spans no vertex, so it bounds nothing and
+    is absent from the capacity spectrum.  The closed forms read only
+    ``finite_axes``, never the n-by-n staircase rows.
     """
 
     axes: tuple[ExtendedRational, ...]
     _fields = ("axes",)
-    shape = "ellipsoid"
+    shape = "staircase"
 
     def __init__(self, axes: Sequence[object]) -> None:
         axes = tuple(to_rational(a, allow_infinite=True) for a in axes)
@@ -138,60 +152,39 @@ class Ellipsoid(_Record):
 
     @property
     def finite_axes(self) -> tuple[Fraction, ...]:
-        return tuple(a for a in self.axes if not is_infinite(a))
-
-    @cached_property
-    def _scaled(self) -> tuple[int, tuple[int, ...]]:
-        """(denom, p): the finite axes are p_i / denom, p_i positive ints."""
-        if not self.finite_axes:
+        """The axes that bound the region; with none, the spectrum is empty."""
+        finite = tuple(a for a in self.axes if not is_infinite(a))
+        if not finite:
             raise UnboundedDomainError("every axis is infinite: the spectrum is empty")
-        denom, (steps,) = _scaled_integer_rows((self.finite_axes,))
-        return denom, steps
+        return finite
 
-    def _axis_vertices(self) -> tuple[Point, ...]:
-        """The vertices a_i * e_i of the finite axes."""
-        return tuple(
-            tuple(a if j == i else Fraction(0) for j in range(self.n))
-            for i, a in enumerate(self.axes)
-            if not is_infinite(a)
+    @property
+    def points(self) -> tuple[Point, ...]:
+        """The vertices a_i * e_i of the finite axes; with none, no
+        staircase bounds the region."""
+        zero = (Fraction(0),) * self.n
+        vertices = tuple(
+            zero[:i] + (a,) + zero[i + 1 :] for i, a in enumerate(self.axes) if not is_infinite(a)
         )
+        if not vertices:
+            raise UnboundedDomainError("every axis is infinite: no staircase bounds the region")
+        return vertices
 
     def to_convex(self) -> "ConvexToricDomain":
         """Simplex form: generators a_i * e_i.  Finite axes only."""
-        vertices = self._axis_vertices()
-        if len(vertices) != self.n:
+        if len(self.finite_axes) != self.n:
             raise UnboundedDomainError("cannot convert an infinite-axis ellipsoid")
-        return ConvexToricDomain(vertices)
+        return ConvexToricDomain(self.points)
 
     def to_concave(self) -> "ConcaveToricDomain":
-        """Staircase form: the staircase spanned by a_i * e_i over the finite
-        axes, since an infinite axis bounds nothing.  Needs a finite axis."""
-        vertices = self._axis_vertices()
-        if not vertices:
-            raise UnboundedDomainError("every axis is infinite: no staircase bounds the region")
-        return ConcaveToricDomain(vertices)
+        """The same staircase as a ``ConcaveToricDomain``."""
+        return ConcaveToricDomain(self.points)
 
     def __str__(self) -> str:
         return "E(" + ", ".join("inf" if is_infinite(a) else str(a) for a in self.axes) + ")"
 
 
-class _Points(_Record):
-    """A hull or staircase kind: its region is given by ``points``."""
-
-    @cached_property
-    def _scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        return _scaled_integer_rows(self.points)
-
-    @cached_property
-    def _search(self):
-        """The region's lattice search with the bounds it prepares, kept
-        with the domain like ``_scaled`` (see ``capacities._Search``)."""
-        from .capacities import _Search  # capacities imports this module
-
-        return _Search(self)
-
-
-class Polydisk(_Points):
+class Polydisk(_Record):
     """P(a_1, ..., a_n): the box 0 <= x_i <= a_i, the hull of its far corner."""
 
     areas: tuple[Fraction, ...]
@@ -219,7 +212,14 @@ class Polydisk(_Points):
         return "P(" + ", ".join(str(a) for a in self.areas) + ")"
 
 
-class _Diagonal(_Points):
+# The largest n a cube or cylinder union may set.  A spec of a few bytes
+# names it, and its one point has n coordinates: at 10^6 each subcommand
+# that builds the point took at most 1.3 s and 107 MB on a 2-core x86
+# machine with Python 3.11, so 10^9 could not finish.
+MAX_DIMENSION = 10**6
+
+
+class _Diagonal(_Record):
     """A region given by the one point (delta, ..., delta) in n dimensions."""
 
     n: int
@@ -228,6 +228,8 @@ class _Diagonal(_Points):
 
     def __init__(self, n: int, delta: object) -> None:
         positive_int(n, f"{self._what} dimension")
+        if n > MAX_DIMENSION:
+            raise ValueError(f"{self._what} dimension must be at most {MAX_DIMENSION}, got {n}")
         delta = to_rational(delta)
         if delta <= 0:
             raise ValueError(f"{self._what} size must be positive, got {delta}")
@@ -258,7 +260,7 @@ class CylinderUnion(_Diagonal):
     _what = "cylinder-union"
 
 
-class _PointSet(_Points):
+class _PointSet(_Record):
     """A hull or staircase listed point by point, in its one field."""
 
     @property
@@ -316,14 +318,14 @@ ToricDomain = Union[
     Ellipsoid, Polydisk, Cube, CylinderUnion, ConvexToricDomain, ConcaveToricDomain
 ]
 Hull = Union[ConvexToricDomain, Polydisk, Cube]
-Staircase = Union[ConcaveToricDomain, CylinderUnion]
+Staircase = Union[ConcaveToricDomain, CylinderUnion, Ellipsoid]
 
 
 def shape_of(domain: object, expected: Optional[str] = None) -> str:
     """The shape of a toric domain's region, checked to be ``expected`` when
     that is given; anything else is a TypeError."""
     shape = getattr(domain, "shape", None)
-    if shape not in ("ellipsoid", "hull", "staircase"):
+    if shape not in ("hull", "staircase"):
         raise TypeError(f"not a toric domain: {type(domain).__name__}")
     if expected not in (None, shape):
         raise TypeError(f"{domain} is a {shape} region, not a {expected}")
@@ -398,11 +400,7 @@ def diagonal_intersection(domain: ToricDomain) -> Fraction:
     point, or a staircase vertex at the origin, gives t = 0.
     """
     shape = shape_of(domain)
-    if shape == "ellipsoid":
-        if not domain.finite_axes:
-            raise UnboundedDomainError(
-                "diagonal intersection undefined: every ellipsoid axis is infinite"
-            )
+    if type(domain) is Ellipsoid:
         return 1 / sum(1 / a for a in domain.finite_axes)
     (denom, rows), sign = domain._scaled, 1 if shape == "hull" else -1
     return sign * _game([[sign * c for c in row] for row in rows])[0] / denom

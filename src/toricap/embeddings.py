@@ -2,11 +2,11 @@
 
 * cube capacity: the largest cube fitting symplectically into the domain,
   which for convex/concave toric domains is exactly the diagonal
-  intersection of the moment image -- a closed form for an ellipsoid
-  (finite even when an axis is infinite), else a small linear program
-  solved by an exact simplex in ``domains``;
-* Gromov width of a staircase region (a concave domain or a cylinder
-  union): the anti-norm at (1, ..., 1);
+  intersection of the moment image -- a small linear program solved by an
+  exact simplex in ``domains``, or a closed form for an ellipsoid (finite
+  even when an axis is infinite);
+* Gromov width of a staircase region (a concave domain, a cylinder union
+  or an ellipsoid): the anti-norm at (1, ..., 1);
 * pairwise obstruction reports: capacities are monotone under symplectic
   embeddings, so c_k(source) > c_k(target) at any k rules the embedding
   out (no conclusion in the other direction);
@@ -55,8 +55,8 @@ def cube_capacity(domain: ToricDomain) -> Fraction:
 
 
 def gromov_width(domain: Staircase) -> Fraction:
-    """Largest ball fitting into a staircase region (a concave domain or a
-    cylinder union): min over vertices of sum(w)."""
+    """Largest ball fitting into a staircase region (a concave domain, a
+    cylinder union or an ellipsoid): min over vertices of sum(w)."""
     return antinorm_value(domain, (1,) * domain.n)
 
 

@@ -4,19 +4,22 @@ These re-evaluate the same formulas as the engine by exhaustive
 enumeration, with no pruning and no shortcuts, so the test suite (and the
 CLI's ``--oracle`` flag) can cross-check the fast paths against them.  A
 configurable cap keeps an accidental huge enumeration from running for
-hours.
+hours.  An ellipsoid is a staircase, so ``brute_concave_capacity`` checks
+its closed form too; ``brute_capacity`` gives it the merge of its
+multiples instead, which reaches the cap much later.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb, lcm
+from math import comb
 from typing import Iterator, Sequence
 
-from .domains import Hull, Staircase, ToricDomain, antinorm_value, shape_of, support_value
-from .errors import EnumerationCapExceeded, UnboundedDomainError
-from .rationals import ExtendedRational, is_infinite, positive_int, to_rational
+from .domains import Ellipsoid, Hull, Staircase, ToricDomain, _scaled_integer_rows
+from .domains import antinorm_value, shape_of, support_value
+from .errors import EnumerationCapExceeded
+from .rationals import ExtendedRational, positive_int
 
 DEFAULT_ENUMERATION_CAP = 10**7
 
@@ -69,13 +72,8 @@ def brute_ellipsoid_capacity(
     to integers over their least common denominator, so the sort compares
     plain ints."""
     positive_int(k, "k")
-    rationals = [to_rational(a, allow_infinite=True) for a in axes]
-    finite = [a for a in rationals if not is_infinite(a)]
-    if not finite:
-        raise UnboundedDomainError("every axis is infinite: the spectrum is empty")
-    _check_cap(len(finite) * k, cap, "multiples")
-    denom = lcm(*(a.denominator for a in finite))
-    steps = [a.numerator * (denom // a.denominator) for a in finite]
+    denom, (steps,) = _scaled_integer_rows((Ellipsoid(axes).finite_axes,))
+    _check_cap(len(steps) * k, cap, "multiples")
     merged = sorted(m * p for p in steps for m in range(1, k + 1))
     return Fraction(merged[k - 1], denom)
 
@@ -85,12 +83,13 @@ def brute_capacity(
 ) -> Fraction:
     """Oracle value of c_k for any domain kind, by the shape of its region.
 
-    Every kind but the ellipsoid goes through an enumerative path: a
-    polydisk or cube is a one-generator hull, a cylinder union the
-    one-vertex staircase whose anti-norm is delta * sum(v).
+    A polydisk or cube is a one-generator hull, a cylinder union the
+    one-vertex staircase whose anti-norm is delta * sum(v).  An ellipsoid
+    takes the merge of its multiples: n * k of them, where its staircase
+    would enumerate C(k + n - 2, n - 1) compositions.
     """
     shape = shape_of(domain)
-    if shape == "ellipsoid":
+    if type(domain) is Ellipsoid:
         return brute_ellipsoid_capacity(domain.axes, k, cap)
     if shape == "hull":
         return brute_convex_capacity(domain, k, cap)

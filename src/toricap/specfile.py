@@ -2,7 +2,9 @@
 
 Rationals travel as ``"p/q"`` strings or plain JSON integers; a number
 with a decimal point or exponent, or ``Infinity``, is rejected so nothing
-rounds.  ``"inf"`` is accepted only for ellipsoid axes.  Examples::
+rounds.  An infinite axis is a string, accepted only for ellipsoid axes:
+``"inf"``, ``"+inf"``, ``"infinity"`` or ``"oo"``, in any case and with
+surrounding spaces (``"-inf"`` is rejected).  Examples::
 
     {"type": "ellipsoid", "a": ["1", "2"]}
     {"type": "ellipsoid", "a": ["1", "inf"]}
@@ -107,6 +109,8 @@ def parse_domain(text: str) -> ToricDomain:
         raise DomainFormatError(
             f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise DomainFormatError(f"unreadable JSON: {exc}") from None
     if not isinstance(data, dict):
         raise DomainFormatError("top level: expected a JSON object")
     kind = data.get("type")

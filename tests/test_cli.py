@@ -350,6 +350,68 @@ def test_unbounded_domain_errors_exit_1(write_spec, capsys):
     capsys.readouterr()
 
 
+# Each subcommand's arguments after the spec file, which obstruct takes twice.
+SUBCOMMANDS = {
+    "caps": ["-k", "3"],
+    "cube": [],
+    "gromov": [],
+    "obstruct": ["-k", "3"],
+    "slope": ["-k", "3"],
+    "lagrangian-bound": [],
+}
+
+
+def _argv(command, path):
+    spec = ["--source", path, "--target", path] if command == "obstruct" else ["-d", path]
+    return [command, *spec, *SUBCOMMANDS[command]]
+
+
+NO_STAIRCASE = "every axis is infinite: no staircase bounds the region"
+EMPTY_SPECTRUM = "every axis is infinite: the spectrum is empty"
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("caps", EMPTY_SPECTRUM),
+        ("cube", EMPTY_SPECTRUM),
+        ("gromov", NO_STAIRCASE),
+        ("obstruct", EMPTY_SPECTRUM),
+        ("slope", EMPTY_SPECTRUM),
+        ("lagrangian-bound", EMPTY_SPECTRUM),
+    ],
+)
+def test_every_axis_infinite_on_every_subcommand(write_spec, capsys, command, message):
+    path = write_spec("all.json", '{"type":"ellipsoid","a":["inf","inf"]}')
+    assert run_cli(_argv(command, path)) == 1
+    assert capsys.readouterr() == ("", f"toricap: error: {message}\n")
+
+
+HUGE_DIMENSION_SECONDS = 1.0  # the spec is rejected as it is parsed
+
+
+@pytest.mark.parametrize("kind", ["cube", "cylinder_union"])
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+def test_a_huge_dimension_fails_at_once(write_spec, capsys, command, kind):
+    n = 10**18
+    path = write_spec("huge.json", json.dumps({"type": kind, "n": n, "delta": "1"}))
+    start = time.perf_counter()
+    assert run_cli(_argv(command, path)) == 1
+    assert time.perf_counter() - start < HUGE_DIMENSION_SECONDS
+    what = kind.replace("_", "-")
+    assert capsys.readouterr() == (
+        "", f"toricap: error: {kind}: {what} dimension must be at most 1000000, got {n}\n"
+    )
+
+
+def test_a_json_integer_past_the_digit_limit_exits_1(write_spec, capsys):
+    path = write_spec("nines.json", '{"type":"polydisk","a":[' + "9" * 5000 + "]}")
+    assert run_cli(["cube", "-d", path]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("toricap: error: unreadable JSON: Exceeds the limit (4300 digits)")
+
+
 def test_repeated_runs_share_no_state(write_spec, tmp_path, capsys):
     # the parser is built once per process; no call may see an earlier one's flags
     path = write_spec("e12.json", '{"type":"ellipsoid","a":["1","2"]}')

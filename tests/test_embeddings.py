@@ -12,6 +12,7 @@ from toricap import (
     DimensionMismatch,
     Ellipsoid,
     Polydisk,
+    antinorm_value,
     asymptotic_slope,
     capacity_sequence,
     cube_capacity,
@@ -74,6 +75,22 @@ def test_gromov_width_of_ellipsoids():
         n = rng.randint(1, 4)
         axes = tuple(F(rng.randint(1, 9), rng.randint(1, 5)) for _ in range(n))
         assert gromov_width(Ellipsoid(axes).to_concave()) == min(axes)
+
+
+def test_an_ellipsoid_and_its_staircase_agree():
+    # gromov_width and antinorm_value take the ellipsoid as the staircase it is
+    rng = random.Random(69)
+    for _ in range(30):
+        n = rng.randint(1, 5)
+        axes = [F(rng.randint(1, 9), rng.randint(1, 5)) for _ in range(n)]
+        axes[rng.randrange(n)] = axes[0]  # a tie
+        axes = [a if rng.random() < 0.7 else "inf" for a in axes[:-1]] + axes[-1:]
+        e = Ellipsoid(axes)
+        staircase = e.to_concave()
+        assert gromov_width(e) == gromov_width(staircase) == min(e.finite_axes)
+        for _ in range(5):
+            v = tuple(rng.randint(1, 6) for _ in range(n))
+            assert antinorm_value(e, v) == antinorm_value(staircase, v)
 
 
 def test_obstruct_cube_into_shrunk_cylinder_union():

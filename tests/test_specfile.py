@@ -1,3 +1,4 @@
+import json
 import random
 import re
 from fractions import Fraction
@@ -118,6 +119,49 @@ def test_non_utf8_spec_file_names_its_path(tmp_path):
     path.write_bytes(b"\xff\xfe")
     with pytest.raises(DomainFormatError, match=f"cannot read {re.escape(str(path))}: "):
         load_domain(str(path))
+
+
+def test_a_json_integer_past_the_digit_limit_is_a_format_error():
+    with pytest.raises(DomainFormatError) as info:
+        parse_domain('{"type":"polydisk","a":[' + "9" * 5000 + "]}")
+    assert str(info.value).startswith("unreadable JSON: Exceeds the limit (4300 digits)")
+    # a syntax error still reports where it is
+    with pytest.raises(DomainFormatError) as info:
+        parse_domain('{"type":"polydisk",\n "a":[1,]}')
+    assert str(info.value) == "syntax error at line 2, column 9: Expecting value"
+
+
+def test_a_huge_dimension_is_a_format_error():
+    assert parse_domain('{"type":"cube","n":1000000,"delta":"1"}') == Cube(10**6, 1)
+    with pytest.raises(DomainFormatError) as info:
+        parse_domain('{"type":"cylinder_union","n":1000001,"delta":"1"}')
+    assert str(info.value) == (
+        "cylinder_union: cylinder-union dimension must be at most 1000000, got 1000001"
+    )
+
+
+@pytest.mark.parametrize(
+    "spelling",
+    ["inf", "+inf", "infinity", "oo", "INF", "Infinity", "+Inf", "OO", " inf ", "\too\n"],
+)
+def test_infinite_axis_spellings(spelling):
+    domain = parse_domain(json.dumps({"type": "ellipsoid", "a": ["1", spelling]}))
+    assert domain == Ellipsoid((1, "inf")) and domain.finite_axes == (1,)
+
+
+@pytest.mark.parametrize(
+    "axis, message",
+    [
+        ("Infinity", 'a[1]: infinite JSON number rejected: write "inf"'),
+        ("1e400", 'a[1]: infinite JSON number rejected: write "inf"'),
+        ('"-inf"', "a[1]: cannot parse '-inf' as an exact rational: expected 'p' or 'p/q'"),
+        ('"infty"', "a[1]: cannot parse 'infty' as an exact rational: expected 'p' or 'p/q'"),
+    ],
+)
+def test_other_infinities_are_rejected(axis, message):
+    with pytest.raises(DomainFormatError) as info:
+        parse_domain(f'{{"type":"ellipsoid","a":["1",{axis}]}}')
+    assert str(info.value) == message
 
 
 def test_decimal_json_numbers_rejected():

@@ -10,11 +10,16 @@ PARENT_SRC and CHANGE_SRC are ``src`` directories, each holding a
   answer, some seconds of reference work; the bench files are only read);
 * each ``caps`` request again with ``--oracle``, at K = min(K, 20);
 * the golden cases of ``tests/test_golden.py``;
+* the error paths of ``error_argvs``: a K of 0, -3 or ``x``, an ellipsoid
+  with every axis infinite on every subcommand, a bad spec, a spec with a
+  JSON integer past Python's digit limit, a missing file and ``gromov`` on
+  hulls;
 
 each in all three formats.  One child process per tree, with ``PYTHONPATH``
 set to that tree, runs every argv through ``toricap.cli.run``.  Their exit
 codes, stdout and stderr must agree.  The script prints the counts and
-exits 1 naming the first argv that differs.  Standard library only.
+every argv that differs, with both trees' stderr where that differs, and
+exits 1 if any does.  Standard library only.
 """
 
 from __future__ import annotations
@@ -61,10 +66,16 @@ def run_all(src: str, argvs: list[list[str]]) -> list[list]:
     return json.loads(proc.stdout)
 
 
+def differences(parent_src: str, change_src: str, argvs: list[list[str]]) -> list[tuple]:
+    """(argv, parent's result, change's result) for each argv whose exit
+    code, stdout or stderr differ between the trees."""
+    parent, change = run_all(parent_src, argvs), run_all(change_src, argvs)
+    return [(argv, a, b) for argv, a, b in zip(argvs, parent, change) if a != b]
+
+
 def compare(parent_src: str, change_src: str, argvs: list[list[str]]) -> list[list[str]]:
     """The argvs whose exit code, stdout or stderr differ between the trees."""
-    parent, change = run_all(parent_src, argvs), run_all(change_src, argvs)
-    return [argv for argv, a, b in zip(argvs, parent, change) if a != b]
+    return [argv for argv, _, _ in differences(parent_src, change_src, argvs)]
 
 
 def _in_every_format(argv: list[str]) -> list[list[str]]:
@@ -95,6 +106,40 @@ def golden_cases() -> dict[str, list[str]]:
     }
 
 
+# The text of each spec file ``error_argvs`` writes, by file name.
+ERROR_SPECS = {
+    "e12.json": '{"type": "ellipsoid", "a": ["1", "2"]}',
+    "all_infinite.json": '{"type": "ellipsoid", "a": ["inf", "inf"]}',
+    "bad.json": '{"type": "ellipsoid", "a": ["1", "0.5"]}',
+    "nines.json": '{"type": "polydisk", "a": [' + "9" * 5000 + "]}",
+    "polydisk.json": '{"type": "polydisk", "a": ["1", "2"]}',
+    "convex.json": '{"type": "convex", "generators": [["1", "0"], ["0", "2"]]}',
+}
+
+
+def error_argvs(spec_dir: str) -> list[list[str]]:
+    """Requests that end in an error, on specs written into ``spec_dir``."""
+    os.makedirs(spec_dir, exist_ok=True)
+    path = {name: os.path.join(spec_dir, name) for name in (*ERROR_SPECS, "missing.json")}
+    for name, text in ERROR_SPECS.items():
+        Path(path[name]).write_text(text, encoding="utf-8")
+
+    def every_subcommand(spec: str, k: str = "3") -> list[list[str]]:
+        return [
+            ["caps", "-d", spec, "-k", k], ["cube", "-d", spec], ["gromov", "-d", spec],
+            ["obstruct", "--source", spec, "--target", spec, "-k", k],
+            ["slope", "-d", spec, "-k", k], ["lagrangian-bound", "-d", spec],
+        ]
+
+    bad_k = [
+        argv for k in ("0", "-3", "x") for argv in every_subcommand(path["e12.json"], k)
+        if "-k" in argv
+    ]
+    failing = ("all_infinite.json", "bad.json", "nines.json", "missing.json")
+    hulls = [["gromov", "-d", path[name]] for name in ("polydisk.json", "convex.json")]
+    return bad_k + [a for name in failing for a in every_subcommand(path[name])] + hulls
+
+
 def workload_argvs(seed: int, spec_dir: str) -> list[list[str]]:
     """Every CLI request of the three workloads, then each caps one with
     ``--oracle``."""
@@ -118,15 +163,17 @@ def main(argv: list[str]) -> int:
     parent_src, change_src, seed = argv[0], argv[1], int(argv[2])
     with tempfile.TemporaryDirectory() as spec_dir:
         base = workload_argvs(seed, spec_dir) + list(golden_cases().values())
+        base += error_argvs(os.path.join(spec_dir, "errors"))
         unique = {tuple(a) for argv in base for a in _in_every_format(argv)}
         argvs = sorted(map(list, unique))
-        differ = compare(parent_src, change_src, argvs)
+        differ = differences(parent_src, change_src, argvs)
     oracle = sum("--oracle" in a for a in argvs)
     print(f"{len(argvs)} argv ({oracle} with --oracle), {len(differ)} differ")
-    if differ:
-        print("first difference: " + " ".join(differ[0]))
-        return 1
-    return 0
+    for argv, (_, _, parent_err), (_, _, change_err) in differ:
+        print("differs: " + " ".join(argv))
+        if parent_err != change_err:
+            print(f"  parent stderr: {parent_err!r}\n  change stderr: {change_err!r}")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
