@@ -38,7 +38,9 @@ O(m log R).
 
 Its bounds come from the matrix game of the rows against the coordinates,
 whose strategies ``domains._game`` returns: the one solver of matrix games,
-which also gives the diagonal.  Three devices use them, all exact:
+which also gives the diagonal.  Where the whole game plays every column it
+is the region's game, kept with the domain and played once for the
+diagonal and the search.  Three devices use them, all exact:
 
 * a surrogate row per level: a game gives integer weights y on the
   rows, and a completion's value is at least its y-mix of the rows'
@@ -237,6 +239,7 @@ class _Search:
 
     def __init__(self, domain: Union[Hull, Staircase]) -> None:
         _, rows = domain._scaled
+        self.domain = domain
         if domain.shape == "staircase":
             self.dots = [-sum(row) for row in rows]
             rows = tuple(tuple(-c for c in row) for row in rows)
@@ -258,12 +261,18 @@ class _Search:
         most 2m columns takes the y of its own game; a wider one takes the
         y of the whole row's game, whose least <y, column> over every tail
         comes from one pass of suffix minima.  root is (sum(y), the least
-        <y, column>, <y, dots>, x) for that whole game.
+        <y, column>, <y, dots>, x) for that whole game: with n <= 2m the
+        region's game, which the diagonal also reads
+        (``domain._region_game``), else ``_tail_game``'s 2m columns.
         """
         rows, cols, n, m = self.rows, self.cols, self.n, len(self.rows)
         sums = [sum(col) for col in cols]
         tails = [list(accumulate(reversed(row), min))[::-1] for row in rows]  # min(row[i:])
-        y, x = _tail_game(rows, sums, 0)
+        if n <= 2 * m:
+            _, y, x = self.domain._region_game
+            x = {j: xj for j, xj in enumerate(x) if xj}
+        else:
+            y, x = _tail_game(rows, sums, 0)
         mixed = [sum(map(operator.mul, y, col)) for col in cols]
         least = list(accumulate(reversed(mixed), min))[::-1]
         levels = []

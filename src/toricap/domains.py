@@ -115,6 +115,15 @@ class _Record:
         return _scaled_integer_rows(self.points)
 
     @cached_property
+    def _region_game(self) -> tuple[tuple[int, int], list[int], list[int]]:
+        """``_game`` of the scaled rows, negated for a staircase, against the
+        coordinates: played once per domain, for the diagonal's value and
+        the strategies of the lattice search's root."""
+        _, rows = self._scaled
+        sign = 1 if self.shape == "hull" else -1
+        return _game([[sign * c for c in row] for row in rows])
+
+    @cached_property
     def _search(self):
         """The region's lattice search with the bounds it prepares, kept
         with the domain like ``_scaled`` (see ``capacities._Search``)."""
@@ -159,16 +168,19 @@ class Ellipsoid(_Record):
         return finite
 
     @property
-    def points(self) -> tuple[Point, ...]:
-        """The vertices a_i * e_i of the finite axes; with none, no
-        staircase bounds the region."""
-        zero = (Fraction(0),) * self.n
-        vertices = tuple(
-            zero[:i] + (a,) + zero[i + 1 :] for i, a in enumerate(self.axes) if not is_infinite(a)
-        )
-        if not vertices:
+    def _corners(self) -> tuple[tuple[int, Fraction], ...]:
+        """(i, a_i) for each finite axis, the vertex a_i * e_i without its
+        zeros; with none, no staircase bounds the region."""
+        corners = tuple((i, a) for i, a in enumerate(self.axes) if not is_infinite(a))
+        if not corners:
             raise UnboundedDomainError("every axis is infinite: no staircase bounds the region")
-        return vertices
+        return corners
+
+    @property
+    def points(self) -> tuple[Point, ...]:
+        """The vertices a_i * e_i of the finite axes."""
+        zero = (Fraction(0),) * self.n
+        return tuple(zero[:i] + (a,) + zero[i + 1 :] for i, a in self._corners)
 
     def to_convex(self) -> "ConvexToricDomain":
         """Simplex form: generators a_i * e_i.  Finite axes only."""
@@ -364,6 +376,8 @@ def antinorm_value(domain: Staircase, v: LatticeVector) -> Fraction:
     """
     shape_of(domain, "staircase")
     _check_vector(v, domain.n, positive=True)
+    if type(domain) is Ellipsoid:  # its vertices a_i * e_i, read in O(n)
+        return min(v[i] * a for i, a in domain._corners)
     denom, rows = domain._scaled
     best = min(sum(a * b for a, b in zip(v, row)) for row in rows)
     return Fraction(best, denom)
@@ -393,23 +407,28 @@ def diagonal_intersection(domain: ToricDomain) -> Fraction:
     axis infinite has no diagonal bound.
 
     A hull's t = max over convex combinations l of min_i (sum_j l_j p_j)_i
-    is the value of the game (``_game``) of its points p_j against the
-    coordinates i; a staircase's t = min over l of max_i (sum_j l_j p_j)_i
-    is minus the value of the game on its negated points.  So a polydisk's
-    one point gives t = min(areas), and a coordinate zero at every hull
-    point, or a staircase vertex at the origin, gives t = 0.
+    is the value of the game of its points p_j against the coordinates i; a
+    staircase's t = min over l of max_i (sum_j l_j p_j)_i is minus the value
+    of the game on its negated points: the region's game, kept with the
+    domain for the lattice search too, whose integer value becomes the one
+    ``Fraction`` here.  So a polydisk's one point gives t = min(areas), and
+    a coordinate zero at every hull point, or a staircase vertex at the
+    origin, gives t = 0.
     """
     shape = shape_of(domain)
     if type(domain) is Ellipsoid:
         return 1 / sum(1 / a for a in domain.finite_axes)
-    (denom, rows), sign = domain._scaled, 1 if shape == "hull" else -1
-    return sign * _game([[sign * c for c in row] for row in rows])[0] / denom
+    (top, bottom), _, _ = domain._region_game
+    sign = 1 if shape == "hull" else -1
+    return Fraction(sign * top, bottom * domain._scaled[0])
 
 
-def _game(matrix: Sequence[Sequence[int]]) -> tuple[Fraction, list[int], list[int]]:
+def _game(matrix: Sequence[Sequence[int]]) -> tuple[tuple[int, int], list[int], list[int]]:
     """(value, y, x) of the game in which a mix y of the rows raises and a
     mix x of the columns lowers <y, matrix x>, with optimal integer weights:
-    min_j <y, column j> / sum(y) = value = max_w <row w, x> / sum(x).
+    min_j <y, column j> / sum(y) = value = max_w <row w, x> / sum(x).  The
+    value is a pair of integers (numerator, denominator > 0), not reduced:
+    only the diagonal makes it a ``Fraction``.
 
     The one setup of ``_max_total``, one constraint per row: a taller game
     is played as its negated transpose, so the tableau stays linear in the
@@ -417,52 +436,57 @@ def _game(matrix: Sequence[Sequence[int]]) -> tuple[Fraction, list[int], list[in
     1 / (value + shift), and the columns go in cheapest first.
     """
     if len(matrix) > len(matrix[0]):
-        value, y, x = _game([list(map(operator.neg, column)) for column in zip(*matrix)])
-        return -value, x, y
+        (top, bottom), y, x = _game([list(map(operator.neg, column)) for column in zip(*matrix)])
+        return (-top, bottom), x, y
     shift = 1 - min(map(min, matrix))
     order = sorted(range(len(matrix[0])), key=list(map(sum, zip(*matrix))).__getitem__)
-    total, primal, y = _max_total([[row[j] + shift for j in order] for row in matrix])
+    d, primal, y = _max_total([[row[j] + shift for j in order] for row in matrix])
     x = [0] * len(order)
     for j, xj in zip(order, primal):
         x[j] = xj
-    return Fraction(total.denominator - shift * total.numerator, total.numerator), y, x
+    total = sum(primal)  # d times the optimum
+    return (d - shift * total, total), y, x
 
 
-def _max_total(
-    matrix: Sequence[Sequence[int]],
-) -> tuple[Fraction, list[int], list[int]]:
-    """(value, primal, dual) of max sum(x) subject to matrix @ x <= 1 and
-    x >= 0, exactly.
+def _max_total(matrix: Sequence[Sequence[int]]) -> tuple[int, list[int], list[int]]:
+    """(d, primal, dual) of max sum(x) subject to matrix @ x <= 1 and
+    x >= 0, exactly: primal / d is an optimal x, dual / d an optimal y >= 0
+    of the dual program (min sum(y) subject to y @ matrix >= 1), and both
+    sum to d times the optimum.
 
     ``matrix`` is nonnegative and has no zero column, so the program is
-    bounded and the origin is a feasible start.  The simplex tableau is kept
-    fraction-free: every entry is d times its rational value, d being the
-    determinant of the current basis, so each pivot's division is exact and
-    only integers are touched until the final quotient.  Bland's rule (least
-    entering index, least leaving basic variable among ratio ties) rules out
-    cycling on the degenerate pivots that duplicate or tied points cause;
-    the ratios are compared as integer cross products.  ``primal`` and
-    ``dual`` are d times an optimal x and an optimal y >= 0 of the dual
-    program (min sum(y) subject to y @ matrix >= 1), read off the final
-    right-hand side and the cost row's slack entries: integers, each summing
-    to d times the value.
+    bounded and the origin is a feasible start.  The tableau holds only the
+    nonbasic columns and the right-hand side, m by n + 1 entries, each
+    column labelled with its variable (x_j is j, the slack of row i is
+    n + i).  It is fraction-free (Bareiss): every entry is d times its
+    rational value, d being the determinant of the current basis, so each
+    pivot's division is exact.  A pivot on p keeps the pivot row but puts
+    the old d in its column; every other row, the cost row too, becomes
+    (p * entry - f * pivot row's entry) // d, with -f in that column.
+    Bland's rule by label (the improving column of least label enters; the
+    least ratio leaves, ties to the least basic label) rules out cycling on
+    the degenerate pivots that duplicate or tied points cause; the ratios
+    are compared as integer cross products.  ``primal`` is read off the
+    right-hand side, ``dual`` off the cost entries of the slack columns.
     """
     m, n = len(matrix), len(matrix[0])
-    # columns: the n variables, the m slacks, then the right-hand side
-    tableau = [
-        list(row) + [int(i == r) for i in range(m)] + [1] for r, row in enumerate(matrix)
-    ]
-    cost = [-1] * n + [0] * (m + 1)
-    basis = list(range(n, n + m))
+    tableau = [[*row, 1] for row in matrix]  # the nonbasic columns, then the rhs
+    cost = [-1] * n + [0]
+    labels = list(range(n))  # the variable of each column
+    basis = list(range(n, n + m))  # the variable of each row
     d = 1
     while True:
-        col = next((j for j, c in enumerate(cost[:-1]) if c < 0), None)
-        if col is None:
-            primal = [0] * n
+        entering = [label for label, c in zip(labels, cost) if c < 0]
+        if not entering:
+            primal, dual = [0] * n, [0] * m
             for row, b in zip(tableau, basis):
                 if b < n:
                     primal[b] = row[-1]
-            return Fraction(cost[-1], d), primal, cost[n:-1]
+            for label, c in zip(labels, cost):
+                if label >= n:
+                    dual[label - n] = c
+            return d, primal, dual
+        col = labels.index(min(entering))
         # the program is bounded, so an improving column has a positive
         # entry; the least ratio rhs / entry, then the least basic variable
         pivot_row = None
@@ -476,8 +500,11 @@ def _max_total(
         for i, row in enumerate(tableau):
             if i != pivot_row:
                 f = row[col]
-                tableau[i] = [(p * x - f * y) // d for x, y in zip(row, prow)]
+                row = tableau[i] = [(p * x - f * y) // d for x, y in zip(row, prow)]
+                row[col] = -f
         f = cost[col]
         cost = [(p * x - f * y) // d for x, y in zip(cost, prow)]
-        basis[pivot_row] = col
+        cost[col] = -f
+        prow[col] = d
+        labels[col], basis[pivot_row] = basis[pivot_row], labels[col]
         d = p

@@ -109,7 +109,9 @@ def parse_domain(text: str) -> ToricDomain:
         raise DomainFormatError(
             f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
-    except ValueError as exc:  # an integer literal past Python's digit limit
+    except (ValueError, RecursionError) as exc:
+        # an integer literal past Python's digit limit, or lists or objects
+        # nested past its recursion limit
         raise DomainFormatError(f"unreadable JSON: {exc}") from None
     if not isinstance(data, dict):
         raise DomainFormatError("top level: expected a JSON object")

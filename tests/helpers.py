@@ -74,3 +74,44 @@ def grow_concave(rng: random.Random, domain: ConcaveToricDomain) -> ConcaveToric
         for row in domain.vertices
     )
     return ConcaveToricDomain(shifted)
+
+
+def reference_max_total(matrix):
+    """The full-tableau simplex that ``domains._max_total`` condenses: the
+    same program, fraction-free pivots and Bland's rule, with every column
+    kept, the slack identity included.  It returns what the solver returns,
+    (d, primal, dual), so the two must agree exactly, pivot for pivot.
+    """
+    m, n = len(matrix), len(matrix[0])
+    # columns: the n variables, the m slacks, then the right-hand side
+    tableau = [
+        list(row) + [int(i == r) for i in range(m)] + [1] for r, row in enumerate(matrix)
+    ]
+    cost = [-1] * n + [0] * (m + 1)
+    basis = list(range(n, n + m))
+    d = 1
+    while True:
+        col = next((j for j, c in enumerate(cost[:-1]) if c < 0), None)
+        if col is None:
+            primal = [0] * n
+            for row, b in zip(tableau, basis):
+                if b < n:
+                    primal[b] = row[-1]
+            return d, primal, cost[n:-1]
+        # the least ratio rhs / entry, then the least basic variable
+        pivot_row = None
+        for i, row in enumerate(tableau):
+            if row[col] > 0 and (
+                pivot_row is None
+                or (row[-1] * prow[col], basis[i]) < (prow[-1] * row[col], basis[pivot_row])
+            ):
+                pivot_row, prow = i, row
+        p = prow[col]
+        for i, row in enumerate(tableau):
+            if i != pivot_row:
+                f = row[col]
+                tableau[i] = [(p * x - f * y) // d for x, y in zip(row, prow)]
+        f = cost[col]
+        cost = [(p * x - f * y) // d for x, y in zip(cost, prow)]
+        basis[pivot_row] = col
+        d = p

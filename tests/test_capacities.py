@@ -36,6 +36,7 @@ from toricap import (
     support_value,
 )
 import toricap.capacities as capacities_module
+import toricap.domains as domains_module
 from toricap.oracle import compositions
 from helpers import (
     grow_concave,
@@ -44,6 +45,7 @@ from helpers import (
     random_concave,
     random_convex,
     random_point,
+    reference_max_total,
 )
 
 F = Fraction
@@ -613,13 +615,19 @@ def test_searches_in_high_dimension(kind):
 MANY_POINTS_SECONDS = 2.0
 
 
-def test_searches_with_many_points_in_few_coordinates():
-    # the values and witnesses are frozen from a search whose games were
-    # played on a subsample of the rows
+def _many_points_regions():
+    """A hull and a staircase of 2,000 points in n = 6."""
     rng = random.Random(2000)
     hull = ConvexToricDomain(tuple(random_point(rng, 6, positive=True) for _ in range(2000)))
     rng = random.Random(6)
     stair = ConcaveToricDomain(tuple(random_point(rng, 6, positive=True) for _ in range(2000)))
+    return hull, stair
+
+
+def test_searches_with_many_points_in_few_coordinates():
+    # the values and witnesses are frozen from a search whose games were
+    # played on a subsample of the rows
+    hull, stair = _many_points_regions()
     cases = [
         (hull, ["8", "15", "18", "22", "151/6", "92/3"], [
             (0, 0, 0, 0, 0, 1), (0, 1, 0, 0, 0, 1), (0, 0, 1, 1, 1, 0),
@@ -651,6 +659,59 @@ def _pruning_corpus():
                 points.append(point)
         kind = ConvexToricDomain if i % 2 else ConcaveToricDomain
         yield kind(tuple(points)), (20, 16, 12)[i % 3]
+
+
+def _recorded_programs(monkeypatch):
+    """The list of the matrices that ``_max_total`` is called on from now."""
+    programs = []
+    solve = domains_module._max_total
+    monkeypatch.setattr(
+        domains_module, "_max_total", lambda matrix: programs.append(matrix) or solve(matrix)
+    )
+    return programs
+
+
+def test_the_searches_play_the_full_tableaus_games(monkeypatch):
+    # every program the diagonal and the bounds hand the condensed tableau,
+    # over the pruning corpus and the regions of 2,000 points, gets the
+    # full tableau's d, primal and dual
+    programs = _recorded_programs(monkeypatch)
+    regions = [*_pruning_corpus(), *((domain, 6) for domain in _many_points_regions())]
+    for domain, kmax in regions:
+        diagonal_intersection(domain)
+        capacity_sequence(domain, kmax)
+    assert len(programs) == sum(domain.n - 1 for domain, _ in regions)
+    monkeypatch.undo()  # stop recording
+    for matrix in programs:
+        assert domains_module._max_total(matrix) == reference_max_total(matrix), matrix
+
+
+@pytest.mark.parametrize("kind", [ConvexToricDomain, ConcaveToricDomain])
+def test_the_diagonal_and_the_search_root_play_one_game(monkeypatch, kind):
+    # with n <= 2m the search's root game is the region's game, so the
+    # diagonal and a search play it once between them, in either order,
+    # and n - 2 level games besides; a wider region's search plays its
+    # sampled root apart from the diagonal
+    programs = _recorded_programs(monkeypatch)
+    rng = random.Random(19)
+    for n in range(3, 9):
+        for m in sorted({-(-n // 2), n, 7}):
+            points = tuple(random_point(rng, n, positive=True) for _ in range(m))
+            for first in ("diagonal", "search"):
+                domain = kind(points)
+                programs.clear()
+                if first == "diagonal":
+                    diagonal_intersection(domain)
+                    assert len(programs) == 1
+                capacity_at(domain, 3)
+                diagonal_intersection(domain)
+                assert len(programs) == n - 1, (n, m, first)
+    m = 2  # n = 7 > 2m: the diagonal, the sampled root and 2m - 1 level games
+    domain = kind(tuple(random_point(rng, 7, positive=True) for _ in range(m)))
+    programs.clear()
+    diagonal_intersection(domain)
+    capacity_at(domain, 3)
+    assert len(programs) == 2 * m + 1
 
 
 # Pair solves (``_lowest_minimizer`` calls) over ``_pruning_corpus`` with

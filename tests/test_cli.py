@@ -1,17 +1,23 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import toricap.capacities as capacities
 import toricap.cli as cli
+import toricap.domains as domains
 from toricap import Branch, CapacityResult, capacity_sequence, parse_domain
 
 F = Fraction
+SRC = Path(__file__).parent.parent / "src"
 
 
 @pytest.fixture
@@ -410,6 +416,41 @@ def test_a_json_integer_past_the_digit_limit_exits_1(write_spec, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("toricap: error: unreadable JSON: Exceeds the limit (4300 digits)")
+
+
+def test_a_deeply_nested_spec_exits_1_without_a_traceback(write_spec):
+    # a fresh process, so that the exit code and stderr are the command's own
+    nested = '{"type":"convex","generators":' + "[" * 100_000 + "]" * 100_000 + "}"
+    path = write_spec("nested.json", nested)
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-m", "toricap.cli", "cube", "-d", path],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith("toricap: error: unreadable JSON: maximum recursion depth")
+    assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+
+
+# Seconds allowed for ``gromov`` on an ellipsoid of 10,000 axes: it reads
+# the finite axes in O(n), about 0.05 s with the spec's parsing on a 2-core
+# x86 machine with Python 3.11; building the n-by-n staircase rows took
+# 4.3 s and 242 MB at 3,000 axes.
+WIDE_GROMOV_SECONDS = 2.0
+
+
+def test_gromov_on_a_wide_ellipsoid_builds_no_rows(write_spec, capsys, monkeypatch):
+    def rows_built(self):
+        raise AssertionError("the staircase rows of the ellipsoid were built")
+
+    monkeypatch.setattr(domains.Ellipsoid, "points", property(rows_built))
+    axes = [f"{i % 97 + 2}/3" for i in range(10_000)]
+    axes[5000] = "inf"
+    path = write_spec("wide.json", json.dumps({"type": "ellipsoid", "a": axes}))
+    start = time.perf_counter()
+    assert run_cli(["gromov", "-d", path]) == 0
+    assert time.perf_counter() - start < WIDE_GROMOV_SECONDS
+    assert capsys.readouterr() == ("2/3 (≈0.666667)\n", "")
 
 
 def test_repeated_runs_share_no_state(write_spec, tmp_path, capsys):

@@ -21,7 +21,15 @@ from toricap import (
     scale_domain,
     support_value,
 )
-from helpers import grow_concave, grow_convex, random_concave, random_convex, random_point
+import toricap.domains as domains_module
+from helpers import (
+    grow_concave,
+    grow_convex,
+    random_concave,
+    random_convex,
+    random_point,
+    reference_max_total,
+)
 from toricap.domains import _game, _max_total
 
 F = Fraction
@@ -242,8 +250,9 @@ def test_game_strategies_certify_its_value():
     rng = random.Random(1928)
     for _ in range(400):
         matrix = _random_game(rng)
-        value, y, x = _game(matrix)
-        assert len(y) == len(matrix) and len(x) == len(matrix[0])
+        (top, bottom), y, x = _game(matrix)
+        value = F(top, bottom)
+        assert bottom > 0 and len(y) == len(matrix) and len(x) == len(matrix[0])
         assert min(y) >= 0 and min(x) >= 0 and sum(y) > 0 and sum(x) > 0
         columns = list(zip(*matrix))
         floor = min(F(sum(map(operator.mul, y, column)), sum(y)) for column in columns)
@@ -252,11 +261,11 @@ def test_game_strategies_certify_its_value():
 
 
 def test_game_examples():
-    assert _game([[3]]) == (3, [1], [1])
-    assert _game([[0, 0, 0]])[0] == 0
+    assert _game([[3]]) == ((3, 1), [1], [1])
+    assert F(*_game([[0, 0, 0]])[0]) == 0
     # matching pennies, and a taller game played as its negated transpose
-    assert _game([[1, -1], [-1, 1]])[0] == 0
-    assert _game([[4, 1], [3, 2], [0, 5]])[0] == F(5, 2)
+    assert F(*_game([[1, -1], [-1, 1]])[0]) == 0
+    assert F(*_game([[4, 1], [3, 2], [0, 5]])[0]) == F(5, 2)
 
 
 def test_diagonal_intersection_matches_ellipsoid_conversions():
@@ -374,8 +383,50 @@ def test_max_total_returns_optimal_primal_and_dual():
         matrix = [[rng.randint(0, 5) for _ in range(n)] for _ in range(m)]
         for j in range(n):
             matrix[rng.randrange(m)][j] += 1  # no zero column
-        value, primal, dual = _max_total(matrix)
-        assert sum(primal) == sum(dual) and min(primal + dual) >= 0
-        d = sum(primal) / value
+        d, primal, dual = _max_total(matrix)
+        assert d > 0 and sum(primal) == sum(dual) and min(primal + dual) >= 0
         assert all(sum(a * x for a, x in zip(row, primal)) <= d for row in matrix)
         assert all(sum(y * row[j] for y, row in zip(dual, matrix)) >= d for j in range(n))
+
+
+def _seeded_matrix(rng):
+    """A nonnegative integer matrix from 1 by 1 up to 8 by 12, tall or
+    wide, with zero entries and often a duplicate row or column; entries
+    from a small range tie many ratios."""
+    m, n = rng.choice(
+        [(1, 1), (1, rng.randint(2, 12)), (rng.randint(2, 8), 1)]
+        + [(rng.randint(1, 8), rng.randint(1, 12))] * 3
+    )
+    high = rng.choice((1, 2, 3, 9))
+    matrix = [[rng.randint(0, high) * (rng.random() < 0.7) for _ in range(n)] for _ in range(m)]
+    if m > 1 and rng.random() < 0.3:
+        matrix[rng.randrange(m)] = list(matrix[rng.randrange(m)])
+    if n > 1 and rng.random() < 0.3:
+        i, j = rng.randrange(n), rng.randrange(n)
+        for row in matrix:
+            row[i] = row[j]
+    return matrix
+
+
+def test_condensed_tableau_matches_the_full_one(monkeypatch):
+    # Bland's rule by labels takes the full tableau's pivots, so the
+    # programs give the same d, primal and dual, and the games (their
+    # entries shifted below zero, zero columns kept) the same value and
+    # strategies
+    rng = random.Random(1977)
+    programs, games = [], []
+    for _ in range(5000):
+        matrix = _seeded_matrix(rng)
+        offset = rng.randint(0, 3)
+        games.append([[a - offset for a in row] for row in matrix])
+        for j in range(len(matrix[0])):
+            if not any(row[j] for row in matrix):
+                matrix[rng.randrange(len(matrix))][j] = rng.randint(1, 3)
+        programs.append(matrix)
+    for matrix in programs:
+        assert _max_total(matrix) == reference_max_total(matrix), matrix
+    with monkeypatch.context() as patch:
+        patch.setattr(domains_module, "_max_total", reference_max_total)
+        expected = list(map(_game, games))
+    for matrix, game in zip(games, expected):
+        assert _game(matrix) == game, matrix

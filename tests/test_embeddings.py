@@ -91,6 +91,7 @@ def test_an_ellipsoid_and_its_staircase_agree():
         for _ in range(5):
             v = tuple(rng.randint(1, 6) for _ in range(n))
             assert antinorm_value(e, v) == antinorm_value(staircase, v)
+        assert "_scaled" not in vars(e)  # read off the axes, not the n-by-n rows
 
 
 def test_obstruct_cube_into_shrunk_cylinder_union():

@@ -131,6 +131,15 @@ def test_a_json_integer_past_the_digit_limit_is_a_format_error():
     assert str(info.value) == "syntax error at line 2, column 9: Expecting value"
 
 
+def test_a_deeply_nested_spec_is_a_format_error():
+    # json.loads recurses once per bracket; past the recursion limit that is
+    # a format error, not a RecursionError
+    text = '{"type":"convex","generators":' + "[" * 100_000 + "]" * 100_000 + "}"
+    with pytest.raises(DomainFormatError) as info:
+        parse_domain(text)
+    assert str(info.value).startswith("unreadable JSON: maximum recursion depth exceeded")
+
+
 def test_a_huge_dimension_is_a_format_error():
     assert parse_domain('{"type":"cube","n":1000000,"delta":"1"}') == Cube(10**6, 1)
     with pytest.raises(DomainFormatError) as info:
