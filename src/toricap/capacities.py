@@ -48,7 +48,8 @@ diagonal and the search.  Three devices use them, all exact:
   Lagrangean relaxation).  A node is cut once that mix exceeds the
   incumbent less one, the values being integers.  With m rows, a tail of
   at most 2m columns plays its own game and a wider one takes the whole
-  game's y;
+  game's y.  A row constant over a tail where another varies gets no
+  weight: its per-row floor is already exact;
 * a root stop: the whole game's bound, rounded up, is at most the
   optimum, so once the incumbent reaches it no further frame is taken;
 * a rounded incumbent: the game's column strategy times the sum, rounded
@@ -207,14 +208,19 @@ def _lowest_minimizer(
 
 
 def _tail_game(
-    rows: Sequence[Sequence[int]], sums: Sequence[int], start: int
+    rows: Sequence[Sequence[int]], sums: Sequence[int], start: int, runs: Sequence[int]
 ) -> tuple[list[int], dict[int, int]]:
     """(y, x): the optimal strategies ``_game`` gives for the rows against
-    the columns start.., x kept on its support.
+    the columns start.., x kept on its support; runs[w] is where row w's
+    last run of equal entries starts.
 
     Any y >= 0 bounds the whole tail, so a tail of more than 2m columns,
     for m rows, is played on 2m of them: each row's cheapest, then those
-    of least sum.  Every row plays.  A tail has two or more columns:
+    of least sum.  Where some row varies over the tail, a row constant
+    over it (its run starts at or before the tail) plays as a constant
+    below every entry, so it is strictly dominated and gets no weight: the
+    per-row floors already give such a row's value, and a weight on it
+    would blunt the surrogate row.  A tail has two or more columns:
     ``itemgetter`` gives tuples.
     """
     m, tail = len(rows), range(start, len(sums))
@@ -222,7 +228,12 @@ def _tail_game(
         cheapest = [min(tail, key=row.__getitem__) for row in rows]
         lowest = heapq.nsmallest(2 * m, tail, key=sums.__getitem__)
         tail = sorted(list(dict.fromkeys(cheapest + lowest))[: 2 * m])
-    _, y, x = _game(list(map(operator.itemgetter(*tail), rows)))
+    matrix = list(map(operator.itemgetter(*tail), rows))
+    flat = [run <= start for run in runs]
+    if any(flat) and not all(flat):
+        low = (min(map(min, matrix)) - 1,) * len(tail)
+        matrix = [low if f else row for row, f in zip(matrix, flat)]
+    _, y, x = _game(matrix)
     return y, {j: xj for j, xj in zip(tail, x) if xj}
 
 
@@ -268,18 +279,24 @@ class _Search:
         rows, cols, n, m = self.rows, self.cols, self.n, len(self.rows)
         sums = [sum(col) for col in cols]
         tails = [list(accumulate(reversed(row), min))[::-1] for row in rows]  # min(row[i:])
+        runs = []  # the start of each row's last run of equal entries
+        for row in rows:
+            i = n - 1
+            while i and row[i - 1] == row[i]:
+                i -= 1
+            runs.append(i)
         if n <= 2 * m:
             _, y, x = self.domain._region_game
             x = {j: xj for j, xj in enumerate(x) if xj}
         else:
-            y, x = _tail_game(rows, sums, 0)
+            y, x = _tail_game(rows, sums, 0, runs)
         mixed = [sum(map(operator.mul, y, col)) for col in cols]
         least = list(accumulate(reversed(mixed), min))[::-1]
         levels = []
         for start in range(1, n - 1):  # the tail's first column
             weights, step, low = y, mixed[start - 1], least[start]
             if n - start <= 2 * m:  # a narrow tail plays its own game
-                weights, _ = _tail_game(rows, sums, start)
+                weights, _ = _tail_game(rows, sums, start, runs)
                 step, *rest = [sum(map(operator.mul, weights, col)) for col in cols[start - 1 :]]
                 low = min(rest)
             mins = [t[start] for t in tails]

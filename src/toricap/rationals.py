@@ -98,8 +98,8 @@ def format_rational(x: ExtendedRational, denom: int = 1) -> str:
         return str(x // g) if g == denom else f"{x // g}/{denom // g}"
     if type(denom) is not int or denom != 1:
         raise _bad_denom(denom)
-    if isinstance(x, float):
-        to_rational(x, allow_infinite=True)  # rejects every float but math.inf
+    if isinstance(x, (bool, float)):
+        to_rational(x, allow_infinite=True)  # rejects a bool and every float but math.inf
         return "inf"
     return str(x)
 
@@ -135,8 +135,8 @@ def decimal_string(x: ExtendedRational, digits: int = 20, denom: int = 1) -> str
         return ctx.to_sci_string(ctx.divide(x, denom))
     if type(denom) is not int or denom != 1:
         raise _bad_denom(denom)
-    if isinstance(x, float):
-        to_rational(x, allow_infinite=True)  # rejects every float but math.inf
+    if isinstance(x, (bool, float)):
+        to_rational(x, allow_infinite=True)  # rejects a bool and every float but math.inf
         return "inf"
     # Context.divide converts the integer operands exactly
     return ctx.to_sci_string(ctx.divide(*x.as_integer_ratio()))

@@ -848,9 +848,11 @@ def test_search_stops_at_the_root_bound(monkeypatch):
 
 
 # Seconds allowed for c_60 of the unit staircase in n = 12, measured at about
-# 2 ms on a 2-core x86 machine with Python 3.11.  Every tail game there puts
-# its weight on the row that is zero over its tail, so the surrogate rows cut
-# nothing, and without the root stop the per-row floors took about 40 s.
+# 4 ms on a 2-core x86 machine with Python 3.11.  The root game's bound is
+# tight there, so the root stop ends the search.  The surrogate rows end it
+# too: the tail games leave out the rows that are zero over their tail, and
+# without the root stop it also takes about 4 ms (about 40 s while a tail
+# game could weight those rows).
 TIED_STAIRCASE_SECONDS = 2.0
 
 
@@ -861,6 +863,45 @@ def test_root_stop_ends_a_tied_search_in_high_dimension():
     elapsed = time.perf_counter() - start
     assert elapsed < TIED_STAIRCASE_SECONDS, f"{elapsed:.2f} s"
     assert (result.value, result.witness) == (5, (5,) * 11 + (16,))
+
+
+# Seconds allowed for c_60 of each tied staircase of TIED_STAIRCASES, measured
+# at 4-10 ms on a 2-core x86 machine with Python 3.11 (about 10 s each while
+# a tail game could weight a row constant over its tail).
+TIED_CUTS_SECONDS = 1.0
+
+# Staircases with tied axes whose root bound is not tight, so only the
+# per-level cuts end their searches: (axes, c_60's witness).
+TIED_STAIRCASES = [
+    ((2,) * 6 + (3,) * 6, (6, 6, 6, 6, 6, 6, 4, 4, 4, 4, 4, 15)),
+    ((1,) * 6 + (F(5, 4),) * 6, (6, 6, 6, 6, 6, 6, 5, 5, 5, 5, 5, 10)),
+]
+
+
+@pytest.mark.parametrize("axes, witness", TIED_STAIRCASES)
+def test_tail_cuts_end_a_tied_search_in_high_dimension(axes, witness):
+    domain = Ellipsoid(axes).to_concave()
+    start = time.perf_counter()
+    result = capacity_at(domain, 60)
+    elapsed = time.perf_counter() - start
+    assert elapsed < TIED_CUTS_SECONDS, f"{elapsed:.2f} s"
+    assert (result.value, result.witness) == (capacity_at(Ellipsoid(axes), 60).value, witness)
+
+
+def test_tail_games_leave_out_rows_constant_over_the_tail():
+    for axes, _ in TIED_STAIRCASES + [((1,) * 12, None)]:
+        search = capacities_module._Search(Ellipsoid(axes).to_concave())
+        rows, n, m = search.rows, search.n, len(search.rows)
+        sums = [sum(col) for col in search.cols]
+        runs = [min(i for i in range(n) if len(set(row[i:])) == 1) for row in rows]
+        for start in range(max(1, n - 2 * m), n - 1):
+            flat = [len(set(row[start:])) == 1 for row in rows]
+            assert any(flat) and not all(flat)
+            y, _ = capacities_module._tail_game(rows, sums, start, runs)
+            assert all(yw == 0 for yw, f in zip(y, flat) if f), (axes, start, y)
+    rows = [(1, 1, 1), (2, 2, 2)]  # every row constant: the game plays as it stands
+    y, _ = capacities_module._tail_game(rows, [3, 3, 3], 0, [0, 0])
+    assert y == domains_module._game(rows)[1]
 
 
 def test_non_domains_are_rejected():

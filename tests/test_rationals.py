@@ -39,8 +39,10 @@ def test_decimal_and_malformed_strings_rejected(bad):
 def test_floats_and_bools_rejected():
     with pytest.raises(TypeError):
         to_rational(0.5)
-    with pytest.raises(TypeError):
-        to_rational(True)
+    for convert in (to_rational, format_rational, decimal_string):
+        for x in (True, False):
+            with pytest.raises(TypeError, match="booleans are not rationals"):
+                convert(x)
 
 
 def test_format_rational():

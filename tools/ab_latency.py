@@ -6,10 +6,10 @@ PARENT_SRC and CHANGE_SRC are ``src`` directories, each holding a
 ``toricap`` package.  Both are loaded into this one process, under the
 package names ``toricap_parent`` and ``toricap_change``, and run the
 requests of one benchmark workload at SEED, read from
-``bench/workloads.build`` as ``tools/same_output.py`` reads them (the
-bench files are only read): a CLI request through ``cli.run``, a library
-``product`` request through ``load_domain``, ``capacity_sequence`` and
-``product_capacities``, as ``bench/run.py`` runs them.
+``bench/workloads.build`` (the bench files are only read): a CLI request
+through ``cli.run``, a library ``product`` request through
+``load_domain``, ``capacity_sequence`` and ``product_capacities``, as
+``bench/run.py`` runs them.  ``tools/same_output.py`` runs trees the same way.
 
 Every request first runs once on each tree, and their outputs (exit code,
 stdout and stderr, or the product's values) must be identical; the script
@@ -42,7 +42,11 @@ NAMES = ("toricap_parent", "toricap_change")
 
 def load_tree(src: str, name: str):
     """The ``toricap`` package of ``src``, imported as ``name`` with its
-    submodules; its relative imports keep it apart from the other tree."""
+    submodules; its relative imports keep it apart from the other tree.
+    Any ``name`` or ``name.*`` module loaded before is dropped first, so a
+    name can be loaded again in one process."""
+    for module in [m for m in sys.modules if m.split(".")[0] == name]:
+        del sys.modules[module]
     path = Path(src) / "toricap"
     spec = importlib.util.spec_from_file_location(
         name, path / "__init__.py", submodule_search_locations=[str(path)]
@@ -54,17 +58,26 @@ def load_tree(src: str, name: str):
     return package
 
 
+def run_cli(package, argv: list[str]) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of one CLI request on one tree.  An
+    exception out of ``cli.run`` is raised again naming the tree and argv."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = package.cli.run(argv)
+    except Exception as exc:
+        raise RuntimeError(f"{package.__name__} ({package.__path__[0]}) raised on {argv}") from exc
+    return code, out.getvalue(), err.getvalue()
+
+
 def call(package, request) -> object:
-    """One request on one tree: (code, stdout, stderr) of a CLI request,
-    the product's values of a library one."""
+    """One request on one tree: ``run_cli`` of a CLI request, the
+    product's values of a library one."""
     if request.argv is None:
         left, right = (package.load_domain(p) for p in request.paths)
         seqs = [package.capacity_sequence(d, request.kmax) for d in (left, right)]
         return package.product_capacities(*seqs, request.kmax).raw_values()
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = package.cli.run(request.argv)
-    return code, out.getvalue(), err.getvalue()
+    return run_cli(package, request.argv)
 
 
 def requests_of(workload: str, seed: int, spec_dir: str) -> list:

@@ -5,8 +5,8 @@
 PARENT_SRC and CHANGE_SRC are ``src`` directories, each holding a
 ``toricap`` package.  The argv compared are:
 
-* every CLI request of the benchmark's three workloads at SEED, from
-  ``bench/workloads.build`` (which also works out each request's expected
+* every CLI request at SEED of the workloads ``BENCHMARK.json`` names, from
+  ``ab_latency.requests_of`` (which also works out each request's expected
   answer, some seconds of reference work; the bench files are only read);
 * each ``caps`` request again with ``--oracle``, at K = min(K, 20);
 * the golden cases of ``tests/test_golden.py``;
@@ -15,11 +15,12 @@ PARENT_SRC and CHANGE_SRC are ``src`` directories, each holding a
   JSON integer past Python's digit limit, a missing file and ``gromov`` on
   hulls;
 
-each in all three formats.  One child process per tree, with ``PYTHONPATH``
-set to that tree, runs every argv through ``toricap.cli.run``.  Their exit
-codes, stdout and stderr must agree.  The script prints the counts and
-every argv that differs, with both trees' stderr where that differs, and
-exits 1 if any does.  Standard library only.
+each in all three formats.  Both trees are loaded into this one process,
+with no child process, as ``tools/ab_latency.py`` loads them, and each argv
+runs on both in turn; their exit codes, stdout and stderr must agree.  The
+script prints the counts and every argv that differs, with both trees'
+stderr where that differs, and exits 1 if any does; an exception out of
+``cli.run`` stops it, naming the tree and the argv.  Standard library only.
 """
 
 from __future__ import annotations
@@ -27,50 +28,25 @@ from __future__ import annotations
 import ast
 import json
 import os
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))  # for ab_latency, however loaded
+from ab_latency import NAMES, load_tree, requests_of, run_cli  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 FORMATS = ("table", "csv", "json")
 ORACLE_KMAX = 20
 
-# Run each argv of the JSON list on stdin; print [code, stdout, stderr] per argv.
-CHILD = """
-import contextlib, io, json, sys
-from toricap.cli import run
-results = []
-for argv in json.load(sys.stdin):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = run(argv)
-    results.append([code, out.getvalue(), err.getvalue()])
-json.dump(results, sys.stdout)
-"""
-
-
-def run_all(src: str, argvs: list[list[str]]) -> list[list]:
-    """[exit code, stdout, stderr] of each argv, run by one child on ``src``."""
-    env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run(
-        [sys.executable, "-B", "-c", CHILD],
-        input=json.dumps(argvs),
-        env=env,
-        capture_output=True,
-        text=True,
-        check=False,
-    )
-    if proc.returncode:
-        raise RuntimeError(f"child on {src} failed:\n{proc.stderr}")
-    return json.loads(proc.stdout)
-
 
 def differences(parent_src: str, change_src: str, argvs: list[list[str]]) -> list[tuple]:
     """(argv, parent's result, change's result) for each argv whose exit
-    code, stdout or stderr differ between the trees."""
-    parent, change = run_all(parent_src, argvs), run_all(change_src, argvs)
-    return [(argv, a, b) for argv, a, b in zip(argvs, parent, change) if a != b]
+    code, stdout or stderr differ between the trees, argv by argv, so only
+    the differing results are kept."""
+    trees = [load_tree(src, name) for src, name in zip((parent_src, change_src), NAMES)]
+    results = ((argv, *(run_cli(tree, argv) for tree in trees)) for argv in argvs)
+    return [(argv, a, b) for argv, a, b in results if a != b]
 
 
 def compare(parent_src: str, change_src: str, argvs: list[list[str]]) -> list[list[str]]:
@@ -143,14 +119,11 @@ def error_argvs(spec_dir: str) -> list[list[str]]:
 def workload_argvs(seed: int, spec_dir: str) -> list[list[str]]:
     """Every CLI request of the three workloads, then each caps one with
     ``--oracle``."""
-    sys.path.insert(0, str(ROOT / "bench"))
-    sys.dont_write_bytecode = True  # leave bench/ as it is
-    import workloads
-
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     argvs = [
         request.argv
-        for name in workloads.WORKLOADS
-        for request in workloads.build(name, seed, os.path.join(spec_dir, name))
+        for name in (workload["name"] for workload in benchmark["workloads"])
+        for request in requests_of(name, seed, os.path.join(spec_dir, name))
         if request.argv is not None
     ]
     return argvs + [_with_oracle(argv) for argv in argvs if argv[0] == "caps"]
