@@ -1,7 +1,10 @@
-"""The library imports nothing outside the standard library.
+"""The library and the tools import nothing outside the standard library.
 
 sympy and hypothesis serve the tests only; ``pyproject.toml`` lists no
-runtime dependency, and this test keeps ``src/toricap`` to that.
+runtime dependency, and this test keeps ``src/toricap`` to that.  A tool
+may also import the bench modules named in ``BENCH_MODULES``, which it
+reads from ``bench/``: ``tools/ab.py`` builds the workloads' requests with
+``bench/workloads.py``, whose expected answers need sympy for the diagonal.
 """
 
 from __future__ import annotations
@@ -12,7 +15,9 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).parent.parent / "src" / "toricap").glob("*.py"))
+ROOT = Path(__file__).parent.parent
+SOURCES = sorted([*(ROOT / "src" / "toricap").glob("*.py"), *(ROOT / "tools").glob("*.py")])
+BENCH_MODULES = {"workloads"}
 
 
 def absolute_imports(tree: ast.AST) -> list[str]:
@@ -27,13 +32,16 @@ def absolute_imports(tree: ast.AST) -> list[str]:
 
 
 def test_sources_are_found():
-    assert {path.name for path in SOURCES} >= {"__init__.py", "capacities.py", "domains.py"}
+    names = {path.name for path in SOURCES}
+    assert names >= {"__init__.py", "capacities.py", "domains.py", "ab.py"}
+    assert all((ROOT / "bench" / f"{name}.py").is_file() for name in BENCH_MODULES)
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_imports_only_the_standard_library(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    outside = [name for name in absolute_imports(tree) if name not in sys.stdlib_module_names]
+    allowed = sys.stdlib_module_names | (BENCH_MODULES if path.parent.name == "tools" else set())
+    outside = [name for name in absolute_imports(tree) if name not in allowed]
     assert outside == [], f"{path.name} imports {outside}"
 
 
