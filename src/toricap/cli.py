@@ -14,10 +14,11 @@ Every subcommand has one report path.  Its ``_cmd_*`` function computes
 the values, formats each once (``format_rational``, ``decimal_string``) and
 returns three builders over those strings: the table text, the CSV rows and
 the JSON text, with a flag for an oracle mismatch.  ``_render`` alone
-reads the requested format and runs only that builder.  Each table and each
-JSON list of rows is written from one row template, built once per report
-and filled once per row; all JSON text comes from the one ``_json`` helper,
-which encodes each column by the type of its values.  ``caps`` works a
+reads the requested format and runs only that builder.  CSV rows are
+joined by ``,``, as no field needs quoting.  Tables and JSON are written
+from a report's columns, each row filled into one template; all JSON text
+comes from the one ``_json`` helper, which encodes each column by the type
+of its values, an all-``None`` column at once.  ``caps`` works a
 column at a time on the sequence engine's integers over one denominator:
 ``format_rational(value, denom)`` and ``decimal_string(value, 20, denom)``
 fill one list each, with no record or ``Fraction`` per row, and the branch
@@ -31,15 +32,14 @@ mismatch under ``--oracle``), 2 usage error.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import sys
 from decimal import Context
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
+from typing import Iterable
 
 from .capacities import _scaled_sequence
 from .domains import Staircase, ToricDomain
@@ -132,11 +132,12 @@ def _approx(value: Fraction) -> str:
     return f"{mantissa.rstrip('0').rstrip('.')}e{exponent}"
 
 
-def _format_table(rows: list[list[str]]) -> str:
-    """``rows`` (header first) in left-aligned columns two spaces apart, from one row template."""
-    widths = [max(map(len, column)) for column in zip(*rows)]
+def _format_table(header: list[str], columns: list[list[str]]) -> str:
+    """``header`` over ``columns``, left-aligned two spaces apart: each width
+    is read off its column, and each row fills one row template."""
+    widths = [max(len(name), *map(len, column)) for name, column in zip(header, columns)]
     line = "  ".join(f"%-{w}s" for w in widths)
-    return "".join((line % tuple(row)).rstrip() + "\n" for row in rows)
+    return "".join((line % row).rstrip() + "\n" for row in chain([tuple(header)], zip(*columns)))
 
 
 def _json_value(value) -> str:
@@ -149,10 +150,13 @@ def _json_value(value) -> str:
     return "null" if value is None else str(value)
 
 
-def _json_column(column) -> map:
-    """The JSON text of each value in ``column``: an all-str or all-int
-    column is encoded by one C function, any other by ``_json_value``."""
+def _json_column(column) -> Iterable[str]:
+    """The JSON text of each value in ``column``: an all-None column is
+    ``"null"`` throughout, an all-str or all-int column is encoded by one C
+    function, any other by ``_json_value``."""
     types = set(map(type, column))
+    if types == {type(None)}:
+        return repeat("null", len(column))
     encode = encode_basestring_ascii if types == {str} else str if types == {int} else _json_value
     return map(encode, column)
 
@@ -172,13 +176,12 @@ def _json(head: dict, key=None, fields=(), columns=()) -> str:
 
 def _render(args, table, csv_rows, json_text) -> str:
     """The report in ``args.format``: the rows ``csv_rows()`` returns (header
-    first) as CSV, or the text ``table()`` or ``json_text()`` returns, each
-    filled from one row template (``_format_table``, ``_json``).  Only the
-    requested builder runs."""
+    first) joined by ``,`` and ``\\n``, or the text ``table()`` or
+    ``json_text()`` returns.  Only the requested builder runs.  No CSV field
+    needs quoting: each is an integer, a ``p/q`` rational, a decimal,
+    ``;``-joined integers, a branch label or 0/1."""
     if args.format == "csv":
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(csv_rows())
-        return buf.getvalue()
+        return "\n".join(map(",".join, csv_rows())) + "\n"
     return table() if args.format == "table" else json_text()
 
 
@@ -197,65 +200,55 @@ def _cmd_caps(args) -> tuple[tuple, bool]:
     rationals = list(map(format_rational, values, repeat(denom)))
     decimals = list(map(decimal_string, values, repeat(20), repeat(denom)))
     labels = [branch.value] * kmax
-    witnesses = witnesses or [None] * kmax
     mismatch = args.oracle and expected != list(map(Fraction, values, repeat(denom)))
 
-    def rows():
-        joined = ["" if w is None else ";".join(map(str, w)) for w in witnesses]
-        return [header, *zip(map(str, ks), rationals, decimals, joined, labels, *oracle)]
+    def columns():
+        joined = [""] * kmax if witnesses is None else [";".join(map(str, w)) for w in witnesses]
+        return [list(map(str, ks)), rationals, decimals, joined, labels, *oracle]
 
     def json_text():
         return _json(
             {"domain": domain_to_jsonable(domain), "kmax": kmax},
             "capacities",
             ("k", "value", "decimal", "witness", "branch", "oracle")[: len(header)],
-            (ks, rationals, decimals, witnesses, labels, *oracle),
+            (ks, rationals, decimals, witnesses or [None] * kmax, labels, *oracle),
         )
 
-    return (lambda: f"domain: {domain}\n" + _format_table(rows()), rows, json_text), mismatch
+    return (lambda: f"domain: {domain}\n" + _format_table(header, columns()),
+            lambda: chain((header,), zip(*columns())), json_text), mismatch
 
 
 def _cmd_obstruct(args) -> tuple[tuple, bool]:
     source = load_domain(args.source)
     target = load_domain(args.target)
     report = obstruct(source, target, args.kmax)
-    rows = [(k, format_rational(a), format_rational(b), a > b) for k, a, b in report.rows]
-
-    def table():
-        verdict = (
-            f"violation at k={report.first_violation}"
-            if report.first_violation is not None
-            else f"no violation up to k={report.kmax}"
-        )
-        return (
-            f"source: {source}\ntarget: {target}\n"
-            + _format_table(
-                [["k", "c_k(source)", "c_k(target)", "violates"]]
-                + [[str(k), a, b, "yes" if v else ""] for k, a, b, v in rows]
-            )
-            + verdict
-            + "\n"
-        )
-
+    ks, sources, targets = zip(*report.rows)
+    columns = [list(map(str, ks)), *([*map(format_rational, side)] for side in (sources, targets))]
+    # c_k(source) > c_k(target) on the integers of the lowest terms
+    over = [a.numerator * b.denominator > b.numerator * a.denominator
+            for a, b in zip(sources, targets)]
+    first = report.first_violation
+    verdict = f"no violation up to k={report.kmax}" if first is None else f"violation at k={first}"
     return (
-        table,
-        lambda: [["k", "source_rational", "target_rational", "violation"]]
-        + [[str(k), a, b, "1" if v else "0"] for k, a, b, v in rows],
+        lambda: f"source: {source}\ntarget: {target}\n" + _format_table(
+            ["k", "c_k(source)", "c_k(target)", "violates"],
+            [*columns, [("", "yes")[v] for v in over]],
+        ) + verdict + "\n",
+        lambda: [["k", "source_rational", "target_rational", "violation"],
+                 *zip(*columns, [("0", "1")[v] for v in over])],
         lambda: _json({
             "source": domain_to_jsonable(source),
             "target": domain_to_jsonable(target),
             "kmax": report.kmax,
-            "first_violation": report.first_violation,
-        }, "rows", ("k", "source", "target"), [*zip(*rows)][:3]),
+            "first_violation": first,
+        }, "rows", ("k", "source", "target"), (ks, *columns[1:])),
     ), False
 
 
 def _cmd_slope(args) -> tuple[tuple, bool]:
     domain = load_domain(args.domain)
     report = asymptotic_slope(domain, args.kmax)
-    estimate, exact, lower, upper = (
-        format_rational(x) for x in (report.estimate, report.exact, report.lower, report.upper)
-    )
+    estimate, exact, lower, upper = map(format_rational, report)
     return (
         lambda: (
             f"domain: {domain}\n"

@@ -9,7 +9,8 @@
   or an ellipsoid): the anti-norm at (1, ..., 1);
 * pairwise obstruction reports: capacities are monotone under symplectic
   embeddings, so c_k(source) > c_k(target) at any k rules the embedding
-  out (no conclusion in the other direction);
+  out (no conclusion in the other direction); the two sequences are
+  compared as integers over their two denominators, without a ``Fraction``;
 * asymptotic slope: c_k/k converges to the cube capacity, reported with
   the finite-k bracket that forces the convergence;
 * Lagrangian capacity lower bound: the cube capacity again, since the
@@ -19,9 +20,10 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count, repeat
 from typing import NamedTuple, Optional
 
-from .capacities import capacity_at, capacity_sequence
+from .capacities import _scaled_sequence, capacity_at
 from .domains import Staircase, ToricDomain, antinorm_value, diagonal_intersection
 from .errors import DimensionMismatch
 from .rationals import positive_int
@@ -61,16 +63,17 @@ def gromov_width(domain: Staircase) -> Fraction:
 
 
 def obstruct(source: ToricDomain, target: ToricDomain, kmax: int) -> ObstructionReport:
-    """Test the capacity inequalities c_k(source) <= c_k(target) for k <= kmax."""
+    """Test the capacity inequalities c_k(source) <= c_k(target) for k <= kmax:
+    a * d_t <= b * d_s on the engine's integers a / d_s and b / d_t."""
     if source.n != target.n:
         raise DimensionMismatch(
             f"cannot compare domains of dimension {source.n} and {target.n}"
         )
-    src = capacity_sequence(source, kmax).raw_values()
-    tgt = capacity_sequence(target, kmax).raw_values()
-    rows = tuple(zip(range(1, kmax + 1), src, tgt))
-    first = next((k for k, a, b in rows if a > b), None)
-    return ObstructionReport(kmax=kmax, first_violation=first, rows=rows)
+    d_s, src = _scaled_sequence(source, kmax)[:2]
+    d_t, tgt = _scaled_sequence(target, kmax)[:2]
+    first = next((k for k, a, b in zip(count(1), src, tgt) if a * d_t > b * d_s), None)
+    sides = (map(Fraction, src, repeat(d_s)), map(Fraction, tgt, repeat(d_t)))
+    return ObstructionReport(kmax, first, tuple(zip(count(1), *sides)))
 
 
 def asymptotic_slope(domain: ToricDomain, kmax: int) -> SlopeReport:

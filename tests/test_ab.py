@@ -132,6 +132,27 @@ def test_compare_finds_an_edited_error_prefix(tmp_path):
         assert (code, out) == (edited_code, edited_out) and err != edited_err
 
 
+def test_the_oracle_is_memoized_only_while_compared(tmp_path):
+    """The three formats of an ``--oracle`` argv ask each tree's oracle
+    each k once, and each tree has its own oracle back afterwards."""
+    tool = _tool()
+    spec = tmp_path / "e.json"
+    spec.write_text('{"type": "ellipsoid", "a": ["1", "3/2"]}', encoding="utf-8")
+    argvs = tool._in_every_format(["caps", "-d", str(spec), "-k", "5", "--oracle"])
+    trees = _trees(tool, SRC, SRC)
+    asked, counting = [], []
+    for tree in trees:
+        def count(domain, k, cap, oracle=tree.cli.brute_capacity, name=tree.__name__):
+            asked.append((name, k))
+            return oracle(domain, k, cap)
+
+        tree.cli.brute_capacity = count
+        counting.append(count)
+    assert tool.compare(trees, argvs) == []
+    assert sorted(asked) == sorted((name, k) for name in tool.NAMES for k in range(1, 6))
+    assert [tree.cli.brute_capacity for tree in trees] == counting
+
+
 def test_an_exception_names_the_tree_and_the_argv(tmp_path):
     tool = _tool()
     argv = tool.golden_cases()["cube_polydisk"]

@@ -14,12 +14,17 @@ from toricap import (
     Polydisk,
     antinorm_value,
     asymptotic_slope,
+    capacity_at,
     capacity_sequence,
     cube_capacity,
     gromov_width,
     lagrangian_lower_bound,
     obstruct,
+    render_domain,
+    scale_domain,
 )
+from toricap.capacities import _scaled_sequence
+from toricap.cli import run
 from helpers import grow_concave, grow_convex, random_concave, random_convex, random_point
 
 F = Fraction
@@ -115,6 +120,82 @@ def test_obstruct_monotone_containment_never_violates():
         assert obstruct(d, grow_convex(rng, d), 10).first_violation is None
         c = random_concave(rng, max_n=3, max_points=4)
         assert obstruct(c, grow_concave(rng, c), 10).first_violation is None
+
+
+# Values on a grid of halves, so that capacities tie across kinds whose
+# sequences the engine scales onto different denominators.
+HALVES = (F(1, 2), F(1), F(3, 2), F(2), F(3))
+
+
+def _obstruct_domain(rng: random.Random, n: int):
+    """A closed-form kind with values in HALVES, or one time in five a
+    searched kind."""
+    kind = rng.randrange(4) if rng.random() < 0.8 else rng.randrange(4, 6)
+    if kind == 0:
+        axes = [rng.choice(HALVES) for _ in range(n)]
+        if n > 1 and rng.random() < 0.3:
+            axes[rng.randrange(n)] = "inf"
+        return Ellipsoid(axes)
+    if kind == 1:
+        return Polydisk([rng.choice(HALVES) for _ in range(n)])
+    if kind in (2, 3):
+        return (Cube, CylinderUnion)[kind - 2](n, rng.choice(HALVES))
+    search = (random_convex, random_concave)[kind - 4]
+    return search(rng, n=n, max_points=3)
+
+
+def _obstruct_corpus() -> list:
+    """(source, target, kmax): the tie at c_1 = 1 of E(1, 3/2), over
+    denominator 2, and the cube of side 1, over 1, in both directions; then
+    seeded pairs of every kind, K up to 30 (8 where a side is searched),
+    half of them with the target scaled to tie with the source at k = 1."""
+    pairs = [(Ellipsoid((1, F(3, 2))), Cube(2, 1), 6), (Cube(2, 1), Ellipsoid((1, F(3, 2))), 6)]
+    rng = random.Random(2207)
+    for _ in range(100):
+        n = rng.randint(1, 3)
+        source, target = _obstruct_domain(rng, n), _obstruct_domain(rng, n)
+        if rng.random() < 0.5:  # scaled to tie with the source at k = 1
+            ratio = capacity_at(source, 1).value / capacity_at(target, 1).value
+            target = scale_domain(target, ratio)
+        searched = {type(source), type(target)} & {ConvexToricDomain, ConcaveToricDomain}
+        pairs.append((source, target, rng.randint(1, 8 if searched else 30)))
+    return pairs
+
+
+OBSTRUCT_CORPUS = _obstruct_corpus()
+
+
+def test_obstruct_on_integers_is_the_records_comparison(tmp_path, capsys):
+    # the reference: both sides' records as Fractions, compared per k
+    for i, (source, target, kmax) in enumerate(OBSTRUCT_CORPUS):
+        src = capacity_sequence(source, kmax).raw_values()
+        tgt = capacity_sequence(target, kmax).raw_values()
+        rows = tuple(zip(range(1, kmax + 1), src, tgt))
+        violations = [a > b for _, a, b in rows]
+        first = violations.index(True) + 1 if True in violations else None
+        report = obstruct(source, target, kmax)
+        assert (report.first_violation, report.rows) == (first, rows), (source, target)
+        paths = []
+        for side, domain in (("s", source), ("t", target)):
+            paths.append(tmp_path / f"{i}{side}.json")
+            paths[-1].write_text(render_domain(domain), encoding="utf-8")
+        argv = ["obstruct", "--source", str(paths[0]), "--target", str(paths[1]),
+                "--kmax", str(kmax), "--format", "csv"]
+        assert run(argv) == 0
+        column = [line.split(",")[3] for line in capsys.readouterr().out.splitlines()[1:]]
+        assert column == ["1" if v else "0" for v in violations], (source, target)
+
+
+def test_obstruct_corpus_ties_across_denominators_and_violates():
+    ties = firsts = 0
+    for source, target, kmax in OBSTRUCT_CORPUS:
+        d_s, d_t = _scaled_sequence(source, kmax)[0], _scaled_sequence(target, kmax)[0]
+        report = obstruct(source, target, kmax)
+        ties += d_s != d_t and any(a == b for _, a, b in report.rows)
+        firsts += report.first_violation is not None
+    assert ties >= 10 and 10 <= firsts <= len(OBSTRUCT_CORPUS) - 10
+    assert obstruct(*OBSTRUCT_CORPUS[0]).first_violation is None
+    assert obstruct(*OBSTRUCT_CORPUS[1]).first_violation == 2
 
 
 def test_obstruct_dimension_mismatch():

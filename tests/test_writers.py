@@ -1,9 +1,11 @@
-"""The table and JSON writers against slow references.
+"""The table, CSV and JSON writers against slow references.
 
-``cli._format_table`` fills one line template per table, and ``cli._json``
+``cli._format_table`` fills one line template per table from its columns,
+``cli._render`` joins each CSV row's fields by commas, and ``cli._json``
 writes each list of row objects from one template.  Every golden case and a
 seeded corpus of CLI requests is checked against the slow formulas those
-writers must match byte for byte: the per-cell ``ljust`` join for tables,
+writers must match byte for byte: the per-cell ``ljust`` join of the rows
+for tables, ``csv.writer`` of the rows ``csv.reader`` parses back for CSV,
 and ``json.dumps(..., indent=2)`` of the parsed output for JSON.
 """
 
@@ -130,8 +132,17 @@ def test_json_is_what_json_dumps_prints(request_argv, capsys):
 
 def test_table_is_the_ljust_join(request_argv, capsys, monkeypatch):
     out = _run(request_argv + ["--format", "table"], capsys)
-    monkeypatch.setattr(cli, "_format_table", reference_table)
+    monkeypatch.setattr(
+        cli, "_format_table", lambda header, columns: reference_table([header, *zip(*columns)])
+    )
     assert out == _run(request_argv + ["--format", "table"], capsys)
+
+
+def test_csv_is_what_csv_writer_writes(request_argv, capsys):
+    out = _run(request_argv + ["--format", "csv"], capsys)
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(csv.reader(io.StringIO(out)))
+    assert out == buf.getvalue()
 
 
 def test_corpus_covers_both_obstruct_outcomes():

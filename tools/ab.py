@@ -20,14 +20,16 @@ below runs on both in turn through ``call``; their answers must be equal.
 
 The script prints the counts and every request that differs, with both
 trees' stderr where that differs, and exits 1 if any does; an exception
-out of a tree stops it, naming the tree and the request.  Only when
-WORKLOAD is named and nothing differs does it time that workload's
-requests: each runs REPEATS times on each tree, the trees alternating
-request by request and taking turns to go first, so a drift in the
-machine's speed falls on both alike.  It then prints the p50 and p90 over
-requests of each request's median time, the sum of those medians, and
-that sum per command and domain kind, each with the change's ratio to
-the parent.  Bad arguments exit 2 with the usage line.
+out of a tree stops it, naming the tree and the request.  While the
+answers are compared, each tree's brute-force oracle is memoized, as the
+three formats of an ``--oracle`` argv ask it the same values; it is
+restored before any timing.  Only when WORKLOAD is named and nothing
+differs does it time that workload's requests: each runs REPEATS times on
+each tree, the trees alternating request by request and taking turns to
+go first, so a drift in the machine's speed falls on both alike.  It then
+prints the p50 and p90 over requests of each request's median time, the
+sum of those medians, and that sum per command and domain kind, each with
+the change's ratio to the parent.  Bad arguments exit 2 with the usage line.
 
 The script's own imports are the standard library's.  The workloads'
 expected answers come from ``bench/reference.py``, which solves the
@@ -39,6 +41,7 @@ from __future__ import annotations
 import argparse
 import ast
 import contextlib
+import functools
 import importlib.util
 import io
 import json
@@ -179,11 +182,28 @@ def call(tree, request) -> object:
         raise RuntimeError(f"{where} raised on {label(request)}") from exc
 
 
+@contextlib.contextmanager
+def memoized_oracle(trees: tuple):
+    """Each tree's ``cli.brute_capacity`` memoized while the block runs and
+    restored after it: the oracle is pure in (domain, k, cap), and each
+    ``--oracle`` argv asks it the same questions in all three formats."""
+    oracles = [tree.cli.brute_capacity for tree in trees]
+    for tree, oracle in zip(trees, oracles):
+        tree.cli.brute_capacity = functools.cache(oracle)
+    try:
+        yield
+    finally:
+        for tree, oracle in zip(trees, oracles):
+            tree.cli.brute_capacity = oracle
+
+
 def compare(trees: tuple, requests: list) -> list[tuple]:
     """(request, parent's answer, change's answer) for each request whose
-    answers differ, request by request, so only those are kept."""
-    answers = ((request, *(call(tree, request) for tree in trees)) for request in requests)
-    return [(request, a, b) for request, a, b in answers if a != b]
+    answers differ, request by request, so only those are kept.  Each
+    tree's oracle is memoized meanwhile (``memoized_oracle``)."""
+    with memoized_oracle(trees):
+        answers = ((request, *(call(tree, request) for tree in trees)) for request in requests)
+        return [(request, a, b) for request, a, b in answers if a != b]
 
 
 def golden_cases() -> dict[str, list[str]]:
