@@ -68,8 +68,12 @@ a progression, or ``capacity_at`` per k with the values scaled onto one
 denominator.  ``capacity_sequence`` builds its records from it, and the CLI
 formats its integers directly.  The product combinator takes its min-plus
 convolution on the factors' values scaled to integers over one common
-denominator, and builds its records with the same helper.  Every sequence
-passes one check, on its integers, that it is nondecreasing.
+denominator, and builds its records with the same helper.  When either
+factor, with its c_0 = 0, is convex (a polydisk or a cube), the least
+minimizer of c_i + c'_(k-i) never decreases with k, so a divide and
+conquer over k reads O(K log K) pairs; any other pair of factors reads all
+O(K^2).  Every sequence passes one check, on its integers, that it is
+nondecreasing.
 """
 
 from __future__ import annotations
@@ -548,14 +552,56 @@ def capacity_sequence(domain: ToricDomain, kmax: int) -> CapacitySequence:
     return CapacitySequence(domain=domain, values=_records(*_scaled_sequence(domain, kmax)))
 
 
+def _convex(values: Sequence[int]) -> bool:
+    """Whether the steps values[i + 1] - values[i] never decrease."""
+    steps = list(map(operator.sub, values[1:], values[:-1]))
+    return all(map(operator.le, steps, steps[1:]))
+
+
+def _min_plus(li: Sequence[int], ri: Sequence[int], kmax: int) -> list[int]:
+    """min over i + j = k of li[i] + ri[j], for k = 1 .. kmax, from
+    li[0 .. kmax] and ri[0 .. kmax].
+
+    When a factor a is convex, the matrix M[k][j] = a[k - j] + b[j] of the
+    other factor b is Monge: M[k][j] + M[k + 1][j + 1] <= M[k][j + 1] +
+    M[k + 1][j] is a's convexity at k - j.  So the least minimizing j never
+    decreases with k (Aggarwal, Klawe, Moran, Shor and Wilber 1987,
+    "Geometric applications of a matrix-searching algorithm"), and a divide
+    and conquer over k, each row scanned only between the minimizers of the
+    rows around it, reads O(K log K) entries.  Any other pair reads all
+    K(K + 3) / 2 of them.  Each scan is one ``map`` over two slices.
+    """
+    if _convex(ri):
+        li, ri = ri, li
+    if not _convex(li):
+        return [min(map(operator.add, li[: k + 1], ri[k::-1])) for k in range(1, kmax + 1)]
+    # rev[kmax - k + j] = li[k - j]: row k's entries for j = lo .. hi are one forward slice
+    rev, values = li[::-1], [0] * (kmax + 1)
+    stack = [(1, kmax, 0, kmax)]  # rows first .. last, minimizer in lo .. hi
+    while stack:
+        first, last, lo, hi = stack.pop()
+        k = (first + last) // 2
+        top = min(hi, k)
+        sums = list(map(operator.add, ri[lo : top + 1], rev[kmax - k + lo : kmax - k + top + 1]))
+        values[k] = best = min(sums)
+        j = lo + sums.index(best)
+        if first < k:
+            stack.append((first, k - 1, lo, j))
+        if k < last:
+            stack.append((k + 1, last, j, hi))
+    return values[1:]
+
+
 def product_capacities(
     left: CapacitySequence, right: CapacitySequence, kmax: int
 ) -> CapacitySequence:
     """Capacities of the symplectic product: c_k = min over i+j=k of c_i + c'_j.
 
     The index 0 terms are taken to be 0, so each factor's own c_k is always
-    among the candidates.  The min-plus runs on the factors' first kmax
-    values scaled to integers over one common denominator.
+    among the candidates.  The min-plus (``_min_plus``) runs on the factors'
+    first kmax values scaled to integers over one common denominator, in
+    O(K log K) when either factor is convex with its c_0 = 0 (a polydisk or
+    a cube) and in O(K^2) otherwise.
     """
     positive_int(kmax, "kmax")
     if left.kmax < kmax or right.kmax < kmax:
@@ -566,7 +612,7 @@ def product_capacities(
     denom, (li, ri) = _scaled_integer_rows(
         ((0, *left.raw_values()[:kmax]), (0, *right.raw_values()[:kmax]))
     )
-    values = [min(map(operator.add, li[: k + 1], ri[k::-1])) for k in range(1, kmax + 1)]
+    values = _min_plus(li, ri, kmax)
     _require_nondecreasing(values)
     label = f"({left.domain}) x ({right.domain})"
     return CapacitySequence(

@@ -15,11 +15,15 @@ the values, formats each once (``format_rational``, ``decimal_string``) and
 returns three builders over those strings: the table text, the CSV rows and
 the JSON text, with a flag for an oracle mismatch.  ``_render`` alone
 reads the requested format and runs only that builder.  CSV rows are
-joined by ``,``, as no field needs quoting.  Tables and JSON are written
-from a report's columns, each row filled into one template; all JSON text
-comes from the one ``_json`` helper, which encodes each column by the type
-of its values, an all-``None`` column at once.  ``caps`` works a
-column at a time on the sequence engine's integers over one denominator:
+joined by ``,``, as no field needs quoting.  Tables are written from a
+report's columns, each padded once by ``str.ljust`` and each row joined
+and right-stripped.  All JSON text comes from the one ``_json`` helper,
+which fills each row into one template whose slots are set by each
+column's types: an all-``None`` column is a literal ``null``, an all-int
+column and an all-str column that needs no JSON escape (checked once on
+its joined text) are filled as they are, and any other column value by
+value.  ``caps`` works a column at a time on the sequence engine's
+integers over one denominator:
 ``format_rational(value, denom)`` and ``decimal_string(value, 20, denom)``
 fill one list each, with no record or ``Fraction`` per row, and the branch
 label is read once.  Its ``--oracle`` column is computed first, so a K
@@ -39,7 +43,6 @@ from decimal import Context
 from fractions import Fraction
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
-from typing import Iterable
 
 from .capacities import _scaled_sequence
 from .domains import Staircase, ToricDomain
@@ -133,11 +136,15 @@ def _approx(value: Fraction) -> str:
 
 
 def _format_table(header: list[str], columns: list[list[str]]) -> str:
-    """``header`` over ``columns``, left-aligned two spaces apart: each width
-    is read off its column, and each row fills one row template."""
-    widths = [max(len(name), *map(len, column)) for name, column in zip(header, columns)]
-    line = "  ".join(f"%-{w}s" for w in widths)
-    return "".join((line % row).rstrip() + "\n" for row in chain([tuple(header)], zip(*columns)))
+    """``header`` over ``columns``, left-aligned two spaces apart: each
+    column but the last is padded to its width by one ``str.ljust`` map,
+    and each row is joined and right-stripped."""
+    padded = [
+        list(map(str.ljust, [name, *column], repeat(max(len(name), *map(len, column)))))
+        for name, column in zip(header[:-1], columns[:-1])
+    ]
+    rows = zip(*padded, [header[-1], *columns[-1]])
+    return "\n".join(map(str.rstrip, map("  ".join, rows))) + "\n"
 
 
 def _json_value(value) -> str:
@@ -150,27 +157,36 @@ def _json_value(value) -> str:
     return "null" if value is None else str(value)
 
 
-def _json_column(column) -> Iterable[str]:
-    """The JSON text of each value in ``column``: an all-None column is
-    ``"null"`` throughout, an all-str or all-int column is encoded by one C
-    function, any other by ``_json_value``."""
+def _json_slot(column) -> tuple[str, object]:
+    """(template slot, the values that fill it) of one JSON column: an
+    all-None column is a literal ``null`` filled by nothing; an all-str
+    column whose text JSON leaves as it is (printable ASCII without ``"``
+    or ``\\``, checked once on the joined text) is quoted in the template,
+    and an all-int column is unquoted, each filled by the column as it is;
+    any other column is filled by ``_json_value`` of each value."""
     types = set(map(type, column))
     if types == {type(None)}:
-        return repeat("null", len(column))
-    encode = encode_basestring_ascii if types == {str} else str if types == {int} else _json_value
-    return map(encode, column)
+        return "null", None
+    if types == {str}:
+        text = "".join(column)
+        if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+            return '"%s"', column
+    return "%s", column if types == {int} else list(map(_json_value, column))
 
 
 def _json(head: dict, key=None, fields=(), columns=()) -> str:
     """What ``json.dumps(..., indent=2)`` prints, plus a newline, for ``head``
     with the non-empty list ``key`` as its last member: one object per row,
     mapping ``fields`` to the row's entries in ``columns``, filled into one
-    template."""
+    template whose slots ``_json_slot`` gives."""
     text = json.dumps(head, indent=2)
     if key is None:
         return text + "\n"
-    template = "    {\n" + ",\n".join(f'      "{f}": %s' for f in fields) + "\n    }"
-    body = ",\n".join(template % row for row in zip(*map(_json_column, columns)))
+    slots, fills = zip(*map(_json_slot, columns))
+    template = "    {\n" + ",\n".join(f'      "{f}": {s}' for f, s in zip(fields, slots)) + "\n    }"
+    fed = [fill for fill in fills if fill is not None]
+    rows = zip(*fed) if fed else repeat((), len(columns[0]))
+    body = ",\n".join(map(template.__mod__, rows))
     return f'{text[:-2]},\n  "{key}": [\n{body}\n  ]\n}}\n'
 
 

@@ -20,10 +20,12 @@ from pathlib import Path
 
 import pytest
 
+import toricap
 from toricap import (
     ConcaveToricDomain,
     ConvexToricDomain,
     capacity_at,
+    capacity_sequence,
     diagonal_intersection,
 )
 from toricap.cli import run
@@ -202,6 +204,42 @@ def test_a_changed_product_differs_on_exactly_the_product_slots(monkeypatch, tmp
     assert [slot for slot, _, _ in differ] == products
     for _, values, edited in differ:
         assert edited[0] > values[0] and edited[1:] == values[1:]
+
+
+def _convex(values) -> bool:
+    steps = [b - a for a, b in zip([0, *values], values)]
+    return all(a <= b for a, b in zip(steps, steps[1:]))
+
+
+def _factor_sequences(pair) -> list:
+    """c_1 .. c_K of each factor of a product pair, built in this package."""
+    return [
+        capacity_sequence(getattr(toricap, f.kind)(*f.args), pair.kmax).raw_values()
+        for f in (pair.left, pair.right)
+    ]
+
+
+def test_the_product_pairs_take_both_min_plus_paths():
+    tool = _tool()
+    pairs = tool.products(7)
+    assert len(pairs) == tool.PRODUCTS and tool.products(7) == pairs != tool.products(8)
+    assert all(1 <= pair.kmax <= 60 for pair in pairs)
+    kinds = {f.kind for pair in pairs for f in (pair.left, pair.right)}
+    assert kinds == set(tool.FACTOR_KINDS)
+    paths = {tuple(map(_convex, _factor_sequences(pair))) for pair in pairs}
+    assert paths == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_a_changed_convex_min_plus_differs_on_exactly_the_convex_pairs(tmp_path):
+    tool = _tool()
+    pairs = tool.products(7)
+    assert tool.compare(_trees(tool, SRC, SRC), pairs) == []
+    predicted = [pair for pair in pairs if any(map(_convex, _factor_sequences(pair)))]
+    assert 0 < len(predicted) < len(pairs)
+
+    one_more = "return [v + 1 for v in values[1:]]"  # on the convex path only
+    copy = _edited_copy(tmp_path, "capacities.py", "return values[1:]", one_more, 1)
+    assert _differing(tool, _trees(tool, SRC, copy), pairs) == predicted
 
 
 def test_the_corpus_holds_its_three_parts():

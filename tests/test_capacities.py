@@ -2,6 +2,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -997,6 +998,70 @@ def test_product_matches_fraction_min_plus():
             r.witness is None and r.branch is Branch.PRODUCT_COMBINATOR
             for r in combined.values
         )
+
+
+def _pairwise_min_plus(li, ri, k):
+    """c_k of the product from every pair i + j = k: the O(K^2) reference."""
+    return min(li[i] + ri[k - i] for i in range(k + 1))
+
+
+def _min_plus_corpus():
+    """(li, ri, kmax, which factors are convex): integer factors with
+    c_0 = 0, a convex one on the left and on the right, both convex, neither,
+    linear and constant factors, tied runs of steps, and K = 1."""
+    rng = random.Random(2311)
+
+    def steps(kmax, convex):
+        drawn = [rng.choice((0, 0, 1, 2, 2, 3, 7, 12)) for _ in range(kmax)]
+        return sorted(drawn) if convex else drawn
+
+    def factor(kind, kmax):
+        if kind == "linear":
+            return [rng.randint(0, 9) * i for i in range(kmax + 1)]
+        if kind == "constant":  # steps c, 0, 0, ...: convex only for c = 0
+            return [0] + [rng.randint(1, 9)] * kmax
+        return [0, *accumulate(steps(kmax, kind == "convex"))]
+
+    kinds = [("convex", "other"), ("other", "convex"), ("convex", "convex"),
+             ("other", "other"), ("linear", "other"), ("other", "linear"),
+             ("constant", "other"), ("constant", "convex"), ("other", "constant")]
+    cases = []
+    for i in range(360):
+        left_kind, right_kind = kinds[i % len(kinds)]
+        kmax = 1 if i < len(kinds) else rng.randint(1, 60)
+        li, ri = factor(left_kind, kmax), factor(right_kind, kmax)
+        cases.append((li, ri, kmax))
+    return cases
+
+
+def test_min_plus_is_the_pairwise_min_on_both_paths():
+    convex = capacities_module._convex
+    paths = set()
+    for li, ri, kmax in _min_plus_corpus():
+        expected = [_pairwise_min_plus(li, ri, k) for k in range(1, kmax + 1)]
+        assert capacities_module._min_plus(li, ri, kmax) == expected, (li, ri)
+        assert capacities_module._min_plus(ri, li, kmax) == expected, (ri, li)
+        paths.add((convex(li), convex(ri)))
+    assert paths == {(True, False), (False, True), (True, True), (False, False)}
+
+
+def test_convexity_reads_the_steps():
+    convex = capacities_module._convex
+    assert convex([0]) and convex([0, 5]) and convex([0, 1, 2, 4, 6, 6 + 3])
+    assert convex([0, 0, 0, 1]) and convex([0, 2, 4, 6])
+    assert not convex([0, 2, 3]) and not convex([0, 1, 3, 4]) and not convex([0, 4, 4])
+
+
+def test_a_deep_product_with_a_convex_factor_takes_seconds_at_most():
+    kmax = 20_000
+    start = time.perf_counter()
+    left = capacity_sequence(Ellipsoid((1, F(3, 2))), kmax)
+    right = capacity_sequence(Polydisk((F(4, 3), 2)), kmax)
+    combined = product_capacities(left, right, kmax)
+    assert time.perf_counter() - start < 2
+    li, ri = [F(0), *left.raw_values()], [F(0), *right.raw_values()]
+    for k in (1, 2, 3, 4, 5, 977, 12_345, kmax - 1, kmax):
+        assert combined.value(k) == _pairwise_min_plus(li, ri, k)
 
 
 def test_product_of_decreasing_factors_fails_the_check():

@@ -272,3 +272,31 @@ def test_string_parsing_table(text, expected):
         with pytest.raises(ValueError) as info:
             to_rational(text)
         assert str(info.value) == expected
+
+
+class _Text(str):
+    """Not exactly a ``str``, so ``to_rational`` parses it on its general path."""
+
+
+_INF_SPELLINGS = ["inf", "+inf", "infinity", "oo", "INF", "+Inf", "Infinity", "OO", " inf\n"]
+
+
+def _outcome(value, allow_infinite):
+    try:
+        result = to_rational(value, allow_infinite=allow_infinite)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return type(result), result
+
+
+@pytest.mark.parametrize("allow_infinite", [False, True])
+def test_the_fast_path_agrees_with_the_general_path(allow_infinite):
+    texts = [" 3/2 ", "+7", "-0", "0/5", "1/0", "1/00", "1.5", "1e3", "-inf",
+             *_INF_SPELLINGS, *(text for text, _ in PARSE_TABLE)]
+    for text in texts:
+        assert _outcome(text, allow_infinite) == _outcome(_Text(text), allow_infinite)
+    assert _outcome("1/00", allow_infinite) == (ValueError, "zero denominator in '1/00'")
+    assert _outcome("١/٤", allow_infinite) == (Fraction, F(1, 4))
+    assert _outcome("oo", allow_infinite)[0] is (float if allow_infinite else ValueError)
+    value = F(3, 2)
+    assert to_rational(value) is value

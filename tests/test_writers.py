@@ -1,6 +1,6 @@
 """The table, CSV and JSON writers against slow references.
 
-``cli._format_table`` fills one line template per table from its columns,
+``cli._format_table`` pads each column once and joins each row,
 ``cli._render`` joins each CSV row's fields by commas, and ``cli._json``
 writes each list of row objects from one template.  Every golden case and a
 seeded corpus of CLI requests is checked against the slow formulas those
@@ -173,9 +173,12 @@ def test_long_caps_json_encodes_rows_without_json_dumps(tmp_path, capsys, monkey
 
 def _random_column(rng: random.Random, length: int) -> list:
     """Values of the kinds a report's columns hold: all of one kind, or mixed."""
-    text = ["", "a", "é", "√2", 'say "hi"', "back\\slash", "tab\t", "\u2028", "😀", "ASCII"]
+    text = ["", "a", "é", "√2", 'say "hi"', "back\\slash", "tab\t", "\u2028", "😀", "ASCII",
+            "\x7f"]
+    plain = ["", "a", "3/2", "-1.25", "ConvexSearch", "x y", "~", "%s", "100%"]
     kinds = {
         "str": lambda: rng.choice(text) + str(rng.randint(0, 99)),
+        "plain": lambda: rng.choice(plain) + str(rng.randint(0, 99)),
         "int": lambda: rng.choice((0, -1, 1, 10**25, -(10**30))) + rng.randint(0, 9),
         "none": lambda: None,
         "tuple": lambda: tuple(rng.randint(0, 10**6) for _ in range(rng.randint(1, 4))),

@@ -13,7 +13,8 @@ below runs on both in turn through ``call``; their answers must be equal.
   cases of ``tests/test_golden.py``; and the error paths of
   ``error_argvs``.  The answer is the exit code, stdout and stderr.
 * The workloads' library ``product`` slots, run as ``bench/run.py`` runs
-  them: the values of ``product_capacities``.
+  them, and the seeded product pairs of ``products``: the values of
+  ``product_capacities``.
 * The library corpus of ``corpus``: for each hull or staircase region,
   built in each tree from plain ``Fraction`` data, the value, witness and
   branch of ``capacity_at`` for k = 1..K, and ``diagonal_intersection``.
@@ -68,6 +69,22 @@ NAMES = ("toricap_parent", "toricap_change")
 FORMATS = ("table", "csv", "json")
 ORACLE_KMAX = 20
 REPEATS = 21
+
+
+class Factor(NamedTuple):
+    """A factor of a product pair: a domain class the package exports, by
+    name, and its arguments."""
+
+    kind: str
+    args: tuple
+
+
+class Product(NamedTuple):
+    """A product pair, compared on ``product_capacities`` up to kmax."""
+
+    left: Factor
+    right: Factor
+    kmax: int
 
 
 class Region(NamedTuple):
@@ -128,6 +145,31 @@ def corpus(seed: int) -> list[Region]:
     return regions
 
 
+# Product pairs per seed, and the domain classes their factors take, by
+# name: a polydisk, a cube and a disk are convex sequences (their steps never
+# decrease from c_0 = 0), and the others mostly are not.
+PRODUCTS = 120
+FACTOR_KINDS = ("Ellipsoid", "Polydisk", "Cube", "CylinderUnion",
+                "ConvexToricDomain", "ConcaveToricDomain")
+
+
+def products(seed: int) -> list[Product]:
+    """PRODUCTS pairs drawn from ``seed``, K = 1..60: each factor of a kind
+    of FACTOR_KINDS in n = 1..3 with numbers p/q (p <= 8, q <= 6), and a
+    hull or staircase of 1 to 4 points."""
+    rng = random.Random(f"ab-products:{seed}")
+
+    def factor() -> Factor:
+        kind, n = rng.choice(FACTOR_KINDS), rng.randint(1, 3)
+        if kind in ("Ellipsoid", "Polydisk"):
+            return Factor(kind, _points(rng, n, 1, 8, 6))
+        if kind in ("Cube", "CylinderUnion"):
+            return Factor(kind, (n, *_points(rng, 1, 1, 8, 6)[0]))
+        return Factor(kind, (_points(rng, n, rng.randint(1, 4), 8, 6),))
+
+    return [Product(factor(), factor(), rng.randint(1, 60)) for _ in range(PRODUCTS)]
+
+
 def load_tree(src: str, name: str):
     """The ``toricap`` package of ``src``, imported as ``name`` with its
     submodules; its relative imports keep it apart from the other tree.
@@ -146,20 +188,31 @@ def load_tree(src: str, name: str):
     return package
 
 
+def _text(value) -> str:
+    return f"({', '.join(map(_text, value))})" if isinstance(value, tuple) else str(value)
+
+
 def label(request) -> str:
-    """A request as the report names it: an argv, a slot's name, a region."""
+    """A request as the report names it: an argv, a slot's name, a region,
+    a product pair."""
     if isinstance(request, Region):
-        points = " ".join(f"({', '.join(map(str, p))})" for p in request.points)
-        return f"{request.shape} K={request.kmax} {points}"
+        return f"{request.shape} K={request.kmax} {' '.join(map(_text, request.points))}"
+    if isinstance(request, Product):
+        left, right = (f"{f.kind}{_text(f.args)}" for f in request[:2])
+        return f"product K={request.kmax} {left} x {right}"
     return " ".join(request) if isinstance(request, list) else request.name
 
 
 def call(tree, request) -> object:
     """One request on one tree: (exit code, stdout, stderr) of a CLI argv
-    or of a workload's CLI request; the values of a workload's product;
-    (value, witness, branch) of each ``capacity_at`` of a region, and its
-    diagonal.  An exception is raised again naming the tree and request."""
+    or of a workload's CLI request; the values of a workload's product or
+    of a product pair; (value, witness, branch) of each ``capacity_at`` of
+    a region, and its diagonal.  An exception is raised again naming the
+    tree and request."""
     try:
+        if isinstance(request, Product):
+            factors = (getattr(tree, f.kind)(*f.args) for f in request[:2])
+            return _product(tree, factors, request.kmax)
         if isinstance(request, Region):
             kind = {"hull": tree.ConvexToricDomain, "staircase": tree.ConcaveToricDomain}
             domain = kind[request.shape](request.points)
@@ -168,11 +221,7 @@ def call(tree, request) -> object:
             return answers, tree.diagonal_intersection(domain)
         argv = request if isinstance(request, list) else request.argv
         if argv is None:
-            left, right = (
-                tree.capacity_sequence(tree.load_domain(path), request.kmax)
-                for path in request.paths
-            )
-            return tree.product_capacities(left, right, request.kmax).raw_values()
+            return _product(tree, map(tree.load_domain, request.paths), request.kmax)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = tree.cli.run(argv)
@@ -180,6 +229,11 @@ def call(tree, request) -> object:
     except Exception as exc:
         where = f"{tree.__name__} ({tree.__path__[0]})"
         raise RuntimeError(f"{where} raised on {label(request)}") from exc
+
+
+def _product(tree, factors, kmax: int) -> list[Fraction]:
+    left, right = (tree.capacity_sequence(domain, kmax) for domain in factors)
+    return tree.product_capacities(left, right, kmax).raw_values()
 
 
 @contextlib.contextmanager
@@ -273,12 +327,13 @@ def _with_oracle(argv: list[str]) -> list[str]:
 def comparisons(slots: list, seed: int, spec_dir: str) -> list:
     """Every request the trees are compared on, from the workloads' slots:
     each distinct CLI argv in the three formats, sorted, then the product
-    slots, then the corpus regions."""
+    slots, the product pairs and the corpus regions."""
     argvs = [slot.argv for slot in slots if slot.argv is not None]
     argvs += [_with_oracle(argv) for argv in argvs if argv[0] == "caps"]
     argvs += [*golden_cases().values(), *error_argvs(os.path.join(spec_dir, "errors"))]
     unique = sorted({tuple(a) for argv in argvs for a in _in_every_format(argv)})
-    return [list(a) for a in unique] + [s for s in slots if s.argv is None] + corpus(seed)
+    product_slots = [s for s in slots if s.argv is None]
+    return [list(a) for a in unique] + product_slots + products(seed) + corpus(seed)
 
 
 def medians(trees: tuple, requests: list, repeats: int) -> tuple[list[float], list[float]]:
@@ -351,9 +406,11 @@ def main(argv: list[str]) -> int:
         differ = compare(trees, requests)
         argvs = [r for r in requests if isinstance(r, list)]
         regions = [r for r in requests if isinstance(r, Region)]
+        pairs = sum(isinstance(r, Product) for r in requests)
         print(
             f"{len(argvs)} argv ({sum('--oracle' in a for a in argvs)} with --oracle), "
-            f"{len(requests) - len(argvs) - len(regions)} product slots, "
+            f"{len(requests) - len(argvs) - len(regions) - pairs} product slots, "
+            f"{pairs} product pairs, "
             f"{sum(r.kmax for r in regions)} searches on {len(regions)} regions, "
             f"{len(differ)} differ"
         )
