@@ -183,8 +183,10 @@ def _json(head: dict, key=None, fields=(), columns=()) -> str:
     if key is None:
         return text + "\n"
     slots, fills = zip(*map(_json_slot, columns))
-    template = "    {\n" + ",\n".join(f'      "{f}": {s}' for f, s in zip(fields, slots)) + "\n    }"
+    members = ",\n".join(f'      "{f}": {s}' for f, s in zip(fields, slots))
+    template = f"    {{\n{members}\n    }}"
     fed = [fill for fill in fills if fill is not None]
+    # columns that are all None fill no slot, but their rows are still written
     rows = zip(*fed) if fed else repeat((), len(columns[0]))
     body = ",\n".join(map(template.__mod__, rows))
     return f'{text[:-2]},\n  "{key}": [\n{body}\n  ]\n}}\n'

@@ -38,14 +38,22 @@ def to_rational(value: object, allow_infinite: bool = False) -> ExtendedRational
 
     Accepts Fraction, int, and strings of the form ``"p"`` or ``"p/q"``.
     Decimal literals (float objects, strings with a decimal point or
-    exponent) are rejected to preserve exactness.  A ``str`` that is
-    already ``"p"`` or ``"p/q"``, unstripped, is parsed before any other
-    check; the general path gives the same answers and messages.
+    exponent) are rejected to preserve exactness.
     """
-    if type(value) is str:
-        match = _RATIONAL_RE.fullmatch(value)
+    if isinstance(value, str):
+        text = value.strip()
+        match = _RATIONAL_RE.fullmatch(text)
         if match is not None:
-            return _from_match(match, value)
+            numerator, denominator = match.groups()
+            try:
+                return Fraction(int(numerator), int(denominator or 1))
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in {value!r}") from None
+        if text.lower() in _INF_STRINGS:
+            if allow_infinite:
+                return INF
+            raise ValueError("infinity is not allowed here")
+        raise ValueError(f"cannot parse {value!r} as an exact rational: expected 'p' or 'p/q'")
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -61,28 +69,7 @@ def to_rational(value: object, allow_infinite: bool = False) -> ExtendedRational
             f"floating-point value {value!r} rejected: use an int, a Fraction, "
             "or a 'p/q' string"
         )
-    if isinstance(value, str):
-        text = value.strip()
-        if text.lower() in _INF_STRINGS:
-            if allow_infinite:
-                return INF
-            raise ValueError("infinity is not allowed here")
-        match = _RATIONAL_RE.fullmatch(text)
-        if match is None:
-            raise ValueError(
-                f"cannot parse {value!r} as an exact rational: expected 'p' or 'p/q'"
-            )
-        return _from_match(match, value)
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
-
-
-def _from_match(match: re.Match, value: str) -> Fraction:
-    """The Fraction of ``_RATIONAL_RE``'s match on ``value``."""
-    numerator, denominator = match.groups()
-    try:
-        return Fraction(int(numerator), int(denominator or 1))
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {value!r}") from None
 
 
 def positive_int(value: object, what: str) -> int:
