@@ -54,7 +54,8 @@ diagonal and the search.  Three devices use them, all exact:
   optimum, so once the incumbent reaches it no further frame is taken;
 * a rounded incumbent: the game's column strategy times the sum, rounded
   by largest remainders to a composition h, starts the incumbent at
-  F(h) + 1 while the witness stays (0, ..., 0, sum).
+  F(h) + 1 while the witness stays (0, ..., 0, sum).  A search seeded with
+  a composition u of sum - 1 takes h as the best of u + e_j instead.
 
 The search visits compositions in lexicographic order and keeps only
 strict improvements, so the witness is the lexicographically first
@@ -64,16 +65,19 @@ weights are prepared once per domain, kept with it as ``_scaled`` is.
 ``capacity_at`` reads the table and otherwise searches.  Every sequence
 comes from one engine, ``_scaled_sequence``: (denom, values, witnesses,
 branch) with c_k = values[k - 1] / denom, from the ellipsoid's multiples,
-a progression, or ``capacity_at`` per k with the values scaled onto one
-denominator.  ``capacity_sequence`` builds its records from it, and the CLI
-formats its integers directly.  The product combinator takes its min-plus
-convolution on the factors' values scaled to integers over one common
-denominator, and builds its records with the same helper.  When either
-factor, with its c_0 = 0, is convex (a polydisk or a cube), the least
-minimizer of c_i + c'_(k-i) never decreases with k, so a divide and
-conquer over k reads O(K log K) pairs; any other pair of factors reads all
-O(K^2).  Every sequence passes one check, on its integers, that it is
-nondecreasing.
+a progression, or the search.  A searched sequence takes c_1 from
+``capacity_at`` and each later c_k from the region's search on the
+domain's denominator, seeded with the previous witness: c_k and c_(k-1)
+are neighbouring lattice problems, and one unit added to the last
+optimizer is often optimal again.  ``capacity_sequence`` builds its
+records from it, and the CLI formats its integers directly.  The product
+combinator takes its min-plus convolution on the factors' values scaled
+to integers over one common denominator, and builds its records with the
+same helper.  When either factor, with its c_0 = 0, is convex (a polydisk
+or a cube), the least minimizer of c_i + c'_(k-i) never decreases with k,
+so a divide and conquer over k reads O(K log K) pairs; any other pair of
+factors reads all O(K^2).  Every sequence passes one check, on its
+integers, that it is nondecreasing.
 """
 
 from __future__ import annotations
@@ -319,8 +323,11 @@ class _Search:
             h[j] += 1
         return h
 
-    def __call__(self, total: int) -> tuple[int, tuple[int, ...]]:
-        """(value, witness) at one total.
+    def __call__(
+        self, total: int, seed: Optional[Sequence[int]] = None
+    ) -> tuple[int, tuple[int, ...]]:
+        """(value, witness) at one total, from a seed composition of
+        total - 1 if given.
 
         The incumbent starts at the lexicographically first u, (0, ..., 0,
         total).  Compositions are visited depth-first in lexicographic order
@@ -349,11 +356,15 @@ class _Search:
         has no improving split and is not searched, so every pair solve
         improves the incumbent.
 
-        From n = 3 and a positive total the root game adds the rounded
-        incumbent F(h) + 1, whose witness stays (0, ..., 0, total), and the
-        root stop.  Only strict improvements replace the incumbent and the
-        order is lexicographic, so the witness is the lexicographically
-        first minimizer.
+        From n = 3 and a positive total the root game adds the root stop and
+        a starting incumbent F(h) + 1 whose witness stays (0, ..., 0,
+        total): h is the rounded composition of ``_rounded`` or, given a
+        seed u, the best of its n one-unit extensions u + e_j.  Either way
+        F(h) is at least the optimum, so a bound above best - 1 = F(h) cuts
+        no optimal completion, and an earlier composition replaces the
+        incumbent only by a strictly lower value.  Only strict improvements
+        replace it and the order is lexicographic, so the witness is the
+        lexicographically first minimizer, whatever the seed.
         """
         n, dots, last = self.n, self.dots, self.last
         best = max(d + total * c for d, c in zip(dots, last))
@@ -391,9 +402,13 @@ class _Search:
             return best, witness
         levels, (weight, least, mixed, x) = self._bounds
         stop = -(-(mixed + total * least) // weight)  # the surrogate bound at the root, rounded up
-        h = self._rounded(total, x)
-        rounded = max(d + sum(map(operator.mul, h, w)) for d, w in zip(dots, self.rows))
-        best = min(best, rounded + 1)
+        if seed is None:
+            h = self._rounded(total, x)
+            start = max(d + sum(map(operator.mul, h, w)) for d, w in zip(dots, self.rows))
+        else:  # the best one-unit extension of the seed
+            base = [d + sum(map(operator.mul, seed, w)) for d, w in zip(dots, self.rows)]
+            start = min(max(map(operator.add, base, col)) for col in self.cols)
+        best = min(best, start + 1)
         # one frame per coordinate on the current path: the first entry to
         # try, the budget at that coordinate, the dot products with that
         # entry and their mix by that level's y
@@ -511,15 +526,17 @@ def _progression(first: Fraction, second: Fraction, kmax: int) -> tuple[int, ran
 
 def _scaled_sequence(
     domain: ToricDomain, kmax: int
-) -> tuple[int, Sequence[int], Optional[tuple], Branch]:
+) -> tuple[int, Sequence[int], Optional[Sequence], Branch]:
     """(denom, values, witnesses, branch): c_k = values[k - 1] / denom for
     k = 1 .. kmax, the one source of capacity sequences.
 
     A closed-form kind takes one pass on integers: an ellipsoid sorts its
     multiples up to c_kmax, and a polydisk, cube or cylinder union extends
     the progression through c_1 and c_2; its witnesses are None.
-    Any other kind runs ``capacity_at`` per k, and its values are scaled
-    onto one denominator.  The integers pass the monotonicity check.
+    A searched kind takes c_1 from ``capacity_at``, the one cold search,
+    and every later c_k from ``domain._search`` on the domain's own
+    denominator, seeded with the previous k's witness (for a staircase, the
+    witness minus 1).  The integers pass the monotonicity check.
     """
     positive_int(kmax, "kmax")
     if type(domain) in _CLOSED_FORMS:
@@ -530,16 +547,21 @@ def _scaled_sequence(
             denom, values = _progression(c_k(domain, 1), c_k(domain, 2), kmax)
         witnesses = None
     else:
-        results = [capacity_at(domain, k) for k in range(1, kmax + 1)]
-        denom, (values,) = _scaled_integer_rows((tuple(r.value for r in results),))
-        witnesses = tuple(r.witness for r in results)
-        branch = results[0].branch
+        first = capacity_at(domain, 1)
+        branch, lift = first.branch, domain.shape == "staircase"
+        denom, search = domain._scaled[0], domain._search
+        values, witnesses = [int(first.value * denom)], [first.witness]
+        witness = tuple(e - lift for e in first.witness)
+        for total in range(2 - lift, kmax + 1 - lift):
+            best, witness = search(total, witness)
+            values.append(-best if lift else best)
+            witnesses.append(tuple(e + 1 for e in witness) if lift else witness)
     _require_nondecreasing(values)
     return denom, values, witnesses, branch
 
 
 def _records(
-    denom: int, values: Sequence[int], witnesses: Optional[tuple], branch: Branch
+    denom: int, values: Sequence[int], witnesses: Optional[Sequence], branch: Branch
 ) -> tuple[CapacityResult, ...]:
     """The records c_k = values[k - 1] / denom, built by one ``map``."""
     fractions = map(Fraction, values, repeat(denom))

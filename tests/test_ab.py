@@ -269,22 +269,24 @@ def test_reversed_staircase_witnesses_differ_on_exactly_the_predicted_regions(tm
         domain = kinds[region.shape](region.points)
         results = [capacity_at(domain, k) for k in range(1, region.kmax + 1)]
         answers = [(r.value, r.witness, r.branch.value) for r in results]
-        expected.append((answers, diagonal_intersection(domain)))
+        expected.append((answers, answers, diagonal_intersection(domain)))
     assert [tool.call(trees[0], region) for region in regions] == expected
     assert tool.compare(trees, regions) == []
 
     # the regions with a staircase witness that is no palindrome
     predicted = [
-        region for region, (answers, _) in zip(regions, expected)
+        region for region, (answers, _, _) in zip(regions, expected)
         if region.shape == "staircase" and any(w != w[::-1] for _, w, _ in answers)
     ]
     assert 0 < len(predicted) < sum(region.shape == "staircase" for region in regions)
 
+    # reversed where the cold search and the sequence's seeded searches
+    # lift a witness, so both comparisons see it
     witness = "tuple(e + 1 for e in witness)"
     reversed_ = witness.replace("witness)", "witness[::-1])")
-    copy = _edited_copy(tmp_path, "capacities.py", witness, reversed_, 1)
+    copy = _edited_copy(tmp_path, "capacities.py", witness, reversed_, 2)
     differ = tool.compare(_trees(tool, SRC, copy), regions)
     assert [region for region, _, _ in differ] == predicted
-    for _, (answers, diagonal), (edited, edited_diagonal) in differ:
-        assert diagonal == edited_diagonal
-        assert [(value, w[::-1], branch) for value, w, branch in answers] == edited
+    for _, (answers, sequence, diagonal), (*edited, edited_diagonal) in differ:
+        assert diagonal == edited_diagonal and sequence == answers
+        assert [[(value, w[::-1], branch) for value, w, branch in answers]] * 2 == edited

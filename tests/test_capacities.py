@@ -506,7 +506,8 @@ def test_closed_form_and_product_records_are_plain_results():
 
 def test_integer_monotonicity_check_fires(monkeypatch):
     # every sequence path reads its producer by module-global name: the
-    # ellipsoid merge, the progression, and the search of each shape
+    # ellipsoid merge and the progression; both shapes read the domain's
+    # search, for the cold c_1 and the seeded c_k after it
     message = "internal error: capacity sequence decreased at k="
     monkeypatch.setattr(
         capacities_module, "_ellipsoid_sequence", lambda axes, kmax: (3, [1, 4, 2])
@@ -520,11 +521,14 @@ def test_integer_monotonicity_check_fires(monkeypatch):
         with pytest.raises(ToricapError, match=message + "4$"):
             capacity_sequence(domain, 5)
 
-    def falling_search(domain, k):
-        return CapacityResult(k, F((5, 5, 7, 6, 8)[k - 1], 2), (k,), Branch.CONVEX_SEARCH)
+    def falling_search(search, total, seed=None):
+        # c_k is at total k for a hull and total k - 1 for a staircase,
+        # whose search value is minus the capacity
+        if search.domain.shape == "hull":
+            return (5, 5, 7, 6, 8)[total - 1], (total,)
+        return -(5, 5, 7, 6, 8)[total], (total,)
 
-    monkeypatch.setattr(capacities_module, "convex_capacity", falling_search)
-    monkeypatch.setattr(capacities_module, "concave_capacity", falling_search)
+    monkeypatch.setattr(capacities_module._Search, "__call__", falling_search)
     for domain in (ConvexToricDomain(((1,),)), ConcaveToricDomain(((1,),))):
         with pytest.raises(ToricapError, match=message + "4$"):
             capacity_sequence(domain, 5)
@@ -833,8 +837,11 @@ def test_deep_staircase_keeps_its_values_and_witnesses():
 
 def test_search_stops_at_the_root_bound(monkeypatch):
     # the staircase on the unit vectors (an ellipsoid E(1, ..., 1)): the
-    # root game's bound, rounded up, is every c_k, so each search ends at
-    # its first optimal pair solve; rounded down it would go on
+    # root game's bound, rounded up, is every c_k, so each cold search ends
+    # at its first optimal pair solve; rounded down it would go on.  The
+    # searches of a sequence start from the previous witness instead of the
+    # rounded incumbent, and a one-unit extension misses some balanced
+    # optima, so they make more pair solves: this counts per-k capacity_at
     calls = []
     solve = capacities_module._lowest_minimizer
     monkeypatch.setattr(
@@ -842,8 +849,8 @@ def test_search_stops_at_the_root_bound(monkeypatch):
     )
     for n in (3, 4):
         calls.clear()
-        units = tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
-        values = capacity_sequence(ConcaveToricDomain(units), 30).raw_values()
+        domain = ConcaveToricDomain(tuple(tuple(int(i == j) for i in range(n)) for j in range(n)))
+        values = [capacity_at(domain, k).value for k in range(1, 31)]
         assert values == [ellipsoid_capacity((1,) * n, k) for k in range(1, 31)]
         assert len(calls) <= 30, len(calls)
 
@@ -903,6 +910,93 @@ def test_tail_games_leave_out_rows_constant_over_the_tail():
     rows = [(1, 1, 1), (2, 2, 2)]  # every row constant: the game plays as it stands
     y, _ = capacities_module._tail_game(rows, [3, 3, 3], 0, [0, 0])
     assert y == domains_module._game(rows)[1]
+
+
+def _seed_corpus(rng: random.Random, count: int):
+    """Hulls and staircases in n = 1..6 of 1 to 5 points p/q (p <= 8,
+    q <= 6), a quarter of the coordinates 0, plus up to two duplicated
+    points."""
+    for _ in range(count):
+        n = rng.randint(1, 6)
+        points = [
+            tuple(F(0) if rng.random() < 0.25 else F(rng.randint(1, 8), rng.randint(1, 6))
+                  for _ in range(n))
+            for _ in range(rng.randint(1, 5))
+        ]
+        points += rng.choices(points, k=rng.randint(0, 2))
+        yield rng.choice((ConvexToricDomain, ConcaveToricDomain))(tuple(points))
+
+
+def _composition(rng: random.Random, n: int, total: int) -> tuple[int, ...]:
+    """A random composition of total into n entries >= 0."""
+    cuts = sorted(rng.randint(0, total) for _ in range(n - 1))
+    return tuple(b - a for a, b in zip([0, *cuts], [*cuts, total]))
+
+
+# The totals of the seeded searches: every one up to TOTALS.
+TOTALS = 30
+
+
+def test_a_seed_never_changes_a_search():
+    # a seed is any composition of total - 1; the search at total from it
+    # gives the cold search's value and lexicographically first witness
+    rng = random.Random(2417)
+    shapes = set()
+    for domain in _seed_corpus(rng, 120):
+        search, n = domain._search, domain.n
+        shapes.add((domain.shape, n))
+        previous = search(0)
+        for total in range(1, TOTALS + 1):
+            cold = search(total)
+            seeds = [previous[1], (0,) * (n - 1) + (total - 1,)]
+            seeds += [_composition(rng, n, total - 1) for _ in range(2)]
+            for seed in seeds:
+                assert search(total, seed) == cold, (domain, total, seed)
+            previous = cold
+    assert {n for _, n in shapes} == set(range(1, 7))
+    assert {shape for shape, _ in shapes} == {"hull", "staircase"}
+
+
+def test_a_searched_sequence_is_the_records_of_each_k():
+    rng = random.Random(2418)
+    for domain in _seed_corpus(rng, 120):
+        expected = tuple(capacity_at(domain, k) for k in range(1, TOTALS + 1))
+        assert capacity_sequence(type(domain)(domain.points), TOTALS).values == expected
+
+
+@pytest.mark.parametrize("shape", ["hull", "staircase"])
+def test_a_searched_sequence_makes_one_cold_search(monkeypatch, shape):
+    # c_1 is the one cold search, through capacity_at: one call of the
+    # shape's search function and its rounded incumbent (none for a
+    # staircase, whose c_1 is at total 0); every later c_k is seeded
+    calls = dict.fromkeys(("convex_capacity", "concave_capacity", "_rounded", "cold", "seeded"), 0)
+
+    def counting(name, function):
+        def counted(*args):
+            calls[name] += 1
+            return function(*args)
+
+        return counted
+
+    for name in ("convex_capacity", "concave_capacity"):
+        original = getattr(capacities_module, name)
+        monkeypatch.setattr(capacities_module, name, counting(name, original))
+    search = capacities_module._Search
+    monkeypatch.setattr(search, "_rounded", counting("_rounded", search._rounded))
+    cold, seeded = counting("cold", search.__call__), counting("seeded", search.__call__)
+
+    def call(self, total, seed=None):
+        return cold(self, total) if seed is None else seeded(self, total, seed)
+
+    monkeypatch.setattr(search, "__call__", call)
+    kmax = 12
+    domain = (random_convex if shape == "hull" else random_concave)(random.Random(2419), n=4)
+    capacity_sequence(domain, kmax)
+    hull = shape == "hull"
+    assert calls == {
+        "convex_capacity": int(hull), "concave_capacity": int(not hull), "_rounded": int(hull),
+        "cold": 1, "seeded": kmax - 1,
+    }
 
 
 def test_non_domains_are_rejected():

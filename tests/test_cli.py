@@ -14,7 +14,7 @@ import pytest
 import toricap.capacities as capacities
 import toricap.cli as cli
 import toricap.domains as domains
-from toricap import Branch, CapacityResult, capacity_sequence, parse_domain
+from toricap import capacity_sequence, parse_domain
 
 F = Fraction
 SRC = Path(__file__).parent.parent / "src"
@@ -241,17 +241,21 @@ def test_caps_of_a_closed_form_builds_no_record(write_spec, capsys, monkeypatch,
 
 
 def test_caps_exits_1_when_a_sequence_decreases(write_spec, capsys, monkeypatch):
-    # every producer the engine reads by module-global name, falling
+    # every producer the engine reads, falling: the ellipsoid merge and the
+    # progression by module-global name, and the domain's search
     monkeypatch.setattr(capacities, "_ellipsoid_sequence", lambda axes, kmax: (3, [1, 4, 2, 5]))
     monkeypatch.setattr(
         capacities, "_progression", lambda first, second, kmax: (2, [5, 5, 7, 6])
     )
 
-    def falling_search(domain, k):
-        return CapacityResult(k, F((5, 5, 7, 6)[k - 1], 2), (k,), Branch.CONVEX_SEARCH)
+    def falling_search(search, total, seed=None):
+        # c_k is at total k for a hull and total k - 1 for a staircase,
+        # whose search value is minus the capacity
+        if search.domain.shape == "hull":
+            return (5, 5, 7, 6)[total - 1], (0,) * (search.n - 1) + (total,)
+        return -(5, 5, 7, 6)[total], (0,) * (search.n - 1) + (total,)
 
-    monkeypatch.setattr(capacities, "convex_capacity", falling_search)
-    monkeypatch.setattr(capacities, "concave_capacity", falling_search)
+    monkeypatch.setattr(capacities._Search, "__call__", falling_search)
     for kind, spec in SPECS.items():
         path = write_spec(f"{kind}.json", spec)
         assert run_cli(["caps", "-d", path, "-k", "4", "--format", "csv"]) == 1

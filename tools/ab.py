@@ -17,7 +17,8 @@ below runs on both in turn through ``call``; their answers must be equal.
   ``product_capacities``.
 * The library corpus of ``corpus``: for each hull or staircase region,
   built in each tree from plain ``Fraction`` data, the value, witness and
-  branch of ``capacity_at`` for k = 1..K, and ``diagonal_intersection``.
+  branch of ``capacity_at`` for each k = 1..K and of each record of
+  ``capacity_sequence`` up to K, and ``diagonal_intersection``.
 
 The script prints the counts and every request that differs, with both
 trees' stderr where that differs, and exits 1 if any does; an exception
@@ -207,7 +208,8 @@ def call(tree, request) -> object:
     """One request on one tree: (exit code, stdout, stderr) of a CLI argv
     or of a workload's CLI request; the values of a workload's product or
     of a product pair; (value, witness, branch) of each ``capacity_at`` of
-    a region, and its diagonal.  An exception is raised again naming the
+    a region and of each record of its ``capacity_sequence``, and its
+    diagonal.  An exception is raised again naming the
     tree and request."""
     try:
         if isinstance(request, Product):
@@ -216,9 +218,12 @@ def call(tree, request) -> object:
         if isinstance(request, Region):
             kind = {"hull": tree.ConvexToricDomain, "staircase": tree.ConcaveToricDomain}
             domain = kind[request.shape](request.points)
-            results = (tree.capacity_at(domain, k) for k in range(1, request.kmax + 1))
-            answers = [(r.value, r.witness, r.branch.value) for r in results]
-            return answers, tree.diagonal_intersection(domain)
+            runs = (
+                [tree.capacity_at(domain, k) for k in range(1, request.kmax + 1)],
+                tree.capacity_sequence(domain, request.kmax).values,
+            )
+            per_k, sequence = ([(r.value, r.witness, r.branch.value) for r in run] for run in runs)
+            return per_k, sequence, tree.diagonal_intersection(domain)
         argv = request if isinstance(request, list) else request.argv
         if argv is None:
             return _product(tree, map(tree.load_domain, request.paths), request.kmax)
@@ -412,6 +417,7 @@ def main(argv: list[str]) -> int:
             f"{len(requests) - len(argvs) - len(regions) - pairs} product slots, "
             f"{pairs} product pairs, "
             f"{sum(r.kmax for r in regions)} searches on {len(regions)} regions, "
+            f"each region also as one sequence, "
             f"{len(differ)} differ"
         )
         for request, a, b in differ:
