@@ -73,10 +73,10 @@ optimizer is often optimal again.  ``capacity_sequence`` builds its
 records from it, and the CLI formats its integers directly.  The product
 combinator takes its min-plus convolution on the factors' values scaled
 to integers over one common denominator, and builds its records with the
-same helper.  When either factor, with its c_0 = 0, is convex (a polydisk
-or a cube), the least minimizer of c_i + c'_(k-i) never decreases with k,
-so a divide and conquer over k reads O(K log K) pairs; any other pair of
-factors reads all O(K^2).  Every sequence passes one check, on its
+same helper.  When either factor, with its c_0 = 0, is linear, c_i = i * s
+(a polydisk or a cube), the min-plus is k * s plus a prefix minimum of
+the other factor less j * s, one O(K) pass; any other pair of factors
+reads all O(K^2) pairs.  Every sequence passes one check, on its
 integers, that it is nondecreasing.
 """
 
@@ -216,19 +216,18 @@ def _lowest_minimizer(
 
 
 def _tail_game(
-    rows: Sequence[Sequence[int]], sums: Sequence[int], start: int, runs: Sequence[int]
+    rows: Sequence[Sequence[int]], sums: Sequence[int], start: int
 ) -> tuple[list[int], dict[int, int]]:
     """(y, x): the optimal strategies ``_game`` gives for the rows against
-    the columns start.., x kept on its support; runs[w] is where row w's
-    last run of equal entries starts.
+    the columns start.., x kept on its support.
 
     Any y >= 0 bounds the whole tail, so a tail of more than 2m columns,
     for m rows, is played on 2m of them: each row's cheapest, then those
     of least sum.  Where some row varies over the tail, a row constant
-    over it (its run starts at or before the tail) plays as a constant
-    below every entry, so it is strictly dominated and gets no weight: the
-    per-row floors already give such a row's value, and a weight on it
-    would blunt the surrogate row.  A tail has two or more columns:
+    over it (one value in row[start:]) plays as a constant below every
+    entry, so it is strictly dominated and gets no weight: the per-row
+    floors already give such a row's value, and a weight on it would
+    blunt the surrogate row.  A tail has two or more columns:
     ``itemgetter`` gives tuples.
     """
     m, tail = len(rows), range(start, len(sums))
@@ -237,7 +236,7 @@ def _tail_game(
         lowest = heapq.nsmallest(2 * m, tail, key=sums.__getitem__)
         tail = sorted(list(dict.fromkeys(cheapest + lowest))[: 2 * m])
     matrix = list(map(operator.itemgetter(*tail), rows))
-    flat = [run <= start for run in runs]
+    flat = [len(set(row[start:])) == 1 for row in rows]
     if any(flat) and not all(flat):
         low = (min(map(min, matrix)) - 1,) * len(tail)
         matrix = [low if f else row for row, f in zip(matrix, flat)]
@@ -287,24 +286,18 @@ class _Search:
         rows, cols, n, m = self.rows, self.cols, self.n, len(self.rows)
         sums = [sum(col) for col in cols]
         tails = [list(accumulate(reversed(row), min))[::-1] for row in rows]  # min(row[i:])
-        runs = []  # the start of each row's last run of equal entries
-        for row in rows:
-            i = n - 1
-            while i and row[i - 1] == row[i]:
-                i -= 1
-            runs.append(i)
         if n <= 2 * m:
             _, y, x = self.domain._region_game
             x = {j: xj for j, xj in enumerate(x) if xj}
         else:
-            y, x = _tail_game(rows, sums, 0, runs)
+            y, x = _tail_game(rows, sums, 0)
         mixed = [sum(map(operator.mul, y, col)) for col in cols]
         least = list(accumulate(reversed(mixed), min))[::-1]
         levels = []
         for start in range(1, n - 1):  # the tail's first column
             weights, step, low = y, mixed[start - 1], least[start]
             if n - start <= 2 * m:  # a narrow tail plays its own game
-                weights, _ = _tail_game(rows, sums, start, runs)
+                weights, _ = _tail_game(rows, sums, start)
                 step, *rest = [sum(map(operator.mul, weights, col)) for col in cols[start - 1 :]]
                 low = min(rest)
             mins = [t[start] for t in tails]
@@ -574,44 +567,29 @@ def capacity_sequence(domain: ToricDomain, kmax: int) -> CapacitySequence:
     return CapacitySequence(domain=domain, values=_records(*_scaled_sequence(domain, kmax)))
 
 
-def _convex(values: Sequence[int]) -> bool:
-    """Whether the steps values[i + 1] - values[i] never decrease."""
-    steps = list(map(operator.sub, values[1:], values[:-1]))
-    return all(map(operator.le, steps, steps[1:]))
+def _linear(values: Sequence[int]) -> bool:
+    """Whether values[i] = i * values[1] for every i."""
+    step = values[1]
+    return all(v == i * step for i, v in enumerate(values))
 
 
 def _min_plus(li: Sequence[int], ri: Sequence[int], kmax: int) -> list[int]:
     """min over i + j = k of li[i] + ri[j], for k = 1 .. kmax, from
     li[0 .. kmax] and ri[0 .. kmax].
 
-    When a factor a is convex, the matrix M[k][j] = a[k - j] + b[j] of the
-    other factor b is Monge: M[k][j] + M[k + 1][j + 1] <= M[k][j + 1] +
-    M[k + 1][j] is a's convexity at k - j.  So the least minimizing j never
-    decreases with k (Aggarwal, Klawe, Moran, Shor and Wilber 1987,
-    "Geometric applications of a matrix-searching algorithm"), and a divide
-    and conquer over k, each row scanned only between the minimizers of the
-    rows around it, reads O(K log K) entries.  Any other pair reads all
-    K(K + 3) / 2 of them.  Each scan is one ``map`` over two slices.
+    When a factor a is linear, a[i] = i * s, the min over j <= k of
+    (k - j) * s + b[j] for the other factor b is k * s plus the least
+    b[j] - j * s over j <= k: one pass of prefix minima, O(K).  Any other
+    pair, a convex but nonlinear factor included, reads all K(K + 3) / 2
+    entries, each k by one ``map`` over two slices.
     """
-    if _convex(ri):
+    if _linear(ri):
         li, ri = ri, li
-    if not _convex(li):
+    if not _linear(li):
         return [min(map(operator.add, li[: k + 1], ri[k::-1])) for k in range(1, kmax + 1)]
-    # rev[kmax - k + j] = li[k - j]: row k's entries for j = lo .. hi are one forward slice
-    rev, values = li[::-1], [0] * (kmax + 1)
-    stack = [(1, kmax, 0, kmax)]  # rows first .. last, minimizer in lo .. hi
-    while stack:
-        first, last, lo, hi = stack.pop()
-        k = (first + last) // 2
-        top = min(hi, k)
-        sums = list(map(operator.add, ri[lo : top + 1], rev[kmax - k + lo : kmax - k + top + 1]))
-        values[k] = best = min(sums)
-        j = lo + sums.index(best)
-        if first < k:
-            stack.append((first, k - 1, lo, j))
-        if k < last:
-            stack.append((k + 1, last, j, hi))
-    return values[1:]
+    step = li[1]
+    shifted = [b - j * step for j, b in enumerate(ri[: kmax + 1])]
+    return [k * step + low for k, low in enumerate(accumulate(shifted, min))][1:]
 
 
 def product_capacities(
@@ -622,8 +600,8 @@ def product_capacities(
     The index 0 terms are taken to be 0, so each factor's own c_k is always
     among the candidates.  The min-plus (``_min_plus``) runs on the factors'
     first kmax values scaled to integers over one common denominator, in
-    O(K log K) when either factor is convex with its c_0 = 0 (a polydisk or
-    a cube) and in O(K^2) otherwise.
+    O(K) when either factor is linear with its c_0 = 0 (a polydisk or a
+    cube) and in O(K^2) otherwise.
     """
     positive_int(kmax, "kmax")
     if left.kmax < kmax or right.kmax < kmax:

@@ -100,6 +100,28 @@ def test_the_workloads_are_those_of_the_benchmark_and_imported_once(monkeypatch)
     assert Path(tool.workloads.__file__) == ROOT / "bench" / "workloads.py"
 
 
+def test_the_build_leaves_out_only_the_expected_answers(monkeypatch, tmp_path):
+    tool = _tool()
+    workloads, expected = tool.workloads, tool.workloads._expected
+
+    def fields(requests):
+        return [(r.name, r.argv, r.specs, r.paths, r.kmax) for r in requests]
+
+    built = tool.build("spectrum", 7, str(tmp_path))
+    assert workloads._expected is expected
+    assert {r.expected for r in built} == {None}
+    assert fields(built) == fields(workloads.build("spectrum", 7, str(tmp_path)))
+
+    def failing():
+        assert workloads._expected is not expected  # stubbed while the build runs
+        raise KeyError("slots")
+
+    monkeypatch.setitem(workloads.WORKLOADS, "spectrum", failing)
+    with pytest.raises(KeyError, match="slots"):
+        tool.build("spectrum", 7, str(tmp_path))
+    assert workloads._expected is expected
+
+
 def test_compare_finds_one_edited_output_string(tmp_path):
     tool = _tool()
     cases = tool.golden_cases()
@@ -165,12 +187,11 @@ def test_an_exception_names_the_tree_and_the_argv(tmp_path):
 
 
 def test_src_against_itself_gives_identical_outputs(monkeypatch, tmp_path):
-    pytest.importorskip("sympy")  # bench/reference.py solves the diagonal with it
     tool = _tool()
     cheapest = _cheapest(tool.workloads, monkeypatch, "single_query")
     trees = _trees(tool, SRC, SRC)
     assert trees[0] is not trees[1] and trees[0].cli is not trees[1].cli
-    requests = tool.workloads.build("single_query", 1, str(tmp_path))
+    requests = tool.build("single_query", 1, str(tmp_path))
     assert len(requests) == len(cheapest)
     assert tool.compare(trees, requests) == []
 
@@ -192,7 +213,7 @@ def test_src_against_itself_gives_identical_outputs(monkeypatch, tmp_path):
 def test_a_changed_product_differs_on_exactly_the_product_slots(monkeypatch, tmp_path):
     tool = _tool()
     _cheapest(tool.workloads, monkeypatch, "spectrum")
-    slots = tool.workloads.build("spectrum", 1, str(tmp_path / "specs"))
+    slots = tool.build("spectrum", 1, str(tmp_path / "specs"))
     products = [slot for slot in slots if slot.argv is None]
     assert products and len(products) < len(slots)
     assert tool.compare(_trees(tool, SRC, SRC), slots) == []
@@ -211,12 +232,23 @@ def _convex(values) -> bool:
     return all(a <= b for a, b in zip(steps, steps[1:]))
 
 
+def _linear(values) -> bool:
+    return all(v == k * values[0] for k, v in enumerate(values, 1))
+
+
 def _factor_sequences(pair) -> list:
     """c_1 .. c_K of each factor of a product pair, built in this package."""
     return [
         capacity_sequence(getattr(toricap, f.kind)(*f.args), pair.kmax).raw_values()
         for f in (pair.left, pair.right)
     ]
+
+
+def _every_convex_factor_is_linear(pairs) -> None:
+    """So the pairs on the linear path are those the convex path took."""
+    for pair in pairs:
+        for values in _factor_sequences(pair):
+            assert _convex(values) == _linear(values), (pair, values)
 
 
 def test_the_product_pairs_take_both_min_plus_paths():
@@ -226,7 +258,8 @@ def test_the_product_pairs_take_both_min_plus_paths():
     assert all(1 <= pair.kmax <= 60 for pair in pairs)
     kinds = {f.kind for pair in pairs for f in (pair.left, pair.right)}
     assert kinds == set(tool.FACTOR_KINDS)
-    paths = {tuple(map(_convex, _factor_sequences(pair))) for pair in pairs}
+    _every_convex_factor_is_linear(pairs)
+    paths = {tuple(map(_linear, _factor_sequences(pair))) for pair in pairs}
     assert paths == {(True, True), (True, False), (False, True), (False, False)}
 
 
@@ -234,11 +267,12 @@ def test_a_changed_convex_min_plus_differs_on_exactly_the_convex_pairs(tmp_path)
     tool = _tool()
     pairs = tool.products(7)
     assert tool.compare(_trees(tool, SRC, SRC), pairs) == []
-    predicted = [pair for pair in pairs if any(map(_convex, _factor_sequences(pair)))]
+    _every_convex_factor_is_linear(pairs)
+    predicted = [pair for pair in pairs if any(map(_linear, _factor_sequences(pair)))]
     assert 0 < len(predicted) < len(pairs)
 
-    one_more = "return [v + 1 for v in values[1:]]"  # on the convex path only
-    copy = _edited_copy(tmp_path, "capacities.py", "return values[1:]", one_more, 1)
+    row = "k * step + low for k, low"  # on the linear path only
+    copy = _edited_copy(tmp_path, "capacities.py", row, row.replace("low", "low + 1", 1), 1)
     assert _differing(tool, _trees(tool, SRC, copy), pairs) == predicted
 
 

@@ -468,6 +468,45 @@ def test_progression_sequences_match_per_k_closed_forms():
         assert seq.values == tuple(capacity_at(domain, k) for k in range(1, kmax + 1))
 
 
+def test_sequences_keep_the_inequalities_of_their_shape():
+    """A hull's c_k is the least norm over sum(v) = k, and a norm is
+    subadditive: c_(i+j) <= c_i + c_j.  A staircase's is the greatest
+    anti-norm over v >= 1 with sum(v) = k + n - 1, and an anti-norm is
+    superadditive: c_(i+j+n-1) >= c_i + c_j.  Checked for every i, j >= 1
+    up to K = 24 on seeded domains of all six kinds, n = 1..4."""
+    rng, kmax = random.Random(2503), 24
+
+    def ellipsoid(n):
+        axes = random_axes(rng, n)
+        return Ellipsoid(axes[:-1] + ("inf",) if n > 1 and rng.random() < 0.25 else axes)
+
+    kinds = [
+        ellipsoid,
+        lambda n: Polydisk(random_axes(rng, n)),
+        lambda n: Cube(n, random_axes(rng, 1)[0]),
+        lambda n: CylinderUnion(n, random_axes(rng, 1)[0]),
+        lambda n: random_convex(rng, n=n, max_points=4),
+        lambda n: random_concave(rng, n=n, max_points=4),
+    ]
+    checked = 0
+    for make in kinds:
+        for _ in range(50):
+            domain = make(rng.randint(1, 4))
+            c = [0, *capacity_sequence(domain, kmax).raw_values()]
+            if domain.shape == "hull":
+                pairs = [(i, j, i + j) for i in range(1, kmax) for j in range(1, kmax - i + 1)]
+                assert all(c[k] <= c[i] + c[j] for i, j, k in pairs), domain
+            else:
+                shift = domain.n - 1
+                pairs = [
+                    (i, j, i + j + shift)
+                    for i in range(1, kmax) for j in range(1, kmax - shift - i + 1)
+                ]
+                assert all(c[k] >= c[i] + c[j] for i, j, k in pairs), domain
+            checked += len(pairs)
+    assert checked > 75_000
+
+
 def _assert_plain_records(seq, values, branch):
     """``seq`` holds exactly the records one constructor call per value gives."""
     expected = [CapacityResult(k, F(v), None, branch) for k, v in enumerate(values, 1)]
@@ -901,14 +940,13 @@ def test_tail_games_leave_out_rows_constant_over_the_tail():
         search = capacities_module._Search(Ellipsoid(axes).to_concave())
         rows, n, m = search.rows, search.n, len(search.rows)
         sums = [sum(col) for col in search.cols]
-        runs = [min(i for i in range(n) if len(set(row[i:])) == 1) for row in rows]
         for start in range(max(1, n - 2 * m), n - 1):
             flat = [len(set(row[start:])) == 1 for row in rows]
             assert any(flat) and not all(flat)
-            y, _ = capacities_module._tail_game(rows, sums, start, runs)
+            y, _ = capacities_module._tail_game(rows, sums, start)
             assert all(yw == 0 for yw, f in zip(y, flat) if f), (axes, start, y)
     rows = [(1, 1, 1), (2, 2, 2)]  # every row constant: the game plays as it stands
-    y, _ = capacities_module._tail_game(rows, [3, 3, 3], 0, [0, 0])
+    y, _ = capacities_module._tail_game(rows, [3, 3, 3], 0)
     assert y == domains_module._game(rows)[1]
 
 
@@ -1100,9 +1138,9 @@ def _pairwise_min_plus(li, ri, k):
 
 
 def _min_plus_corpus():
-    """(li, ri, kmax, which factors are convex): integer factors with
-    c_0 = 0, a convex one on the left and on the right, both convex, neither,
-    linear and constant factors, tied runs of steps, and K = 1."""
+    """(li, ri, kmax): integer factors with c_0 = 0, a convex one (mostly
+    not linear) on the left and on the right, both convex, neither, linear
+    and constant factors, tied runs of steps, and K = 1."""
     rng = random.Random(2311)
 
     def steps(kmax, convex):
@@ -1128,22 +1166,32 @@ def _min_plus_corpus():
     return cases
 
 
+def _steps_never_decrease(values):
+    steps = [b - a for a, b in zip(values, values[1:])]
+    return all(a <= b for a, b in zip(steps, steps[1:]))
+
+
 def test_min_plus_is_the_pairwise_min_on_both_paths():
-    convex = capacities_module._convex
-    paths = set()
+    linear = capacities_module._linear
+    paths, convex_not_linear = set(), 0
     for li, ri, kmax in _min_plus_corpus():
         expected = [_pairwise_min_plus(li, ri, k) for k in range(1, kmax + 1)]
         assert capacities_module._min_plus(li, ri, kmax) == expected, (li, ri)
         assert capacities_module._min_plus(ri, li, kmax) == expected, (ri, li)
-        paths.add((convex(li), convex(ri)))
+        paths.add((linear(li), linear(ri)))
+        convex_not_linear += sum(_steps_never_decrease(f) and not linear(f) for f in (li, ri))
     assert paths == {(True, False), (False, True), (True, True), (False, False)}
+    assert convex_not_linear > 100  # these take the pairwise path
 
 
-def test_convexity_reads_the_steps():
-    convex = capacities_module._convex
-    assert convex([0]) and convex([0, 5]) and convex([0, 1, 2, 4, 6, 6 + 3])
-    assert convex([0, 0, 0, 1]) and convex([0, 2, 4, 6])
-    assert not convex([0, 2, 3]) and not convex([0, 1, 3, 4]) and not convex([0, 4, 4])
+def test_linearity_reads_every_value():
+    linear = capacities_module._linear
+    assert linear([0, 5]) and linear([0, 2, 4, 6]) and linear([0, 0, 0])
+    assert linear(range(0, 300, 3))
+    assert not linear([0, 1, 2, 4, 6, 6 + 3]) and not linear([0, 0, 0, 1])  # convex
+    assert not linear([0, 2, 3]) and not linear([0, 1, 3, 4]) and not linear([0, 4, 4])
+    assert not linear([0, 2, 4, 6, 9])  # only the last step differs
+    assert not linear([1, 2, 3])  # steps all 1, but not from 0
 
 
 def test_a_deep_product_with_a_convex_factor_takes_seconds_at_most():
