@@ -25,11 +25,12 @@ min_w <v, w> over v >= 1 with sum(v) = k + n - 1, which with u = v - 1 is
 minus the least max_w(-sum(w) + <u, -w>) over u in N^n with
 sum(u) = k - 1.  So one exact branch-and-bound finds the least
 max_w(d_w + <u, w>) over u in N^n with a given sum: a hull passes its rows
-and d = 0, a staircase its negated rows and d_w = -sum(w).  It runs
-depth-first over the leading coordinates and skips an entry whose bound
-over all completions cannot beat the incumbent.  That bound is linear in
-the entry, so a coordinate's loop ends once it fails at both ends, and
-otherwise jumps over a whole run of cut entries by one ceiling division.
+and d = 0, a staircase its negated rows and d_w = -sum(w); ``_Search``
+alone makes that shift.  It runs depth-first over the leading coordinates
+and skips an entry whose bound over all completions cannot beat the
+incumbent.  That bound is linear in the entry, so a coordinate's loop ends
+once it fails at both ends, and otherwise jumps over a whole run of cut
+entries by one ceiling division.
 The search tries a last unit at each later coordinate, and solves the last
 two coordinates (e, R - e) only inside the window of e where every row
 stays below the incumbent: an empty window costs no search, and in a
@@ -52,10 +53,10 @@ diagonal and the search.  Three devices use them, all exact:
   weight: its per-row floor is already exact;
 * a root stop: the whole game's bound, rounded up, is at most the
   optimum, so once the incumbent reaches it no further frame is taken;
-* a rounded incumbent: the game's column strategy times the sum, rounded
-  by largest remainders to a composition h, starts the incumbent at
-  F(h) + 1 while the witness stays (0, ..., 0, sum).  A search seeded with
-  a composition u of sum - 1 takes h as the best of u + e_j instead.
+* one start: a seed u, a composition of sum - 1, starts the incumbent at
+  F(h) + 1 for h the best of u + e_j, while the witness stays (0, ..., 0,
+  sum).  With no seed given, u is the game's column strategy times
+  sum - 1, rounded by largest remainders.
 
 The search visits compositions in lexicographic order and keeps only
 strict improvements, so the witness is the lexicographically first
@@ -245,24 +246,19 @@ def _tail_game(
 
 
 class _Search:
-    """The lattice search of one region: the least max_w(dots_w + <u, w>)
-    over its search rows w and u in N^n with sum(u) = total, and its
-    lexicographically smallest minimizer u.
+    """The lattice search of one region: c_k * denom and its
+    lexicographically first witness, from the least max_w(dots_w + <u, w>)
+    over the rows w of ``domain._rows`` and u in N^n with a given sum.
 
-    A hull's rows are its scaled generators with zero dots, a staircase's
-    its negated scaled vertices with dots -sum(w).  ``domain._search``
-    keeps one per domain, so the rows and the bounds are prepared once for
-    every k.
+    A hull's dots are zero, a staircase's the sums of its negated rows.
+    ``domain._search`` keeps one per domain, so the rows and the bounds are
+    prepared once for every k.
     """
 
     def __init__(self, domain: Union[Hull, Staircase]) -> None:
-        _, rows = domain._scaled
-        self.domain = domain
-        if domain.shape == "staircase":
-            self.dots = [-sum(row) for row in rows]
-            rows = tuple(tuple(-c for c in row) for row in rows)
-        else:
-            self.dots = [0] * len(rows)
+        rows = domain._rows
+        self.domain, self.lift = domain, domain.shape == "staircase"
+        self.dots = list(map(sum, rows)) if self.lift else [0] * len(rows)
         self.rows, self.n = rows, len(rows[0])
         self.cols = list(zip(*rows))
         self.last = self.cols[-1]
@@ -306,7 +302,7 @@ class _Search:
 
     def _rounded(self, total: int, x: dict[int, int]) -> list[int]:
         """total * x / sum(x) rounded to a composition of total by largest
-        remainders."""
+        remainders: the seed of a search given none."""
         scale = sum(x.values())
         h = [0] * self.n
         for j, xj in x.items():
@@ -316,11 +312,24 @@ class _Search:
             h[j] += 1
         return h
 
-    def __call__(
+    def __call__(self, k: int, seed: Optional[Sequence[int]] = None) -> tuple[int, tuple[int, ...]]:
+        """(c_k * denom, witness), from a witness of c_(k-1) as seed if given.
+
+        A hull's c_k is ``_least`` at total k.  A staircase's witness v is
+        u + 1 for u of sum k - 1, so it searches total k - 1 from the seed
+        less 1 and negates the value.  Adding 1 to every entry keeps
+        lexicographic order, so u + 1 is the lexicographically first.
+        """
+        if not self.lift:
+            return self._least(k, seed)
+        value, witness = self._least(k - 1, None if seed is None else [e - 1 for e in seed])
+        return -value, tuple(e + 1 for e in witness)
+
+    def _least(
         self, total: int, seed: Optional[Sequence[int]] = None
     ) -> tuple[int, tuple[int, ...]]:
         """(value, witness) at one total, from a seed composition of
-        total - 1 if given.
+        total - 1.
 
         The incumbent starts at the lexicographically first u, (0, ..., 0,
         total).  Compositions are visited depth-first in lexicographic order
@@ -351,13 +360,13 @@ class _Search:
 
         From n = 3 and a positive total the root game adds the root stop and
         a starting incumbent F(h) + 1 whose witness stays (0, ..., 0,
-        total): h is the rounded composition of ``_rounded`` or, given a
-        seed u, the best of its n one-unit extensions u + e_j.  Either way
-        F(h) is at least the optimum, so a bound above best - 1 = F(h) cuts
-        no optimal completion, and an earlier composition replaces the
-        incumbent only by a strictly lower value.  Only strict improvements
-        replace it and the order is lexicographic, so the witness is the
-        lexicographically first minimizer, whatever the seed.
+        total): h is the best of the seed's n one-unit extensions u + e_j,
+        the seed being ``_rounded``'s when none is given.  F(h) is at least
+        the optimum, so a bound above best - 1 = F(h) cuts no optimal
+        completion, and an earlier composition replaces the incumbent only
+        by a strictly lower value.  Only strict improvements replace it and
+        the order is lexicographic, so the witness is the lexicographically
+        first minimizer, whatever the seed.
         """
         n, dots, last = self.n, self.dots, self.last
         best = max(d + total * c for d, c in zip(dots, last))
@@ -396,12 +405,9 @@ class _Search:
         levels, (weight, least, mixed, x) = self._bounds
         stop = -(-(mixed + total * least) // weight)  # the surrogate bound at the root, rounded up
         if seed is None:
-            h = self._rounded(total, x)
-            start = max(d + sum(map(operator.mul, h, w)) for d, w in zip(dots, self.rows))
-        else:  # the best one-unit extension of the seed
-            base = [d + sum(map(operator.mul, seed, w)) for d, w in zip(dots, self.rows)]
-            start = min(max(map(operator.add, base, col)) for col in self.cols)
-        best = min(best, start + 1)
+            seed = self._rounded(total - 1, x)
+        base = [d + sum(map(operator.mul, seed, w)) for d, w in zip(dots, self.rows)]
+        best = min(best, min(max(map(operator.add, base, col)) for col in self.cols) + 1)
         # one frame per coordinate on the current path: the first entry to
         # try, the budget at that coordinate, the dot products with that
         # entry and their mix by that level's y
@@ -454,26 +460,20 @@ class _Search:
 
 def convex_capacity(domain: Hull, k: int) -> CapacityResult:
     """Minimize the support value max_w <v, w> over v in N^n with sum(v) = k:
-    the lattice search on the hull's scaled generators, from zero dot
-    products."""
+    the lattice search on the hull's scaled generators."""
     positive_int(k, "capacity index k")
     shape_of(domain, "hull")
-    best, witness = domain._search(k)
-    return CapacityResult(k, Fraction(best, domain._scaled[0]), witness, Branch.CONVEX_SEARCH)
+    value, witness = domain._search(k)
+    return CapacityResult(k, Fraction(value, domain._scaled[0]), witness, Branch.CONVEX_SEARCH)
 
 
 def concave_capacity(domain: Staircase, k: int) -> CapacityResult:
     """Maximize the anti-norm min_w <v, w> over v > 0 with sum(v) = k + n - 1:
-    with u = v - 1, minus the lattice search on the negated vertices from
-    dot products -sum(w).  Adding 1 to every entry keeps lexicographic
-    order, so u + 1 is the lexicographically smallest maximizer."""
+    the lattice search on the staircase's negated vertices, over u = v - 1."""
     positive_int(k, "capacity index k")
     shape_of(domain, "staircase")
-    best, witness = domain._search(k - 1)
-    return CapacityResult(
-        k, Fraction(-best, domain._scaled[0]), tuple(e + 1 for e in witness),
-        Branch.CONCAVE_SEARCH,
-    )
+    value, witness = domain._search(k)
+    return CapacityResult(k, Fraction(value, domain._scaled[0]), witness, Branch.CONCAVE_SEARCH)
 
 
 # Each kind with a closed form: its branch label and c_k at one k.  The
@@ -528,8 +528,8 @@ def _scaled_sequence(
     the progression through c_1 and c_2; its witnesses are None.
     A searched kind takes c_1 from ``capacity_at``, the one cold search,
     and every later c_k from ``domain._search`` on the domain's own
-    denominator, seeded with the previous k's witness (for a staircase, the
-    witness minus 1).  The integers pass the monotonicity check.
+    denominator, seeded with the previous k's witness.  The integers pass
+    the monotonicity check.
     """
     positive_int(kmax, "kmax")
     if type(domain) in _CLOSED_FORMS:
@@ -541,14 +541,12 @@ def _scaled_sequence(
         witnesses = None
     else:
         first = capacity_at(domain, 1)
-        branch, lift = first.branch, domain.shape == "staircase"
-        denom, search = domain._scaled[0], domain._search
+        branch, denom, search = first.branch, domain._scaled[0], domain._search
         values, witnesses = [int(first.value * denom)], [first.witness]
-        witness = tuple(e - lift for e in first.witness)
-        for total in range(2 - lift, kmax + 1 - lift):
-            best, witness = search(total, witness)
-            values.append(-best if lift else best)
-            witnesses.append(tuple(e + 1 for e in witness) if lift else witness)
+        for k in range(2, kmax + 1):
+            value, witness = search(k, witnesses[-1])
+            values.append(value)
+            witnesses.append(witness)
     _require_nondecreasing(values)
     return denom, values, witnesses, branch
 

@@ -39,7 +39,6 @@ import argparse
 import functools
 import json
 import sys
-from decimal import Context
 from fractions import Fraction
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
@@ -130,8 +129,7 @@ def _approx(value: Fraction) -> str:
     except OverflowError:
         pass
     # so far from 1 that .6g prints scientific form, trailing zeros dropped
-    digits = Context(prec=6).divide(value.numerator, value.denominator)
-    mantissa, exponent = f"{digits:.5e}".split("e")
+    mantissa, exponent = decimal_string(value, 6).split("E")
     return f"{mantissa.rstrip('0').rstrip('.')}e{exponent}"
 
 

@@ -115,13 +115,17 @@ class _Record:
         return _scaled_integer_rows(self.points)
 
     @cached_property
-    def _region_game(self) -> tuple[tuple[int, int], list[int], list[int]]:
-        """``_game`` of the scaled rows, negated for a staircase, against the
-        coordinates: played once per domain, for the diagonal's value and
-        the strategies of the lattice search's root."""
+    def _rows(self) -> tuple[tuple[int, ...], ...]:
+        """The scaled rows, negated for a staircase: the rows of the region's
+        game and of the lattice search."""
         _, rows = self._scaled
-        sign = 1 if self.shape == "hull" else -1
-        return _game([[sign * c for c in row] for row in rows])
+        return rows if self.shape == "hull" else tuple(tuple(map(operator.neg, w)) for w in rows)
+
+    @cached_property
+    def _region_game(self) -> tuple[tuple[int, int], list[int], list[int]]:
+        """``_game`` of ``_rows`` against the coordinates, played once per
+        domain for the diagonal and the lattice search's root."""
+        return _game(self._rows)
 
     @cached_property
     def _search(self):

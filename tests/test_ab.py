@@ -314,11 +314,12 @@ def test_reversed_staircase_witnesses_differ_on_exactly_the_predicted_regions(tm
     ]
     assert 0 < len(predicted) < sum(region.shape == "staircase" for region in regions)
 
-    # reversed where the cold search and the sequence's seeded searches
-    # lift a witness, so both comparisons see it
+    # reversed where the search lifts a witness, the one site that both the
+    # cold search and the sequence's seeded searches pass, so both
+    # comparisons see it
     witness = "tuple(e + 1 for e in witness)"
     reversed_ = witness.replace("witness)", "witness[::-1])")
-    copy = _edited_copy(tmp_path, "capacities.py", witness, reversed_, 2)
+    copy = _edited_copy(tmp_path, "capacities.py", witness, reversed_, 1)
     differ = tool.compare(_trees(tool, SRC, copy), regions)
     assert [region for region, _, _ in differ] == predicted
     for _, (answers, sequence, diagonal), (*edited, edited_diagonal) in differ:

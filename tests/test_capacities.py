@@ -560,12 +560,9 @@ def test_integer_monotonicity_check_fires(monkeypatch):
         with pytest.raises(ToricapError, match=message + "4$"):
             capacity_sequence(domain, 5)
 
-    def falling_search(search, total, seed=None):
-        # c_k is at total k for a hull and total k - 1 for a staircase,
-        # whose search value is minus the capacity
-        if search.domain.shape == "hull":
-            return (5, 5, 7, 6, 8)[total - 1], (total,)
-        return -(5, 5, 7, 6, 8)[total], (total,)
+    def falling_search(search, k, seed=None):
+        # the search answers c_k * denom in the capacity's own terms
+        return (5, 5, 7, 6, 8)[k - 1], (k,)
 
     monkeypatch.setattr(capacities_module._Search, "__call__", falling_search)
     for domain in (ConvexToricDomain(((1,),)), ConcaveToricDomain(((1,),))):
@@ -976,21 +973,26 @@ TOTALS = 30
 
 
 def test_a_seed_never_changes_a_search():
-    # a seed is any composition of total - 1; the search at total from it
-    # gives the cold search's value and lexicographically first witness
+    # one call per c_k answers (c_k * denom, witness) in the capacity's own
+    # terms, cold or from any seed: c_(k-1)'s witness, or any composition
+    # of its sum, k - 1 on a hull and k + n - 2 with every entry >= 1 on a
+    # staircase
     rng = random.Random(2417)
     shapes = set()
     for domain in _seed_corpus(rng, 120):
-        search, n = domain._search, domain.n
+        search, n, denom = domain._search, domain.n, domain._scaled[0]
+        lift = int(domain.shape == "staircase")
         shapes.add((domain.shape, n))
-        previous = search(0)
-        for total in range(1, TOTALS + 1):
-            cold = search(total)
-            seeds = [previous[1], (0,) * (n - 1) + (total - 1,)]
-            seeds += [_composition(rng, n, total - 1) for _ in range(2)]
-            for seed in seeds:
-                assert search(total, seed) == cold, (domain, total, seed)
-            previous = cold
+        previous = capacity_at(domain, 1)
+        assert search(1) == (previous.value * denom, previous.witness), domain
+        for k in range(2, TOTALS + 1):
+            result = capacity_at(domain, k)
+            expected = (result.value * denom, result.witness)
+            seeds = [previous.witness, (lift,) * (n - 1) + (k - 1,)]
+            seeds += [tuple(e + lift for e in _composition(rng, n, k - 1 - lift)) for _ in range(2)]
+            for seed in [None, *seeds]:
+                assert search(k, seed) == expected, (domain, k, seed)
+            previous = result
     assert {n for _, n in shapes} == set(range(1, 7))
     assert {shape for shape, _ in shapes} == {"hull", "staircase"}
 

@@ -248,12 +248,9 @@ def test_caps_exits_1_when_a_sequence_decreases(write_spec, capsys, monkeypatch)
         capacities, "_progression", lambda first, second, kmax: (2, [5, 5, 7, 6])
     )
 
-    def falling_search(search, total, seed=None):
-        # c_k is at total k for a hull and total k - 1 for a staircase,
-        # whose search value is minus the capacity
-        if search.domain.shape == "hull":
-            return (5, 5, 7, 6)[total - 1], (0,) * (search.n - 1) + (total,)
-        return -(5, 5, 7, 6)[total], (0,) * (search.n - 1) + (total,)
+    def falling_search(search, k, seed=None):
+        # the search answers c_k * denom in the capacity's own terms
+        return (5, 5, 7, 6)[k - 1], (0,) * (search.n - 1) + (k,)
 
     monkeypatch.setattr(capacities._Search, "__call__", falling_search)
     for kind, spec in SPECS.items():
