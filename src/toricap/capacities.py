@@ -15,8 +15,9 @@ building that kind:
 The last two are arithmetic progressions in k, so a whole sequence is c_1
 and c_2 from the closed form, scaled to integers over one denominator and
 extended by their difference.  Either way a sequence stays integers over
-one denominator: the CLI formats them as they are, and only the library's
-records cost one ``Fraction`` and one ``CapacityResult`` per value.
+one denominator: the CLI formats them as they are, and a
+``CapacitySequence`` holds them, building one ``Fraction`` and one
+``CapacityResult`` per value only when its ``values`` are read.
 
 A kind without a closed form is searched by the shape of its region (see
 ``domains``).  A hull's c_k is the least support value max_w <v, w> over
@@ -70,20 +71,22 @@ a progression, or the search.  A searched sequence takes c_1 from
 ``capacity_at`` and each later c_k from the region's search on the
 domain's denominator, seeded with the previous witness: c_k and c_(k-1)
 are neighbouring lattice problems, and one unit added to the last
-optimizer is often optimal again.  ``capacity_sequence`` builds its
-records from it, and the CLI formats its integers directly.  The product
-combinator takes its min-plus convolution on the factors' values scaled
-to integers over one common denominator, and builds its records with the
-same helper.  When either factor, with its c_0 = 0, is linear, c_i = i * s
-(a polydisk or a cube), the min-plus is k * s plus a prefix minimum of
-the other factor less j * s, one O(K) pass; any other pair of factors
-reads all O(K^2) pairs.  Every sequence passes one check, on its
-integers, that it is nondecreasing.
+optimizer is often optimal again.  ``capacity_sequence`` keeps its
+integers, and the CLI formats them directly.  The product combinator
+takes its min-plus convolution on the factors' integers, each rescaled to
+the lcm of their two denominators, and keeps its own the same way; a
+sequence built by hand from its records derives its integers from them
+once, so every factor takes that one path.  When either factor, with its
+c_0 = 0, is linear, c_i = i * s (a polydisk or a cube), the min-plus is
+k * s plus a prefix minimum of the other factor less j * s, one O(K)
+pass; any other pair of factors reads all O(K^2) pairs.  Every sequence
+passes one check, on its integers, that it is nondecreasing.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import operator
 from itertools import accumulate, chain, count, repeat
 from enum import Enum
@@ -99,6 +102,7 @@ from .domains import (
     Polydisk,
     Staircase,
     ToricDomain,
+    _Value,
     _game,
     _scaled_integer_rows,
     shape_of,
@@ -127,23 +131,64 @@ class CapacityResult(NamedTuple):
     branch: Branch
 
 
-class CapacitySequence(NamedTuple):
-    """Capacities c_1 .. c_K of one domain (or of a product of domains)."""
+class CapacitySequence(_Value):
+    """Capacities c_1 .. c_K of one domain (or of a product of domains).
 
+    The engine builds one from its integers, c_k = ints[k - 1] / denom
+    (``_of``), and ``values``, one ``CapacityResult`` per k, only on its
+    first read; ``kmax``, ``value(k)`` and ``raw_values()`` read the
+    integers.  A sequence built from its records derives its integers from
+    them once.
+    """
+
+    _fields = ("domain", "values")
     domain: Union[ToricDomain, str]
-    values: tuple[CapacityResult, ...]
+
+    def __init__(
+        self, domain: Union[ToricDomain, str], values: tuple[CapacityResult, ...]
+    ) -> None:
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "values", values)
+
+    @classmethod
+    def _of(
+        cls,
+        domain: Union[ToricDomain, str],
+        denom: int,
+        values: Sequence[int],
+        witnesses: Optional[Sequence],
+        branch: Branch,
+    ) -> CapacitySequence:
+        """The sequence c_k = values[k - 1] / denom, with its records'
+        witnesses (None: none) and branch, built when first read."""
+        return cls._from(domain=domain, _scaled=(denom, values), _labels=(witnesses, branch))
+
+    @cached_property
+    def values(self) -> tuple[CapacityResult, ...]:
+        (denom, values), (witnesses, branch) = self._scaled, self._labels
+        fractions = map(Fraction, values, repeat(denom))
+        witnesses = repeat(None) if witnesses is None else witnesses
+        return tuple(map(CapacityResult, count(1), fractions, witnesses, repeat(branch)))
+
+    @cached_property
+    def _scaled(self) -> tuple[int, Sequence[int]]:
+        """(denom, integers): c_k = integers[k - 1] / denom."""
+        denom, (values,) = _scaled_integer_rows(([r.value for r in self.values],))
+        return denom, values
 
     @property
     def kmax(self) -> int:
-        return len(self.values)
+        return len(self._scaled[1])
 
     def value(self, k: int) -> Fraction:
         if isinstance(k, bool) or not isinstance(k, int) or not 1 <= k <= self.kmax:
             raise ValueError(f"k={k} outside computed range 1..{self.kmax}")
-        return self.values[k - 1].value
+        denom, values = self._scaled
+        return Fraction(values[k - 1], denom)
 
     def raw_values(self) -> list[Fraction]:
-        return [r.value for r in self.values]
+        denom, values = self._scaled
+        return list(map(Fraction, values, repeat(denom)))
 
 
 def _ellipsoid_cut(domain: Ellipsoid, k: int) -> tuple[int, tuple[int, ...], int]:
@@ -551,18 +596,10 @@ def _scaled_sequence(
     return denom, values, witnesses, branch
 
 
-def _records(
-    denom: int, values: Sequence[int], witnesses: Optional[Sequence], branch: Branch
-) -> tuple[CapacityResult, ...]:
-    """The records c_k = values[k - 1] / denom, built by one ``map``."""
-    fractions = map(Fraction, values, repeat(denom))
-    witnesses = repeat(None) if witnesses is None else witnesses
-    return tuple(map(CapacityResult, count(1), fractions, witnesses, repeat(branch)))
-
-
 def capacity_sequence(domain: ToricDomain, kmax: int) -> CapacitySequence:
-    """c_1 .. c_kmax of the domain, as records of ``_scaled_sequence``."""
-    return CapacitySequence(domain=domain, values=_records(*_scaled_sequence(domain, kmax)))
+    """c_1 .. c_kmax of the domain: ``_scaled_sequence``'s integers, whose
+    records are built when first read."""
+    return CapacitySequence._of(domain, *_scaled_sequence(domain, kmax))
 
 
 def _linear(values: Sequence[int]) -> bool:
@@ -597,9 +634,10 @@ def product_capacities(
 
     The index 0 terms are taken to be 0, so each factor's own c_k is always
     among the candidates.  The min-plus (``_min_plus``) runs on the factors'
-    first kmax values scaled to integers over one common denominator, in
+    first kmax integers, rescaled to the lcm of their denominators, in
     O(K) when either factor is linear with its c_0 = 0 (a polydisk or a
-    cube) and in O(K^2) otherwise.
+    cube) and in O(K^2) otherwise.  The product's records are built when
+    first read.
     """
     positive_int(kmax, "kmax")
     if left.kmax < kmax or right.kmax < kmax:
@@ -607,12 +645,11 @@ def product_capacities(
             f"need both factors computed to index {kmax}, "
             f"got {left.kmax} and {right.kmax}"
         )
-    denom, (li, ri) = _scaled_integer_rows(
-        ((0, *left.raw_values()[:kmax]), (0, *right.raw_values()[:kmax]))
-    )
+    (dl, li), (dr, ri) = left._scaled, right._scaled
+    denom = math.lcm(dl, dr)
+    li = [0, *(v * (denom // dl) for v in li[:kmax])]
+    ri = [0, *(v * (denom // dr) for v in ri[:kmax])]
     values = _min_plus(li, ri, kmax)
     _require_nondecreasing(values)
     label = f"({left.domain}) x ({right.domain})"
-    return CapacitySequence(
-        domain=label, values=_records(denom, values, None, Branch.PRODUCT_COMBINATOR)
-    )
+    return CapacitySequence._of(label, denom, values, None, Branch.PRODUCT_COMBINATOR)

@@ -27,7 +27,8 @@ integers over one denominator:
 ``format_rational(value, denom)`` and ``decimal_string(value, 20, denom)``
 fill one list each, with no record or ``Fraction`` per row, and the branch
 label is read once.  Its ``--oracle`` column is computed first, so a K
-past the enumeration cap fails before any sequence is built.
+past the enumeration cap fails before any sequence is built.  ``obstruct``
+formats both sides of its report from their integers the same way.
 
 Exit codes: 0 success, 1 domain or semantic error (including an oracle
 mismatch under ``--oracle``), 2 usage error.
@@ -238,11 +239,14 @@ def _cmd_obstruct(args) -> tuple[tuple, bool]:
     source = load_domain(args.source)
     target = load_domain(args.target)
     report = obstruct(source, target, args.kmax)
-    ks, sources, targets = zip(*report.rows)
-    columns = [list(map(str, ks)), *([*map(format_rational, side)] for side in (sources, targets))]
-    # c_k(source) > c_k(target) on the integers of the lowest terms
-    over = [a.numerator * b.denominator > b.numerator * a.denominator
-            for a, b in zip(sources, targets)]
+    # the engine's integers: c_k = sources[k - 1] / d_s and targets[k - 1] / d_t
+    (d_s, sources), (d_t, targets) = report._sides
+    ks = range(1, report.kmax + 1)
+    columns = [
+        list(map(str, ks)),
+        *(list(map(format_rational, side, repeat(d))) for d, side in report._sides),
+    ]
+    over = [a * d_t > b * d_s for a, b in zip(sources, targets)]  # c_k(source) > c_k(target)
     first = report.first_violation
     verdict = f"no violation up to k={report.kmax}" if first is None else f"violation at k={first}"
     return (

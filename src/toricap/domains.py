@@ -82,12 +82,23 @@ def _scaled_integer_rows(points: tuple[Point, ...]) -> tuple[int, tuple[tuple[in
     return denom, rows
 
 
-class _Record:
-    """A domain kind: an immutable value, the fields named in ``_fields``
-    set once by the kind's ``__init__`` through ``object.__setattr__``,
-    whose region is given by its ``points``."""
+class _Value:
+    """An immutable value: the fields named in ``_fields`` are set once
+    through ``object.__setattr__``, and equality, hashing and the repr go
+    by the class and those fields.  A field may instead be a
+    ``cached_property`` built on its first read, as may any cache, since
+    both land in the instance dict: the domains and the capacity records
+    are such values."""
 
     _fields: tuple[str, ...] = ()
+
+    @classmethod
+    def _from(cls, **attributes: object) -> _Value:
+        """An instance holding these attributes, set past ``__init__``: the
+        engine's integers, from which a ``cached_property`` field is built."""
+        value = cls.__new__(cls)
+        value.__dict__.update(attributes)
+        return value
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -109,6 +120,11 @@ class _Record:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
+
+
+class _Record(_Value):
+    """A domain kind: a ``_Value`` whose fields its ``__init__`` checks and
+    sets, whose region is given by its ``points``."""
 
     @cached_property
     def _scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:

@@ -10,7 +10,8 @@
 * pairwise obstruction reports: capacities are monotone under symplectic
   embeddings, so c_k(source) > c_k(target) at any k rules the embedding
   out (no conclusion in the other direction); the two sequences are
-  compared as integers over their two denominators, without a ``Fraction``;
+  compared as integers over their two denominators, and the report keeps
+  those integers, building its ``Fraction`` rows only when they are read;
 * asymptotic slope: c_k/k converges to the cube capacity, reported with
   the finite-k bracket that forces the convergence;
 * Lagrangian capacity lower bound: the cube capacity again, since the
@@ -20,26 +21,46 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import count, repeat
 from typing import NamedTuple, Optional
 
 from .capacities import _scaled_sequence, capacity_at
-from .domains import Staircase, ToricDomain, antinorm_value, diagonal_intersection
+from .domains import Staircase, ToricDomain, _Value, antinorm_value, diagonal_intersection
 from .errors import DimensionMismatch
 from .rationals import positive_int
 
 
-class ObstructionReport(NamedTuple):
+class ObstructionReport(_Value):
     """Per-k comparison of two capacity sequences.
 
     ``first_violation`` is the least k <= kmax with
     c_k(source) > c_k(target), or None when the capacities never obstruct.
-    Absence of a violation proves nothing about embeddability.
+    Absence of a violation proves nothing about embeddability.  ``obstruct``
+    keeps both sides' integers, ``_sides`` = ((d_s, source), (d_t, target))
+    with c_k = source[k - 1] / d_s and target[k - 1] / d_t, and builds
+    ``rows``, (k, c_k(source), c_k(target)) per k, only on its first read.
     """
 
+    _fields = ("kmax", "first_violation", "rows")
     kmax: int
     first_violation: Optional[int]
-    rows: tuple[tuple[int, Fraction, Fraction], ...]
+
+    def __init__(
+        self,
+        kmax: int,
+        first_violation: Optional[int],
+        rows: tuple[tuple[int, Fraction, Fraction], ...],
+    ) -> None:
+        object.__setattr__(self, "kmax", kmax)
+        object.__setattr__(self, "first_violation", first_violation)
+        object.__setattr__(self, "rows", rows)
+
+    @cached_property
+    def rows(self) -> tuple[tuple[int, Fraction, Fraction], ...]:
+        (d_s, src), (d_t, tgt) = self._sides
+        sides = (map(Fraction, src, repeat(d_s)), map(Fraction, tgt, repeat(d_t)))
+        return tuple(zip(count(1), *sides))
 
 
 class SlopeReport(NamedTuple):
@@ -72,8 +93,8 @@ def obstruct(source: ToricDomain, target: ToricDomain, kmax: int) -> Obstruction
     d_s, src = _scaled_sequence(source, kmax)[:2]
     d_t, tgt = _scaled_sequence(target, kmax)[:2]
     first = next((k for k, a, b in zip(count(1), src, tgt) if a * d_t > b * d_s), None)
-    sides = (map(Fraction, src, repeat(d_s)), map(Fraction, tgt, repeat(d_t)))
-    return ObstructionReport(kmax, first, tuple(zip(count(1), *sides)))
+    sides = ((d_s, src), (d_t, tgt))
+    return ObstructionReport._from(kmax=kmax, first_violation=first, _sides=sides)
 
 
 def asymptotic_slope(domain: ToricDomain, kmax: int) -> SlopeReport:

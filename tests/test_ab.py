@@ -218,7 +218,7 @@ def test_a_changed_product_differs_on_exactly_the_product_slots(monkeypatch, tmp
     assert products and len(products) < len(slots)
     assert tool.compare(_trees(tool, SRC, SRC), slots) == []
 
-    records = "values=_records(denom, values, None"
+    records = "CapacitySequence._of(label, denom, values, None"  # where the product is built
     one_more = records.replace("values, None", "[values[0] + 1, *values[1:]], None")
     copy = _edited_copy(tmp_path, "capacities.py", records, one_more, 1)
     differ = tool.compare(_trees(tool, SRC, copy), slots)
@@ -274,6 +274,29 @@ def test_a_changed_convex_min_plus_differs_on_exactly_the_convex_pairs(tmp_path)
     row = "k * step + low for k, low"  # on the linear path only
     copy = _edited_copy(tmp_path, "capacities.py", row, row.replace("low", "low + 1", 1), 1)
     assert _differing(tool, _trees(tool, SRC, copy), pairs) == predicted
+
+
+def _one_n(pair) -> bool:
+    left, right = (getattr(toricap, f.kind)(*f.args) for f in (pair.left, pair.right))
+    return left.n == right.n
+
+
+def test_an_edited_obstruct_row_differs_on_exactly_the_pairs_of_one_n(tmp_path):
+    """A pair's factors of one n are also compared on ``obstruct``; its
+    rows' k column starting at 2 shows there and nowhere else, and leaves
+    the first violation as it is."""
+    tool = _tool()
+    pairs = tool.products(7)
+    predicted = [pair for pair in pairs if _one_n(pair)]
+    assert 0 < len(predicted) < len(pairs)
+
+    rows = "tuple(zip(count(1), *sides))"
+    copy = _edited_copy(tmp_path, "embeddings.py", rows, rows.replace("1", "2"), 1)
+    differ = tool.compare(_trees(tool, SRC, copy), pairs)
+    assert [pair for pair, _, _ in differ] == predicted
+    for _, (label, records, (first, rows)), edited in differ:
+        assert edited[:2] == (label, records) and edited[2][0] == first
+        assert list(edited[2][1]) == [(k + 1, a, b) for k, a, b in rows]
 
 
 def test_the_corpus_holds_its_three_parts():

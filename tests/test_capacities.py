@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 import time
 from fractions import Fraction
@@ -201,6 +202,35 @@ def test_witness_invariants_random():
         s = concave_capacity(c, k)
         assert sum(s.witness) == k + c.n - 1 and all(e >= 1 for e in s.witness)
         assert antinorm_value(c, s.witness) == s.value
+
+
+def test_sequence_witnesses_hold_at_depth():
+    """Every record of seeded hulls' and staircases' sequences in n 3-12,
+    past the oracle's reach, meets three checks that share no code with the
+    search.  Its witness evaluates to its value through ``support_value``
+    or ``antinorm_value``; it sums to k (hull) or k + n - 1 (staircase);
+    and it is locally lex-first: for i < j with u_i above its floor (0,
+    or 1 on a staircase), u - e_i + e_j is lexicographically earlier, so it
+    must score strictly worse (higher on a hull, lower on a staircase)."""
+    rng = random.Random(2704)
+    shapes = (
+        (random_convex, support_value, 0, operator.gt),
+        (random_concave, antinorm_value, 1, operator.lt),
+    )
+    checked = 0
+    for n, kmax in [(3, 20), (4, 16), (5, 14)] * 10 + [(n, 12) for n in range(6, 13)] * 3:
+        for make, evaluate, floor, worse in shapes:
+            domain = make(rng, n=n, max_points=5)
+            for r in capacity_sequence(domain, kmax).values:
+                u = r.witness
+                assert sum(u) == r.k + floor * (n - 1) and min(u) >= floor, (domain, r)
+                assert evaluate(domain, u) == r.value, (domain, r)
+                for i in (i for i in range(n - 1) if u[i] > floor):
+                    for j in range(i + 1, n):
+                        earlier = (*u[:i], u[i] - 1, *u[i + 1 : j], u[j] + 1, *u[j + 1 :])
+                        assert worse(evaluate(domain, earlier), r.value), (domain, r, earlier)
+                        checked += 1
+    assert checked > 6000
 
 
 def _lex_first_optimum(domain, k):
@@ -1087,9 +1117,9 @@ def test_an_ellipsoid_is_a_staircase():
 # -------------------------------------------------------------------- products
 
 
-def _sequence(values) -> CapacitySequence:
+def _sequence(values, domain="X") -> CapacitySequence:
     return CapacitySequence(
-        "X",
+        domain,
         tuple(
             CapacityResult(k, v, None, Branch.CONVEX_SEARCH)
             for k, v in enumerate(values, 1)
@@ -1132,6 +1162,34 @@ def test_product_matches_fraction_min_plus():
             r.witness is None and r.branch is Branch.PRODUCT_COMBINATOR
             for r in combined.values
         )
+
+
+def test_product_records_do_not_depend_on_how_the_factors_were_built():
+    """Engine-built factors, factors built by hand from their values and
+    every mix give the same records, label included: the product reads
+    each factor's integers, which a hand-built one derives from its
+    records."""
+    rng = random.Random(2701)
+    kinds = [
+        lambda n: Ellipsoid(random_axes(rng, n)),
+        lambda n: Polydisk(random_axes(rng, n)),
+        lambda n: Cube(n, random_axes(rng, 1)[0]),
+        lambda n: CylinderUnion(n, random_axes(rng, 1)[0]),
+        lambda n: random_convex(rng, n=n, max_points=3),
+        lambda n: random_concave(rng, n=n, max_points=3),
+    ]
+    for _ in range(40):
+        kmax = rng.randint(1, 25)
+        engine = [
+            capacity_sequence(rng.choice(kinds)(rng.randint(1, 3)), kmax + rng.choice((0, 4)))
+            for _ in range(2)
+        ]
+        by_hand = [_sequence(seq.raw_values(), seq.domain) for seq in engine]
+        expected = product_capacities(*engine, kmax)
+        assert expected.raw_values() == _min_plus_reference(*engine, kmax)
+        for left, right in ((by_hand[0], engine[1]), (engine[0], by_hand[1]), by_hand):
+            combined = product_capacities(left, right, kmax)
+            assert combined == expected and repr(combined) == repr(expected)
 
 
 def _pairwise_min_plus(li, ri, k):

@@ -3,7 +3,10 @@
 Domains compare by their kind and their fields, hash alike when equal,
 refuse assignment and deletion, build positionally or by field name and
 print as ``Kind(field=value, ...)``.  The result records keep their field
-order, their attribute access and their immutability.
+order, their attribute access and their immutability.  A sequence or an
+obstruction report the engine builds holds its integers, equals the one
+built by hand from its records and builds those records once, on their
+first read.
 """
 
 from fractions import Fraction
@@ -21,8 +24,10 @@ from toricap import (
     Ellipsoid,
     ObstructionReport,
     Polydisk,
+    capacity_at,
     capacity_sequence,
     obstruct,
+    product_capacities,
     scale_domain,
 )
 
@@ -153,3 +158,53 @@ def test_result_records_are_immutable(record, fields):
             delattr(record, name)
     with pytest.raises(AttributeError):
         record.extra = 1
+
+
+# searched and closed-form domains, each with its kmax
+ENGINE = [
+    (ConvexToricDomain(((3, 1), (1, F(5, 2)), (F(1, 2), 4))), 7),
+    (ConcaveToricDomain(((2, F(1, 3)), (1, 3))), 7),
+    (Ellipsoid((1, F(3, 2), "inf")), 9),
+    (Polydisk((F(4, 3), 2)), 5),
+    (CylinderUnion(3, F(2, 5)), 5),
+]
+
+
+@pytest.mark.parametrize("domain, kmax", ENGINE, ids=[type(d).__name__ for d, _ in ENGINE])
+def test_engine_sequences_equal_their_records_built_by_hand(domain, kmax):
+    seq = capacity_sequence(domain, kmax)
+    by_hand = CapacitySequence(domain, tuple(capacity_at(domain, k) for k in range(1, kmax + 1)))
+    assert seq == by_hand and by_hand == seq and not seq != by_hand
+    assert hash(seq) == hash(by_hand) and repr(seq) == repr(by_hand)
+    assert (seq.kmax, seq.raw_values()) == (by_hand.kmax, by_hand.raw_values())
+    assert [seq.value(k) for k in range(1, kmax + 1)] == by_hand.raw_values()
+    assert seq != capacity_sequence(domain, kmax - 1)
+
+
+def test_engine_reports_equal_their_rows_built_by_hand():
+    for source, target in ((Cube(2, 2), Ellipsoid((1, 3))), (Ellipsoid((1, 2)), Polydisk((1, 1)))):
+        report = obstruct(source, target, 6)
+        sides = (capacity_sequence(d, 6).raw_values() for d in (source, target))
+        rows = tuple(zip(range(1, 7), *sides))
+        first = next((k for k, a, b in rows if a > b), None)
+        by_hand = ObstructionReport(6, first, rows)
+        assert report == by_hand and by_hand == report
+        assert hash(report) == hash(by_hand) and repr(report) == repr(by_hand)
+    assert obstruct(Cube(2, 2), Ellipsoid((1, 3)), 6).first_violation == 1
+    assert obstruct(Ellipsoid((1, 2)), Polydisk((1, 1)), 6).first_violation is None
+
+
+def test_records_are_built_once_and_only_when_read():
+    seq = capacity_sequence(ConcaveToricDomain(((2, 1), (1, 3))), 6)
+    assert (seq.kmax, seq.value(6)) == (6, seq.raw_values()[-1])
+    product = product_capacities(seq, seq, 6)
+    assert (product.kmax, product.value(1)) == (6, seq.value(1))
+    assert "values" not in vars(seq) and "values" not in vars(product)
+    assert seq.values is seq.values and len(seq.values) == 6
+    assert product.values is product.values
+
+    report = obstruct(Cube(2, 2), Ellipsoid((1, 3)), 6)
+    assert (report.kmax, report.first_violation) == (6, 1)
+    assert "rows" not in vars(report)
+    assert report.rows is report.rows and len(report.rows) == 6
+

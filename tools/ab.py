@@ -13,8 +13,10 @@ below runs on both in turn through ``call``; their answers must be equal.
   cases of ``tests/test_golden.py``; and the error paths of
   ``error_argvs``.  The answer is the exit code, stdout and stderr.
 * The workloads' library ``product`` slots, run as ``bench/run.py`` runs
-  them, and the seeded product pairs of ``products``: the values of
-  ``product_capacities``.
+  them: the values of ``product_capacities``.
+* The seeded product pairs of ``products``: the label and each record
+  (k, value, witness, branch) of ``product_capacities``, and, for factors
+  of one n, the first violation and the rows of ``obstruct``.
 * The library corpus of ``corpus``: for each hull or staircase region,
   built in each tree from plain ``Fraction`` data, the value, witness and
   branch of ``capacity_at`` for each k = 1..K and of each record of
@@ -207,15 +209,15 @@ def label(request) -> str:
 
 def call(tree, request) -> object:
     """One request on one tree: (exit code, stdout, stderr) of a CLI argv
-    or of a workload's CLI request; the values of a workload's product or
-    of a product pair; (value, witness, branch) of each ``capacity_at`` of
-    a region and of each record of its ``capacity_sequence``, and its
-    diagonal.  An exception is raised again naming the
-    tree and request."""
+    or of a workload's CLI request; the values of a workload's product;
+    ``_pair`` of a product pair; (value, witness, branch) of each
+    ``capacity_at`` of a region and of each record of its
+    ``capacity_sequence``, and its diagonal.  An exception is raised again
+    naming the tree and request."""
     try:
         if isinstance(request, Product):
-            factors = (getattr(tree, f.kind)(*f.args) for f in request[:2])
-            return _product(tree, factors, request.kmax)
+            factors = [getattr(tree, f.kind)(*f.args) for f in request[:2]]
+            return _pair(tree, factors, request.kmax)
         if isinstance(request, Region):
             kind = {"hull": tree.ConvexToricDomain, "staircase": tree.ConcaveToricDomain}
             domain = kind[request.shape](request.points)
@@ -240,6 +242,21 @@ def call(tree, request) -> object:
 def _product(tree, factors, kmax: int) -> list[Fraction]:
     left, right = (tree.capacity_sequence(domain, kmax) for domain in factors)
     return tree.product_capacities(left, right, kmax).raw_values()
+
+
+def _pair(tree, factors: list, kmax: int) -> tuple:
+    """(label, records, report) of a product pair: the ``domain`` label of
+    its ``product_capacities`` and each record's (k, value, witness,
+    branch), then (first violation, rows) of ``obstruct`` from the left
+    factor into the right where both have one n, else None."""
+    left, right = (tree.capacity_sequence(domain, kmax) for domain in factors)
+    product = tree.product_capacities(left, right, kmax)
+    records = [(r.k, r.value, r.witness, r.branch.value) for r in product.values]
+    report = None
+    if factors[0].n == factors[1].n:
+        obstructed = tree.obstruct(*factors, kmax)
+        report = obstructed.first_violation, obstructed.rows
+    return product.domain, records, report
 
 
 @contextlib.contextmanager
