@@ -548,9 +548,8 @@ def capacity_at(domain: ToricDomain, k: int) -> CapacityResult:
 def _require_nondecreasing(values: Sequence) -> None:
     """The one monotonicity check: c_1 .. c_K, as integers over one
     denominator, must never decrease."""
-    drops = list(map(operator.gt, values, values[1:]))
-    if any(drops):
-        k = drops.index(True) + 2
+    if any(map(operator.gt, values, values[1:])):
+        k = next(k for k, a, b in zip(count(2), values, values[1:]) if a > b)
         raise ToricapError(f"internal error: capacity sequence decreased at k={k}")
 
 

@@ -23,10 +23,12 @@ column's types: an all-``None`` column is a literal ``null``, an all-int
 column and an all-str column that needs no JSON escape (checked once on
 its joined text) are filled as they are, and any other column value by
 value.  ``caps`` works a column at a time on the sequence engine's
-integers over one denominator:
-``format_rational(value, denom)`` and ``decimal_string(value, 20, denom)``
-fill one list each, with no record or ``Fraction`` per row, and the branch
-label is read once.  Its ``--oracle`` column is computed first, so a K
+integers over one denominator, with no record or ``Fraction`` per row, and
+reads the branch label once.  ``format_rational(value, denom)`` and
+``decimal_string(value, 20, denom)`` fill its value columns, one call per
+value, but a closed form's progression is written one residue class mod
+``denom`` at a time, from one call per class (``_rational_column``,
+``_decimal_column``).  Its ``--oracle`` column is computed first, so a K
 past the enumeration cap fails before any sequence is built.  ``obstruct``
 formats both sides of its report from their integers the same way.
 
@@ -39,10 +41,12 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from fractions import Fraction
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
+from typing import Optional, Sequence
 
 from .capacities import _scaled_sequence
 from .domains import Staircase, ToricDomain
@@ -134,6 +138,75 @@ def _approx(value: Fraction) -> str:
     return f"{mantissa.rstrip('0').rstrip('.')}e{exponent}"
 
 
+def _classes(values, denom) -> Optional[list[tuple[slice, range]]]:
+    """(slice, values) of each residue class mod ``denom`` of an increasing
+    ``range`` of nonnegative ints, as a closed form's capacities are: the
+    x = r at indices i, i + p, ..., p = denom / gcd(step, denom), form a
+    range whose step is a multiple of ``denom``.  None for anything else,
+    or for fewer than 8 values per class, which cost more than one by one."""
+    if type(values) is not range or type(denom) is not int or denom < 1:
+        return None
+    period = denom // math.gcd(values.step, denom)
+    if not values.start >= 0 < values.step or len(values) < 8 * period:
+        return None
+    return [(slice(i, None, period), values[i::period]) for i in range(period)]
+
+
+def _rational_column(values: Sequence[int], denom: int) -> list[str]:
+    """``format_rational(x, denom)`` for each x of ``values``: in a class
+    every x shares g = gcd(x, denom), so it is x // g and the tail, "/q" or
+    nothing, of ``format_rational(g, denom)``."""
+    classes = _classes(values, denom)
+    if classes is None:
+        return list(map(format_rational, values, repeat(denom)))
+    column = [""] * len(values)
+    for rows, same in classes:
+        g = math.gcd(same.start, denom)
+        numerators = range(same.start // g, same[-1] // g + 1, same.step // g)
+        column[rows] = map(f"%d{format_rational(g, denom)[1:]}".__mod__, numerators)
+    return column
+
+
+def _decimal_tail(width: int, r: int, denom: int) -> Optional[str]:
+    """What ``decimal_string(x, 20, denom)`` writes after the integer part
+    for every x = r (mod denom) whose quotient x // denom has ``width``
+    digits: below 20 the rounding falls on a fraction digit, so the least
+    such x shows it.  None for a quotient of 0 or of 20 digits or more, and
+    for a tail that rounds up into the integer part."""
+    if not 0 < width < 20:
+        return None
+    head = 10 ** (width - 1)
+    integer, dot, fraction = decimal_string(head * denom + r, 20, denom).partition(".")
+    return dot + fraction if integer == str(head) else None
+
+
+def _decimal_column(values: Sequence[int], denom: int) -> list[str]:
+    """``decimal_string(x, 20, denom)`` for each x of ``values``: in a class,
+    each run of quotients x // denom of one width is those quotients and
+    their ``_decimal_tail``, or is rendered one by one where it is None."""
+    classes = _classes(values, denom)
+    if classes is None:
+        return list(map(decimal_string, values, repeat(20), repeat(denom)))
+    column = [""] * len(values)
+    for rows, same in classes:
+        r, step = same.start % denom, same.step // denom
+        quotients = range(same.start // denom, same[-1] // denom + 1, step)
+        texts: list[str] = []
+        while len(texts) < len(quotients):
+            j = len(texts)
+            q = quotients[j]
+            # 0 for a quotient of 0, and 20 for 10^19 and every quotient past it
+            width = len(str(q)) if 0 < q < 10**19 else min(q, 20)
+            end = len(quotients) if width == 20 else j - (q - 10**width) // step
+            tail = _decimal_tail(width, r, denom)
+            if tail is None:
+                texts += map(decimal_string, same[j:end], repeat(20), repeat(denom))
+            else:
+                texts += map(f"%d{tail}".__mod__, quotients[j:end])
+        column[rows] = texts
+    return column
+
+
 def _format_table(header: list[str], columns: list[list[str]]) -> str:
     """``header`` over ``columns``, left-aligned two spaces apart: each
     column but the last is padded to its width by one ``str.ljust`` map,
@@ -214,8 +287,8 @@ def _cmd_caps(args) -> tuple[tuple, bool]:
         oracle.append(list(map(format_rational, expected)))
         header.append("oracle_rational")
     denom, values, witnesses, branch = _scaled_sequence(domain, kmax)
-    rationals = list(map(format_rational, values, repeat(denom)))
-    decimals = list(map(decimal_string, values, repeat(20), repeat(denom)))
+    rationals = _rational_column(values, denom)
+    decimals = _decimal_column(values, denom)
     labels = [branch.value] * kmax
     mismatch = args.oracle and expected != list(map(Fraction, values, repeat(denom)))
 
@@ -244,7 +317,7 @@ def _cmd_obstruct(args) -> tuple[tuple, bool]:
     ks = range(1, report.kmax + 1)
     columns = [
         list(map(str, ks)),
-        *(list(map(format_rational, side, repeat(d))) for d, side in report._sides),
+        *(_rational_column(side, d) for d, side in report._sides),
     ]
     over = [a * d_t > b * d_s for a, b in zip(sources, targets)]  # c_k(source) > c_k(target)
     first = report.first_violation

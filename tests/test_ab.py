@@ -156,6 +156,26 @@ def test_compare_finds_an_edited_error_prefix(tmp_path):
         assert (code, out) == (edited_code, edited_out) and err != edited_err
 
 
+def test_the_edge_argvs_succeed_and_a_dropped_carry_check_shows_on_one(tmp_path):
+    """The closed forms of ``edge_argvs``, 7 ``caps`` and 3 ``obstruct``
+    requests, exit 0 in all three formats; a decimal column that takes a
+    tail rounded up into its integer part differs on exactly the ``caps``
+    argvs of the spec whose values carry."""
+    tool = _tool()
+    edges = tool.edge_argvs(str(tmp_path / "edges"))
+    assert [argv[0] for argv in edges] == ["caps"] * 7 + ["obstruct"] * 3
+    argvs = [a for argv in edges for a in tool._in_every_format(argv)]
+    trees = _trees(tool, SRC, SRC)
+    assert [tool.call(trees[0], argv)[::2] for argv in argvs] == [(0, "")] * 30
+    assert tool.compare(trees, argvs) == []
+
+    carry = "if integer == str(head) else None"
+    copy = _edited_copy(tmp_path, "cli.py", carry, "if integer else None", 1)
+    carried = [argv for argv in argvs if argv[0] == "caps" and "cube_carry" in argv[2]]
+    assert len(carried) == 3
+    assert _differing(tool, _trees(tool, SRC, copy), argvs) == carried
+
+
 def test_the_oracle_is_memoized_only_while_compared(tmp_path):
     """The three formats of an ``--oracle`` argv ask each tree's oracle
     each k once, and each tree has its own oracle back afterwards."""

@@ -25,6 +25,11 @@ CASES = {
     "caps_polydisk": ["caps", "--domain", "polydisk.json", "--kmax", "30"],
     "caps_cube": ["caps", "--domain", "cube.json", "--kmax", "12"],
     "caps_cylinder_union": ["caps", "--domain", "cylinder_union.json", "--kmax", "25"],
+    # a progression that starts below 1 and crosses 10: the residue-class
+    # columns fall back per value below 1 and change width at 10
+    "caps_cylinder_union_seventh": [
+        "caps", "--domain", "cylinder_union_seventh.json", "--kmax", "80"
+    ],
     "caps_ellipsoid_inf": ["caps", "--domain", "ellipsoid_inf.json", "--kmax", "30"],
     "caps_convex": ["caps", "--domain", "convex.json", "--kmax", "14"],
     "caps_concave": ["caps", "--domain", "concave.json", "--kmax", "14"],

@@ -6,7 +6,10 @@ writes each list of row objects from one template.  Every golden case and a
 seeded corpus of CLI requests is checked against the slow formulas those
 writers must match byte for byte: the per-cell ``ljust`` join of the rows
 for tables, ``csv.writer`` of the rows ``csv.reader`` parses back for CSV,
-and ``json.dumps(..., indent=2)`` of the parsed output for JSON.
+and ``json.dumps(..., indent=2)`` of the parsed output for JSON.  The value
+columns that ``cli._rational_column`` and ``cli._decimal_column`` write a
+residue class at a time must equal ``format_rational`` and
+``decimal_string`` value by value, on named edges and seeded ranges.
 """
 
 from __future__ import annotations
@@ -197,6 +200,60 @@ def test_json_columns_are_what_json_dumps_prints():
         rows = [dict(zip(fields, row)) for row in zip(*columns)]
         expected = json.dumps({**head, "rows": rows}, indent=2) + "\n"
         assert cli._json(head, "rows", fields, columns) == expected
+
+
+# (values, denom) of the value columns' named edge cases
+COLUMN_EDGES = {
+    "starts_below_1_and_crosses_10": (range(2, 82), 7),
+    "a_class_crosses_10_5": (range(7 * 10**5 - 60, 7 * 10**5 + 200, 3), 7),
+    "crosses_10_19": (range(3 * 10**19 - 40, 3 * 10**19 + 80), 3),
+    "past_10_19": (range(10**25, 10**25 + 700, 7), 3),
+    "carry_at_width_19": (range(40 * 10**18 + 39, 40 * 10**18 + 840, 40), 40),  # .975 -> 1.0
+    "carry_at_width_18": (range(200 * 10**17 + 199, 200 * 10**17 + 4200, 200), 200),  # .995
+    "denom_past_k": (range(5, 95, 3), 10**6 + 3),
+    "one_value": (range(17, 18), 7),
+    "one_zero": (range(0, 1), 1),
+    "empty": (range(0), 7),
+    "a_list": ([1, 5, 9, 30, 30, 71], 7),
+}
+# the cases ``cli._classes`` gives no classes: rendered value by value
+ONE_BY_ONE = {"denom_past_k", "one_value", "one_zero", "empty", "a_list"}
+
+
+def _columns(values, denom) -> tuple[list, list]:
+    return cli._rational_column(values, denom), cli._decimal_column(values, denom)
+
+
+def _per_value(values, denom) -> tuple[list, list]:
+    return (
+        [format_rational(x, denom) for x in values],
+        [decimal_string(x, 20, denom) for x in values],
+    )
+
+
+@pytest.mark.parametrize("name", COLUMN_EDGES)
+def test_value_columns_are_the_renderers_on_edges(name):
+    values, denom = COLUMN_EDGES[name]
+    assert (cli._classes(values, denom) is None) == (name in ONE_BY_ONE)
+    assert _columns(values, denom) == _per_value(values, denom)
+
+
+def test_value_columns_are_the_renderers_on_seeded_ranges():
+    rng = random.Random(2803)
+    by_class = 0
+    for _ in range(3000):
+        denom = rng.choice((1, 2, 3, 6, 7, 10, 40, 200, rng.randint(1, 10 ** rng.randint(1, 22))))
+        step = rng.choice((1, rng.randint(1, 50), rng.randint(1, denom), 10 ** rng.randint(1, 22)))
+        start = max(0, rng.choice((
+            rng.randint(0, 3 * denom),
+            10 ** rng.randint(0, 20) * denom - rng.randint(0, 8 * step),  # a width boundary
+            (10 ** rng.randint(0, 20) + 1) * denom - rng.randint(1, 2),  # a carry, for some
+            rng.randint(0, 10**24),
+        )))
+        values = range(start, start + rng.randint(1, 80) * step, step)
+        by_class += cli._classes(values, denom) is not None
+        assert _columns(values, denom) == _per_value(values, denom), (values, denom)
+    assert by_class > 1000
 
 
 CAPS_CASES = [("golden", case) for case in sorted(CASES) if CASES[case][0] == "caps"] + [

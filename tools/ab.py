@@ -10,7 +10,8 @@ below runs on both in turn through ``call``; their answers must be equal.
 * CLI argvs, each in all three formats: every CLI request at SEED of the
   workloads ``BENCHMARK.json`` names, read from ``build``;
   each ``caps`` one again with ``--oracle`` at K = min(K, 20); the golden
-  cases of ``tests/test_golden.py``; and the error paths of
+  cases of ``tests/test_golden.py``; the closed forms with large
+  numerators and denominators of ``edge_argvs``; and the error paths of
   ``error_argvs``.  The answer is the exit code, stdout and stderr.
 * The workloads' library ``product`` slots, run as ``bench/run.py`` runs
   them: the values of ``product_capacities``.
@@ -347,6 +348,52 @@ def error_argvs(spec_dir: str) -> list[list[str]]:
     return bad_k + [a for name in failing for a in every_subcommand(path[name])] + hulls
 
 
+# The text of each spec file ``edge_argvs`` writes, by file name: closed
+# forms, whose capacities are progressions, most with large numerators or
+# denominators.
+EDGE_SPECS = {
+    "cylinder_near_1e19.json": (
+        '{"type": "cylinder_union", "n": 3, "delta": "9999999999999999999/7"}'
+    ),
+    "polydisk_near_1e19.json": (
+        '{"type": "polydisk", "a": ["9999999999999999999/10", "12345678901234567890"]}'
+    ),
+    "cube_carry.json": '{"type": "cube", "n": 2, "delta": "399999999999999999999/40"}',
+    "cube_tiny.json": '{"type": "cube", "n": 2, "delta": "1/100000000000000000000007"}',
+    "cube_3_11.json": '{"type": "cube", "n": 2, "delta": "3/11"}',
+    "cylinder_125.json": '{"type": "cylinder_union", "n": 2, "delta": "1234567/125"}',
+    "polydisk_huge.json": (
+        '{"type": "polydisk", "a": ["%s/%s", "%s", "%s"]}'
+        % ("7" * 60, "3" * 40, "8" * 61, "9" * 62)
+    ),
+}
+
+
+def edge_argvs(spec_dir: str) -> list[list[str]]:
+    """Closed-form ``caps`` and ``obstruct`` requests on specs written into
+    ``spec_dir``, whose values start below 1, cross a power of ten, reach
+    quotients of 20 digits and more, round up into their integer part, and
+    have from 1 to 36 values in each residue class of their
+    denominator."""
+    os.makedirs(spec_dir, exist_ok=True)
+    path = {name: os.path.join(spec_dir, name) for name in EDGE_SPECS}
+    for name, text in EDGE_SPECS.items():
+        Path(path[name]).write_text(text, encoding="utf-8")
+    caps = [
+        ("cylinder_near_1e19.json", 120), ("polydisk_near_1e19.json", 100),
+        ("cube_carry.json", 400), ("cube_tiny.json", 50), ("cube_3_11.json", 400),
+        ("cylinder_125.json", 1000), ("polydisk_huge.json", 60),
+    ]
+    pairs = [
+        ("cylinder_near_1e19.json", "polydisk_huge.json", 90),
+        ("cube_carry.json", "cube_tiny.json", 50),
+        ("polydisk_near_1e19.json", "cylinder_125.json", 300),
+    ]
+    return [["caps", "-d", path[name], "-k", str(k)] for name, k in caps] + [
+        ["obstruct", "--source", path[a], "--target", path[b], "-k", str(k)] for a, b, k in pairs
+    ]
+
+
 def _in_every_format(argv: list[str]) -> list[list[str]]:
     if "--format" in argv:
         i = argv.index("--format")
@@ -365,7 +412,8 @@ def comparisons(slots: list, seed: int, spec_dir: str) -> list:
     slots, the product pairs and the corpus regions."""
     argvs = [slot.argv for slot in slots if slot.argv is not None]
     argvs += [_with_oracle(argv) for argv in argvs if argv[0] == "caps"]
-    argvs += [*golden_cases().values(), *error_argvs(os.path.join(spec_dir, "errors"))]
+    argvs += [*golden_cases().values(), *edge_argvs(os.path.join(spec_dir, "edges"))]
+    argvs += error_argvs(os.path.join(spec_dir, "errors"))
     unique = sorted({tuple(a) for argv in argvs for a in _in_every_format(argv)})
     product_slots = [s for s in slots if s.argv is None]
     return [list(a) for a in unique] + product_slots + products(seed) + corpus(seed)
