@@ -65,14 +65,15 @@ optimizer and output is reproducible.  The rows, their tail minima and the
 weights are prepared once per domain, kept with it as ``_scaled`` is.
 
 ``capacity_at`` reads the table and otherwise searches.  Every sequence
-comes from one engine, ``_scaled_sequence``: (denom, values, witnesses,
-branch) with c_k = values[k - 1] / denom, from the ellipsoid's multiples,
-a progression, or the search.  A searched sequence takes c_1 from
+comes from one engine, ``capacity_sequence``, and is one
+``CapacitySequence``: its integers c_k * denom, from the ellipsoid's
+multiples, a progression, or the search, with the witnesses and branch
+label of its records.  A searched sequence takes c_1 from
 ``capacity_at`` and each later c_k from the region's search on the
 domain's denominator, seeded with the previous witness: c_k and c_(k-1)
 are neighbouring lattice problems, and one unit added to the last
-optimizer is often optimal again.  ``capacity_sequence`` keeps its
-integers, and the CLI formats them directly.  The product combinator
+optimizer is often optimal again.  The CLI formats the integers directly,
+and ``obstruct`` compares them.  The product combinator
 takes its min-plus convolution on the factors' integers, each rescaled to
 the lcm of their two denominators, and keeps its own the same way; a
 sequence built by hand from its records derives its integers from them
@@ -134,11 +135,13 @@ class CapacityResult(NamedTuple):
 class CapacitySequence(_Value):
     """Capacities c_1 .. c_K of one domain (or of a product of domains).
 
-    The engine builds one from its integers, c_k = ints[k - 1] / denom
-    (``_of``), and ``values``, one ``CapacityResult`` per k, only on its
-    first read; ``kmax``, ``value(k)`` and ``raw_values()`` read the
-    integers.  A sequence built from its records derives its integers from
-    them once.
+    The engine builds one by ``_from`` with its integers, ``_scaled`` =
+    (denom, ints) with c_k = ints[k - 1] / denom, and ``_labels`` =
+    (witnesses or None, branch), and builds ``values``, one
+    ``CapacityResult`` per k, only on its first read; ``kmax``,
+    ``value(k)`` and ``raw_values()`` read the integers, and only this
+    class turns them into ``Fraction``s.  A sequence built from its
+    records derives its integers from them once.
     """
 
     _fields = ("domain", "values")
@@ -149,19 +152,6 @@ class CapacitySequence(_Value):
     ) -> None:
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "values", values)
-
-    @classmethod
-    def _of(
-        cls,
-        domain: Union[ToricDomain, str],
-        denom: int,
-        values: Sequence[int],
-        witnesses: Optional[Sequence],
-        branch: Branch,
-    ) -> CapacitySequence:
-        """The sequence c_k = values[k - 1] / denom, with its records'
-        witnesses (None: none) and branch, built when first read."""
-        return cls._from(domain=domain, _scaled=(denom, values), _labels=(witnesses, branch))
 
     @cached_property
     def values(self) -> tuple[CapacityResult, ...]:
@@ -561,11 +551,9 @@ def _progression(first: Fraction, second: Fraction, kmax: int) -> tuple[int, ran
     return denom, range(start, start + kmax * step, step)
 
 
-def _scaled_sequence(
-    domain: ToricDomain, kmax: int
-) -> tuple[int, Sequence[int], Optional[Sequence], Branch]:
-    """(denom, values, witnesses, branch): c_k = values[k - 1] / denom for
-    k = 1 .. kmax, the one source of capacity sequences.
+def capacity_sequence(domain: ToricDomain, kmax: int) -> CapacitySequence:
+    """c_1 .. c_kmax of the domain, the one source of capacity sequences:
+    its integers c_k * denom, whose records are built when first read.
 
     A closed-form kind takes one pass on integers: an ellipsoid sorts its
     multiples up to c_kmax, and a polydisk, cube or cylinder union extends
@@ -592,13 +580,9 @@ def _scaled_sequence(
             values.append(value)
             witnesses.append(witness)
     _require_nondecreasing(values)
-    return denom, values, witnesses, branch
-
-
-def capacity_sequence(domain: ToricDomain, kmax: int) -> CapacitySequence:
-    """c_1 .. c_kmax of the domain: ``_scaled_sequence``'s integers, whose
-    records are built when first read."""
-    return CapacitySequence._of(domain, *_scaled_sequence(domain, kmax))
+    return CapacitySequence._from(
+        domain=domain, _scaled=(denom, values), _labels=(witnesses, branch)
+    )
 
 
 def _linear(values: Sequence[int]) -> bool:
@@ -651,4 +635,6 @@ def product_capacities(
     values = _min_plus(li, ri, kmax)
     _require_nondecreasing(values)
     label = f"({left.domain}) x ({right.domain})"
-    return CapacitySequence._of(label, denom, values, None, Branch.PRODUCT_COMBINATOR)
+    return CapacitySequence._from(
+        domain=label, _scaled=(denom, values), _labels=(None, Branch.PRODUCT_COMBINATOR)
+    )

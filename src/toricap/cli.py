@@ -22,15 +22,17 @@ which fills each row into one template whose slots are set by each
 column's types: an all-``None`` column is a literal ``null``, an all-int
 column and an all-str column that needs no JSON escape (checked once on
 its joined text) are filled as they are, and any other column value by
-value.  ``caps`` works a column at a time on the sequence engine's
-integers over one denominator, with no record or ``Fraction`` per row, and
-reads the branch label once.  ``format_rational(value, denom)`` and
+value.  ``caps`` works a column at a time on its ``capacity_sequence``'s
+integers over one denominator, with no record or ``Fraction`` per row,
+and reads the branch label once.  ``format_rational(value, denom)`` and
 ``decimal_string(value, 20, denom)`` fill its value columns, one call per
 value, but a closed form's progression is written one residue class mod
 ``denom`` at a time, from one call per class (``_rational_column``,
 ``_decimal_column``).  Its ``--oracle`` column is computed first, so a K
 past the enumeration cap fails before any sequence is built.  ``obstruct``
-formats both sides of its report from their integers the same way.
+formats both sides of its report from their integers the same way and
+writes the per-k verdicts the report holds: no module but ``embeddings``
+compares the two sides.
 
 Exit codes: 0 success, 1 domain or semantic error (including an oracle
 mismatch under ``--oracle``), 2 usage error.
@@ -48,7 +50,7 @@ from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
-from .capacities import _scaled_sequence
+from .capacities import capacity_sequence
 from .domains import Staircase, ToricDomain
 from .embeddings import (
     asymptotic_slope,
@@ -286,11 +288,12 @@ def _cmd_caps(args) -> tuple[tuple, bool]:
         expected = [brute_capacity(domain, k, cap) for k in ks]
         oracle.append(list(map(format_rational, expected)))
         header.append("oracle_rational")
-    denom, values, witnesses, branch = _scaled_sequence(domain, kmax)
+    sequence = capacity_sequence(domain, kmax)
+    (denom, values), (witnesses, branch) = sequence._scaled, sequence._labels
     rationals = _rational_column(values, denom)
     decimals = _decimal_column(values, denom)
     labels = [branch.value] * kmax
-    mismatch = args.oracle and expected != list(map(Fraction, values, repeat(denom)))
+    mismatch = args.oracle and expected != sequence.raw_values()
 
     def columns():
         joined = [""] * kmax if witnesses is None else [";".join(map(str, w)) for w in witnesses]
@@ -312,14 +315,10 @@ def _cmd_obstruct(args) -> tuple[tuple, bool]:
     source = load_domain(args.source)
     target = load_domain(args.target)
     report = obstruct(source, target, args.kmax)
-    # the engine's integers: c_k = sources[k - 1] / d_s and targets[k - 1] / d_t
-    (d_s, sources), (d_t, targets) = report._sides
     ks = range(1, report.kmax + 1)
-    columns = [
-        list(map(str, ks)),
-        *(_rational_column(side, d) for d, side in report._sides),
-    ]
-    over = [a * d_t > b * d_s for a, b in zip(sources, targets)]  # c_k(source) > c_k(target)
+    sides = (side._scaled for side in report._sides)  # c_k = values[k - 1] / denom
+    columns = [list(map(str, ks)), *(_rational_column(values, d) for d, values in sides)]
+    over = report._over  # c_k(source) > c_k(target)
     first = report.first_violation
     verdict = f"no violation up to k={report.kmax}" if first is None else f"violation at k={first}"
     return (

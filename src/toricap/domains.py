@@ -413,6 +413,7 @@ def _rescaled(value: object, factor: Fraction) -> object:
 def scale_domain(domain: ToricDomain, s: object) -> ToricDomain:
     """Multiply the moment image by the positive rational s: every rational
     field of the domain is scaled by s."""
+    shape_of(domain)
     factor = to_rational(s)
     if factor <= 0:
         raise ValueError(f"scale factor must be positive, got {factor}")

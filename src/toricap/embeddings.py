@@ -9,9 +9,10 @@
   or an ellipsoid): the anti-norm at (1, ..., 1);
 * pairwise obstruction reports: capacities are monotone under symplectic
   embeddings, so c_k(source) > c_k(target) at any k rules the embedding
-  out (no conclusion in the other direction); the two sequences are
-  compared as integers over their two denominators, and the report keeps
-  those integers, building its ``Fraction`` rows only when they are read;
+  out (no conclusion in the other direction).  ``obstruct`` alone makes
+  that comparison, once per k, as integers over the two sequences'
+  denominators; the report keeps both sequences and the per-k verdicts,
+  and its rows are built from the sequences only when they are read;
 * asymptotic slope: c_k/k converges to the cube capacity, reported with
   the finite-k bracket that forces the convergence;
 * Lagrangian capacity lower bound: the cube capacity again, since the
@@ -22,11 +23,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import count, repeat
+from itertools import count
 from typing import NamedTuple, Optional
 
-from .capacities import _scaled_sequence, capacity_at
-from .domains import Staircase, ToricDomain, _Value, antinorm_value, diagonal_intersection
+from .capacities import capacity_at, capacity_sequence
+from .domains import Staircase, ToricDomain, _Value, antinorm_value, diagonal_intersection, shape_of
 from .errors import DimensionMismatch
 from .rationals import positive_int
 
@@ -37,9 +38,9 @@ class ObstructionReport(_Value):
     ``first_violation`` is the least k <= kmax with
     c_k(source) > c_k(target), or None when the capacities never obstruct.
     Absence of a violation proves nothing about embeddability.  ``obstruct``
-    keeps both sides' integers, ``_sides`` = ((d_s, source), (d_t, target))
-    with c_k = source[k - 1] / d_s and target[k - 1] / d_t, and builds
-    ``rows``, (k, c_k(source), c_k(target)) per k, only on its first read.
+    keeps both sides' sequences, ``_sides``, and whether c_k(source) >
+    c_k(target) at each k, ``_over``, and builds ``rows``, (k, c_k(source),
+    c_k(target)) per k, only on its first read.
     """
 
     _fields = ("kmax", "first_violation", "rows")
@@ -58,9 +59,7 @@ class ObstructionReport(_Value):
 
     @cached_property
     def rows(self) -> tuple[tuple[int, Fraction, Fraction], ...]:
-        (d_s, src), (d_t, tgt) = self._sides
-        sides = (map(Fraction, src, repeat(d_s)), map(Fraction, tgt, repeat(d_t)))
-        return tuple(zip(count(1), *sides))
+        return tuple(zip(count(1), *(side.raw_values() for side in self._sides)))
 
 
 class SlopeReport(NamedTuple):
@@ -80,21 +79,25 @@ def cube_capacity(domain: ToricDomain) -> Fraction:
 def gromov_width(domain: Staircase) -> Fraction:
     """Largest ball fitting into a staircase region (a concave domain, a
     cylinder union or an ellipsoid): min over vertices of sum(w)."""
+    shape_of(domain, "staircase")
     return antinorm_value(domain, (1,) * domain.n)
 
 
 def obstruct(source: ToricDomain, target: ToricDomain, kmax: int) -> ObstructionReport:
     """Test the capacity inequalities c_k(source) <= c_k(target) for k <= kmax:
-    a * d_t <= b * d_s on the engine's integers a / d_s and b / d_t."""
+    a * d_t <= b * d_s on the engine's integers a / d_s and b / d_t, the one
+    place the two sides are compared."""
+    shape_of(source)
+    shape_of(target)
     if source.n != target.n:
         raise DimensionMismatch(
             f"cannot compare domains of dimension {source.n} and {target.n}"
         )
-    d_s, src = _scaled_sequence(source, kmax)[:2]
-    d_t, tgt = _scaled_sequence(target, kmax)[:2]
-    first = next((k for k, a, b in zip(count(1), src, tgt) if a * d_t > b * d_s), None)
-    sides = ((d_s, src), (d_t, tgt))
-    return ObstructionReport._from(kmax=kmax, first_violation=first, _sides=sides)
+    sides = (capacity_sequence(source, kmax), capacity_sequence(target, kmax))
+    (d_s, src), (d_t, tgt) = (side._scaled for side in sides)
+    over = [a * d_t > b * d_s for a, b in zip(src, tgt)]
+    first = over.index(True) + 1 if True in over else None
+    return ObstructionReport._from(kmax=kmax, first_violation=first, _sides=sides, _over=over)
 
 
 def asymptotic_slope(domain: ToricDomain, kmax: int) -> SlopeReport:

@@ -206,6 +206,18 @@ def test_an_exception_names_the_tree_and_the_argv(tmp_path):
         tool.compare(_trees(tool, SRC, copy), [argv])
 
 
+def test_the_line_counts_give_the_net_change(tmp_path):
+    tool = _tool()
+    same = tool.line_counts((SRC, SRC))
+    total = sum(len(path.read_text(encoding="utf-8").splitlines())
+                for path in (SRC / "toricap").glob("*.py"))
+    assert same == f"src/toricap lines: parent {total}, change {total}, net +0"
+    parse = "    parser = build_parser()\n"
+    copy = _edited_copy(tmp_path, "cli.py", parse, "", 1)
+    assert tool.line_counts((SRC, copy)).endswith(f"change {total - 1}, net -1")
+    assert tool.line_counts((copy, SRC)).endswith("net +1")
+
+
 def test_src_against_itself_gives_identical_outputs(monkeypatch, tmp_path):
     tool = _tool()
     cheapest = _cheapest(tool.workloads, monkeypatch, "single_query")
@@ -238,8 +250,8 @@ def test_a_changed_product_differs_on_exactly_the_product_slots(monkeypatch, tmp
     assert products and len(products) < len(slots)
     assert tool.compare(_trees(tool, SRC, SRC), slots) == []
 
-    records = "CapacitySequence._of(label, denom, values, None"  # where the product is built
-    one_more = records.replace("values, None", "[values[0] + 1, *values[1:]], None")
+    records = "domain=label, _scaled=(denom, values)"  # where the product is built
+    one_more = records.replace("values)", "[values[0] + 1, *values[1:]])")
     copy = _edited_copy(tmp_path, "capacities.py", records, one_more, 1)
     differ = tool.compare(_trees(tool, SRC, copy), slots)
     assert [slot for slot, _, _ in differ] == products
@@ -310,7 +322,7 @@ def test_an_edited_obstruct_row_differs_on_exactly_the_pairs_of_one_n(tmp_path):
     predicted = [pair for pair in pairs if _one_n(pair)]
     assert 0 < len(predicted) < len(pairs)
 
-    rows = "tuple(zip(count(1), *sides))"
+    rows = "tuple(zip(count(1), *(side.raw_values() for side in self._sides)))"
     copy = _edited_copy(tmp_path, "embeddings.py", rows, rows.replace("1", "2"), 1)
     differ = tool.compare(_trees(tool, SRC, copy), pairs)
     assert [pair for pair, _, _ in differ] == predicted

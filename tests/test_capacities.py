@@ -32,6 +32,8 @@ from toricap import (
     cylinder_union_capacity,
     diagonal_intersection,
     ellipsoid_capacity,
+    gromov_width,
+    obstruct,
     polydisk_capacity,
     product_capacities,
     scale_domain,
@@ -47,6 +49,7 @@ from helpers import (
     random_concave,
     random_convex,
     random_point,
+    random_positive_fraction,
     reference_max_total,
 )
 
@@ -231,6 +234,32 @@ def test_sequence_witnesses_hold_at_depth():
                         assert worse(evaluate(domain, earlier), r.value), (domain, r, earlier)
                         checked += 1
     assert checked > 6000
+
+
+@pytest.mark.parametrize("n", [6, 8, 10, 12])
+def test_permuted_and_scaled_regions_keep_their_sequences_at_depth(n):
+    """Two of the paper's properties, checked past the oracle's reach on a
+    hull and a staircase of 6 points: permuting the coordinates keeps every
+    value, though the search takes another path in another lexicographic
+    order; and ``scale_domain`` by lambda multiplies every value by lambda
+    and keeps every witness (conformality).  Each hull has a strictly
+    positive generator, so its diagonal is positive, and every staircase
+    vertex is strictly positive."""
+    rng = random.Random(2913 + n)
+    kmax = 12
+    for kind in (ConvexToricDomain, ConcaveToricDomain) * 3:
+        points = [random_point(rng, n, positive=kind is ConcaveToricDomain) for _ in range(5)]
+        points.append(random_point(rng, n, positive=True))
+        domain = kind(tuple(points))
+        records = capacity_sequence(domain, kmax).values
+        values = [r.value for r in records]
+        order = rng.sample(range(n), n)
+        permuted = kind(tuple(tuple(p[i] for i in order) for p in points))
+        assert capacity_sequence(permuted, kmax).raw_values() == values, (domain, order)
+        factor = F(rng.randint(1, 9), rng.randint(1, 5))
+        scaled = capacity_sequence(scale_domain(domain, factor), kmax).values
+        assert [r.value for r in scaled] == [factor * v for v in values], (domain, factor)
+        assert [r.witness for r in scaled] == [r.witness for r in records], (domain, factor)
 
 
 def _lex_first_optimum(domain, k):
@@ -1075,6 +1104,10 @@ def test_non_domains_are_rejected():
         lambda: capacity_sequence((1, 2), 3),
         lambda: diagonal_intersection(None),
         lambda: brute_capacity(object(), 2),
+        lambda: obstruct("x", Cube(2, 1), 3),
+        lambda: obstruct(Cube(2, 1), "x", 3),
+        lambda: gromov_width("x"),
+        lambda: scale_domain("x", 2),
     ):
         with pytest.raises(TypeError, match="not a toric domain"):
             call()
@@ -1190,6 +1223,34 @@ def test_product_records_do_not_depend_on_how_the_factors_were_built():
         for left, right in ((by_hand[0], engine[1]), (engine[0], by_hand[1]), by_hand):
             combined = product_capacities(left, right, kmax)
             assert combined == expected and repr(combined) == repr(expected)
+
+
+def test_products_of_hulls_are_the_search_on_their_pair_generators():
+    """The product of two hulls is the hull generated by the concatenated
+    pairs (p, q), so the min-plus of the factors' sequences is that hull's
+    searched sequence.  A single-generator hull is linear, so both
+    ``_min_plus`` paths run."""
+    rng = random.Random(2912)
+
+    def antichain():  # generators (x_i, y_i), x rising and y falling: seldom linear
+        xs, ys = (sorted({random_positive_fraction(rng) for _ in range(3)}) for _ in range(2))
+        return ConvexToricDomain(tuple(zip(xs, reversed(ys))))
+
+    kinds = (
+        lambda: random_convex(rng, max_n=2, max_points=1),
+        lambda: random_convex(rng, max_n=2, max_points=3),
+        antichain,
+    )
+    linear, paths = capacities_module._linear, []
+    for i in range(117):  # each of the 9 pairs of kinds 13 times
+        left, right = kinds[i % 3](), kinds[i // 3 % 3]()
+        kmax = rng.randint(2, 12)
+        factors = [capacity_sequence(d, kmax) for d in (left, right)]
+        pairs = [p + q for p in left.generators for q in right.generators]
+        searched = capacity_sequence(ConvexToricDomain(pairs), kmax).raw_values()
+        assert product_capacities(*factors, kmax).raw_values() == searched, (left, right)
+        paths.append(any(linear([0, *f._scaled[1]]) for f in factors))
+    assert paths.count(True) >= 5 and paths.count(False) >= 5
 
 
 def _pairwise_min_plus(li, ri, k):

@@ -278,7 +278,7 @@ def test_caps_oracle_past_the_cap_fails_before_the_sequence(write_spec, capsys, 
     def no_sequence(domain, kmax):
         raise AssertionError("the sequence was built")
 
-    monkeypatch.setattr(cli, "_scaled_sequence", no_sequence)
+    monkeypatch.setattr(cli, "capacity_sequence", no_sequence)
     path = write_spec("d.json", spec)
     start = time.perf_counter()
     assert run_cli(["caps", "-d", path, "-k", str(10**8), "--oracle", "--format", "csv"]) == 1

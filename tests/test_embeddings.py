@@ -23,7 +23,6 @@ from toricap import (
     render_domain,
     scale_domain,
 )
-from toricap.capacities import _scaled_sequence
 from toricap.cli import run
 from helpers import grow_concave, grow_convex, random_concave, random_convex, random_point
 
@@ -189,7 +188,7 @@ def test_obstruct_on_integers_is_the_records_comparison(tmp_path, capsys):
 def test_obstruct_corpus_ties_across_denominators_and_violates():
     ties = firsts = 0
     for source, target, kmax in OBSTRUCT_CORPUS:
-        d_s, d_t = _scaled_sequence(source, kmax)[0], _scaled_sequence(target, kmax)[0]
+        d_s, d_t = (capacity_sequence(d, kmax)._scaled[0] for d in (source, target))
         report = obstruct(source, target, kmax)
         ties += d_s != d_t and any(a == b for _, a, b in report.rows)
         firsts += report.first_violation is not None

@@ -23,12 +23,13 @@ below runs on both in turn through ``call``; their answers must be equal.
   branch of ``capacity_at`` for each k = 1..K and of each record of
   ``capacity_sequence`` up to K, and ``diagonal_intersection``.
 
-The script prints the counts and every request that differs, with both
-trees' stderr where that differs, and exits 1 if any does; an exception
-out of a tree stops it, naming the tree and the request.  While the
-answers are compared, each tree's brute-force oracle is memoized, as the
-three formats of an ``--oracle`` argv ask it the same values; it is
-restored before any timing.  Only when WORKLOAD is named and nothing
+The script prints the counts, each tree's ``toricap`` line count with the
+change's net difference (``line_counts``), and every request that
+differs, with both trees' stderr where that differs, and exits 1 if any
+does; an exception out of a tree stops it, naming the tree and the
+request.  While the answers are compared, each tree's brute-force oracle
+is memoized, as the three formats of an ``--oracle`` argv ask it the same
+values; it is restored before any timing.  Only when WORKLOAD is named and nothing
 differs does it time that workload's requests: each runs REPEATS times on
 each tree, the trees alternating request by request and taking turns to
 go first, so a drift in the machine's speed falls on both alike.  It then
@@ -457,6 +458,16 @@ def report(requests: list, parent: list[float], change: list[float]) -> str:
     return "\n".join(lines)
 
 
+def line_counts(srcs: tuple) -> str:
+    """Each tree's lines in its ``toricap`` package, as ``wc -l`` counts
+    them in its ``.py`` files, and the change's net difference."""
+    parent, change = (
+        sum(path.read_bytes().count(b"\n") for path in (Path(src) / "toricap").glob("*.py"))
+        for src in srcs
+    )
+    return f"src/toricap lines: parent {parent}, change {change}, net {change - parent:+d}"
+
+
 def workload_names() -> list[str]:
     """The workloads ``BENCHMARK.json`` names, in its order."""
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
@@ -498,6 +509,7 @@ def main(argv: list[str]) -> int:
             f"each region also as one sequence, "
             f"{len(differ)} differ"
         )
+        print(line_counts(srcs))
         for request, a, b in differ:
             print("differs: " + label(request))
             if isinstance(request, list) and a[2] != b[2]:
