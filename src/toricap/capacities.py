@@ -54,10 +54,10 @@ diagonal and the search.  Three devices use them, all exact:
   weight: its per-row floor is already exact;
 * a root stop: the whole game's bound, rounded up, is at most the
   optimum, so once the incumbent reaches it no further frame is taken;
-* one start: a seed u, a composition of sum - 1, starts the incumbent at
-  F(h) + 1 for h the best of u + e_j, while the witness stays (0, ..., 0,
-  sum).  With no seed given, u is the game's column strategy times
-  sum - 1, rounded by largest remainders.
+* one start: a seed u, a composition of sum - 1 given by its row values
+  d_w + <u, w>, starts the incumbent at F(h) + 1 for h the best of
+  u + e_j, while the witness stays (0, ..., 0, sum).  With no seed, u is
+  the game's column strategy times sum - 1, rounded by largest remainders.
 
 The search visits compositions in lexicographic order and keeps only
 strict improvements, so the witness is the lexicographically first
@@ -69,10 +69,10 @@ comes from one engine, ``capacity_sequence``, and is one
 ``CapacitySequence``: its integers c_k * denom, from the ellipsoid's
 multiples, a progression, or the search, with the witnesses and branch
 label of its records.  A searched sequence takes c_1 from
-``capacity_at`` and each later c_k from the region's search on the
-domain's denominator, seeded with the previous witness: c_k and c_(k-1)
-are neighbouring lattice problems, and one unit added to the last
-optimizer is often optimal again.  The CLI formats the integers directly,
+``capacity_at`` and c_2 .. c_K from one run of the region's search on the
+domain's denominator, each k seeded with the row values of the witness
+before it: c_k and c_(k-1) are neighbouring lattice problems, and one unit
+added to the last optimizer is often optimal again.  The CLI formats the integers directly,
 and ``obstruct`` compares them.  The product combinator
 takes its min-plus convolution on the factors' integers, each rescaled to
 the lcm of their two denominators, and keeps its own the same way; a
@@ -287,7 +287,7 @@ class _Search:
 
     A hull's dots are zero, a staircase's the sums of its negated rows.
     ``domain._search`` keeps one per domain, so the rows and the bounds are
-    prepared once for every k.
+    prepared once for every k, and one ``run`` computes c_a .. c_b.
     """
 
     def __init__(self, domain: Union[Hull, Staircase]) -> None:
@@ -348,23 +348,53 @@ class _Search:
         return h
 
     def __call__(self, k: int, seed: Optional[Sequence[int]] = None) -> tuple[int, tuple[int, ...]]:
-        """(c_k * denom, witness), from a witness of c_(k-1) as seed if given.
+        """(c_k * denom, witness), from a witness of c_(k-1) as seed if
+        given: the run's one-k case."""
+        return self.run(k, k, seed)[0]
+
+    def run(self, first: int, last: int, seed: Optional[Sequence[int]] = None) -> list[tuple]:
+        """(c_k * denom, witness) for k = first .. last: one ``_least`` per
+        k, handed the row values d_w + <u, w> of the witness before it, the
+        first those of ``seed``, a witness of c_(first-1), if given.
 
         A hull's c_k is ``_least`` at total k.  A staircase's witness v is
-        u + 1 for u of sum k - 1, so it searches total k - 1 from the seed
-        less 1 and negates the value.  Adding 1 to every entry keeps
-        lexicographic order, so u + 1 is the lexicographically first.
+        u + 1 for u of sum k - 1, so it searches total k - 1 and negates the
+        value; adding 1 keeps lexicographic order.  Its dots are its rows'
+        sums, so d_w + <v - 1, w> = <v, w> is the seed's in either shape.
         """
-        if not self.lift:
-            return self._least(k, seed)
-        value, witness = self._least(k - 1, None if seed is None else [e - 1 for e in seed])
-        return -value, tuple(e + 1 for e in witness)
+        lift = self.lift
+        vals = None if seed is None else [sum(map(operator.mul, seed, w)) for w in self.rows]
+        results = []
+        for total in range(first - lift, last + 1 - lift):
+            value, witness, vals = self._least(total, vals)
+            results.append((-value, tuple(e + 1 for e in witness)) if lift else (value, witness))
+        return results
+
+    def _pair(self, remaining: int, current: Sequence[int], best: int) -> Optional[tuple]:
+        """(e, value, row values) of the best split (e, remaining - e) of the
+        last two coordinates below ``best``, after the running values
+        ``current``; None when no split is below it."""
+        lo, hi, cap = 0, remaining, best - 1
+        for d, c, s in zip(current, self.last, self.slopes):  # the e with room >= e * s
+            room = cap - d - remaining * c
+            if s > 0:
+                if room // s < hi:
+                    hi = room // s
+            elif s:
+                if -(room // -s) > lo:
+                    lo = -(room // -s)
+            elif room < 0:
+                return None
+        if lo <= hi:
+            base = [d + remaining * c for d, c in zip(current, self.last)]
+            e, value = _lowest_minimizer(base, self.slopes, lo, hi)
+            return e, value, [b + e * s for b, s in zip(base, self.slopes)]
 
     def _least(
         self, total: int, seed: Optional[Sequence[int]] = None
-    ) -> tuple[int, tuple[int, ...]]:
-        """(value, witness) at one total, from a seed composition of
-        total - 1.
+    ) -> tuple[int, tuple[int, ...], list[int]]:
+        """(value, witness, its row values dots_w + <witness, w>) at one
+        total, from the row values of a seed composition of total - 1.
 
         The incumbent starts at the lexicographically first u, (0, ..., 0,
         total).  Compositions are visited depth-first in lexicographic order
@@ -384,65 +414,42 @@ class _Search:
         to the first entry that the cutting bound passes, one ceiling
         division away (the largest over the cutting rows, for the floors);
         ``best`` changes only at leaves, so every entry jumped over is cut.
-        One unit left is tried at each later coordinate, the last first.
-        The last two coordinates (e, R - e) go to ``_lowest_minimizer``,
-        the objective being convex in e, on the window of e where every
-        row's b_w + e * s_w is below ``best``: a floor division per
+        One unit left is tried at each later coordinate, the last first, an
+        improvement keeping its row values current + column.  The last two
+        coordinates (e, R - e) go to ``_lowest_minimizer``, the objective
+        being convex in e, on the window of e where every row's
+        b_w + e * s_w is below ``best`` (``_pair``): a floor division per
         positive slope, a ceiling division per negative one, and a
         zero-slope row at or above ``best`` empties it.  An empty window
         has no improving split and is not searched, so every pair solve
-        improves the incumbent.
+        improves the incumbent, keeping its row values b + e * s.
 
         From n = 3 and a positive total the root game adds the root stop and
         a starting incumbent F(h) + 1 whose witness stays (0, ..., 0,
         total): h is the best of the seed's n one-unit extensions u + e_j,
-        the seed being ``_rounded``'s when none is given.  F(h) is at least
-        the optimum, so a bound above best - 1 = F(h) cuts no optimal
-        completion, and an earlier composition replaces the incumbent only
-        by a strictly lower value.  Only strict improvements replace it and
-        the order is lexicographic, so the witness is the lexicographically
-        first minimizer, whatever the seed.
+        each its row values plus column j, the seed being ``_rounded``'s
+        when none is given.  F(h) is at least the optimum, so a bound above
+        best - 1 = F(h) cuts no optimal completion, and an earlier
+        composition replaces the incumbent only by a strictly lower value.
+        Only strict improvements replace it and the order is lexicographic,
+        so the witness is the lexicographically first minimizer, whatever
+        the seed.
         """
-        n, dots, last = self.n, self.dots, self.last
-        best = max(d + total * c for d, c in zip(dots, last))
-        witness = (0,) * (n - 1) + (total,)
+        n, dots, cols = self.n, self.dots, self.cols
+        vals = [d + total * c for d, c in zip(dots, self.last)]
+        best, witness = max(vals), (0,) * (n - 1) + (total,)
         if n == 1 or total == 0:
-            return best, witness
-        prefix = [0] * (n - 2)
-
-        def solve_pair(remaining: int, current: Sequence[int]) -> None:
-            nonlocal best, witness
-            base = [d + remaining * c for d, c in zip(current, last)]
-            lo, hi, cap = 0, remaining, best - 1
-            for b, s in zip(base, self.slopes):  # the e with b + e * s <= cap
-                if s > 0:
-                    hi = min(hi, (cap - b) // s)
-                elif s:
-                    lo = max(lo, -((cap - b) // -s))
-                elif b > cap:
-                    return
-            if lo <= hi:
-                e, best = _lowest_minimizer(base, self.slopes, lo, hi)
-                witness = (*prefix, e, remaining - e)
-
-        def solve_unit(coord: int, current: Sequence[int]) -> None:
-            nonlocal best, witness
-            for j in range(n - 1, coord, -1):
-                value = max(map(operator.add, current, self.cols[j]))
-                if value < best:
-                    unit = [0] * (n - coord - 1)
-                    unit[j - coord - 1] = 1
-                    best, witness = value, (*prefix[: coord + 1], *unit)
-
+            return best, witness, vals
         if n == 2:
-            solve_pair(total, dots)
-            return best, witness
+            e, best, vals = self._pair(total, dots, best) or (0, best, vals)
+            return best, (e, total - e), vals
         levels, (weight, least, mixed, x) = self._bounds
         stop = -(-(mixed + total * least) // weight)  # the surrogate bound at the root, rounded up
         if seed is None:
-            seed = self._rounded(total - 1, x)
-        base = [d + sum(map(operator.mul, seed, w)) for d, w in zip(dots, self.rows)]
-        best = min(best, min(max(map(operator.add, base, col)) for col in self.cols) + 1)
+            rounded = self._rounded(total - 1, x)
+            seed = [d + sum(map(operator.mul, rounded, w)) for d, w in zip(dots, self.rows)]
+        best = min(best, min(max(map(operator.add, seed, col)) for col in cols) + 1)
+        prefix = [0] * (n - 2)
         # one frame per coordinate on the current path: the first entry to
         # try, the budget at that coordinate, the dot products with that
         # entry and their mix by that level's y
@@ -464,11 +471,19 @@ class _Search:
                     if max(floors) < best:
                         prefix[coord] = entry
                         if coord == n - 3:
-                            solve_pair(rest, current)
+                            pair = self._pair(rest, current, best)
+                            if pair:
+                                e, best, vals = pair
+                                witness = (*prefix, e, rest - e)
                         elif rest == 1:
-                            solve_unit(coord, current)
+                            units = range(coord + 1, n)
+                            for j in reversed(units):
+                                value = max(map(operator.add, current, cols[j]))
+                                if value < best:
+                                    best, vals = value, list(map(operator.add, current, cols[j]))
+                                    witness = (*prefix[: coord + 1], *(int(i == j) for i in units))
                         else:
-                            following = [d + c for d, c in zip(current, column)]
+                            following = list(map(operator.add, current, column))
                             child = sum(map(operator.mul, levels[coord + 1][2], current))
                             stack += [
                                 (entry + 1, remaining, following, mixed + step),
@@ -488,9 +503,12 @@ class _Search:
                             if f >= best
                         )
                 entry += skip
-                current = [d + skip * c for d, c in zip(current, column)]
+                if skip == 1:
+                    current = list(map(operator.add, current, column))
+                else:
+                    current = [d + skip * c for d, c in zip(current, column)]
                 mixed += skip * step
-        return best, witness
+        return best, witness, vals
 
 
 def convex_capacity(domain: Hull, k: int) -> CapacityResult:
@@ -559,8 +577,8 @@ def capacity_sequence(domain: ToricDomain, kmax: int) -> CapacitySequence:
     multiples up to c_kmax, and a polydisk, cube or cylinder union extends
     the progression through c_1 and c_2; its witnesses are None.
     A searched kind takes c_1 from ``capacity_at``, the one cold search,
-    and every later c_k from ``domain._search`` on the domain's own
-    denominator, seeded with the previous k's witness.  The integers pass
+    and c_2 .. c_kmax from one ``run`` of ``domain._search`` on the
+    domain's own denominator, seeded with c_1's witness.  The integers pass
     the monotonicity check.
     """
     positive_int(kmax, "kmax")
@@ -573,12 +591,9 @@ def capacity_sequence(domain: ToricDomain, kmax: int) -> CapacitySequence:
         witnesses = None
     else:
         first = capacity_at(domain, 1)
-        branch, denom, search = first.branch, domain._scaled[0], domain._search
-        values, witnesses = [int(first.value * denom)], [first.witness]
-        for k in range(2, kmax + 1):
-            value, witness = search(k, witnesses[-1])
-            values.append(value)
-            witnesses.append(witness)
+        branch, denom = first.branch, domain._scaled[0]
+        runs = domain._search.run(2, kmax, first.witness)
+        values, witnesses = map(list, zip((int(first.value * denom), first.witness), *runs))
     _require_nondecreasing(values)
     return CapacitySequence._from(
         domain=domain, _scaled=(denom, values), _labels=(witnesses, branch)

@@ -348,6 +348,37 @@ def test_the_corpus_holds_its_three_parts():
     assert tool.corpus(7) == regions and tool.corpus(8)[:-44] != small
 
 
+def test_the_deep_probes_are_timed_alternately_on_both_trees(monkeypatch):
+    """``deep_report`` on one tiny probe: each tree runs each region's
+    sequence ``repeats`` times, the trees taking turns to go first, and the
+    report gives each region's best seconds and their ratio."""
+    tool = _tool()
+    assert tool.deep_probes() == tool.corpus(7)[-4:]
+    monkeypatch.setattr(tool, "DEEP", ((3, 4),))
+    trees = _trees(tool, SRC, SRC)
+    runs = []
+    for tree in trees:
+        def counted(domain, kmax, sequence=tree.capacity_sequence, name=tree.__name__):
+            runs.append((name, domain.shape, kmax))
+            return sequence(domain, kmax)
+
+        monkeypatch.setattr(tree, "capacity_sequence", counted)
+    lines = tool.deep_report(trees, 2).splitlines()
+    parent, change = tool.NAMES
+    assert runs == [
+        (change, "hull", 4), (parent, "hull", 4), (parent, "staircase", 4), (change, "staircase", 4),
+        (parent, "hull", 4), (change, "hull", 4), (change, "staircase", 4), (parent, "staircase", 4),
+    ]
+    assert lines[0].split() == ["deep", "probe,", "best", "of", "2", "parent", "s", "change", "s",
+                                "ratio"]
+    assert [line.split()[:3] for line in lines[1:]] == [
+        ["hull", "n=3", "K=4"], ["staircase", "n=3", "K=4"]
+    ]
+    for line in lines[1:]:
+        a, b, ratio = map(float, line.split()[3:])
+        assert 0 <= a < 1 and 0 <= b < 1 and ratio > 0
+
+
 def test_reversed_staircase_witnesses_differ_on_exactly_the_predicted_regions(tmp_path):
     tool = _tool()
     regions = tool.corpus(7)[: 6 * tool.SMALL_REGIONS : 33]  # five per n
@@ -369,8 +400,8 @@ def test_reversed_staircase_witnesses_differ_on_exactly_the_predicted_regions(tm
     ]
     assert 0 < len(predicted) < sum(region.shape == "staircase" for region in regions)
 
-    # reversed where the search lifts a witness, the one site that both the
-    # cold search and the sequence's seeded searches pass, so both
+    # reversed where the search's run lifts a witness, the one site that
+    # both the cold search and the sequence's run pass, so both
     # comparisons see it
     witness = "tuple(e + 1 for e in witness)"
     reversed_ = witness.replace("witness)", "witness[::-1])")

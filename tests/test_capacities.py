@@ -605,7 +605,7 @@ def test_closed_form_and_product_records_are_plain_results():
 def test_integer_monotonicity_check_fires(monkeypatch):
     # every sequence path reads its producer by module-global name: the
     # ellipsoid merge and the progression; both shapes read the domain's
-    # search, for the cold c_1 and the seeded c_k after it
+    # search's run, for the cold c_1 and the seeded c_2 .. c_K after it
     message = "internal error: capacity sequence decreased at k="
     monkeypatch.setattr(
         capacities_module, "_ellipsoid_sequence", lambda axes, kmax: (3, [1, 4, 2])
@@ -619,11 +619,11 @@ def test_integer_monotonicity_check_fires(monkeypatch):
         with pytest.raises(ToricapError, match=message + "4$"):
             capacity_sequence(domain, 5)
 
-    def falling_search(search, k, seed=None):
-        # the search answers c_k * denom in the capacity's own terms
-        return (5, 5, 7, 6, 8)[k - 1], (k,)
+    def falling_run(search, first, last, seed=None):
+        # the run answers each c_k * denom in the capacity's own terms
+        return [((5, 5, 7, 6, 8)[k - 1], (k,)) for k in range(first, last + 1)]
 
-    monkeypatch.setattr(capacities_module._Search, "__call__", falling_search)
+    monkeypatch.setattr(capacities_module._Search, "run", falling_run)
     for domain in (ConvexToricDomain(((1,),)), ConcaveToricDomain(((1,),))):
         with pytest.raises(ToricapError, match=message + "4$"):
             capacity_sequence(domain, 5)
@@ -1067,7 +1067,8 @@ def test_a_searched_sequence_is_the_records_of_each_k():
 def test_a_searched_sequence_makes_one_cold_search(monkeypatch, shape):
     # c_1 is the one cold search, through capacity_at: one call of the
     # shape's search function and its rounded incumbent (none for a
-    # staircase, whose c_1 is at total 0); every later c_k is seeded
+    # staircase, whose c_1 is at total 0); every later c_k is one seeded
+    # kernel run of the sequence's run
     calls = dict.fromkeys(("convex_capacity", "concave_capacity", "_rounded", "cold", "seeded"), 0)
 
     def counting(name, function):
@@ -1082,12 +1083,12 @@ def test_a_searched_sequence_makes_one_cold_search(monkeypatch, shape):
         monkeypatch.setattr(capacities_module, name, counting(name, original))
     search = capacities_module._Search
     monkeypatch.setattr(search, "_rounded", counting("_rounded", search._rounded))
-    cold, seeded = counting("cold", search.__call__), counting("seeded", search.__call__)
+    cold, seeded = counting("cold", search._least), counting("seeded", search._least)
 
-    def call(self, total, seed=None):
+    def least(self, total, seed=None):
         return cold(self, total) if seed is None else seeded(self, total, seed)
 
-    monkeypatch.setattr(search, "__call__", call)
+    monkeypatch.setattr(search, "_least", least)
     kmax = 12
     domain = (random_convex if shape == "hull" else random_concave)(random.Random(2419), n=4)
     capacity_sequence(domain, kmax)
@@ -1095,6 +1096,46 @@ def test_a_searched_sequence_makes_one_cold_search(monkeypatch, shape):
     assert calls == {
         "convex_capacity": int(hull), "concave_capacity": int(not hull), "_rounded": int(hull),
         "cold": 1, "seeded": kmax - 1,
+    }
+
+
+def test_a_run_hands_each_k_the_row_values_of_the_witness_before_it(monkeypatch):
+    # each kernel call of a sequence is seeded by the row values
+    # dots_w + <u, w> of the witness u before it and returns its own
+    # witness's, both recomputed here from the witnesses, on the seed
+    # corpus and the n = 8 deep probe of tools/ab.py
+    calls = []
+    least = capacities_module._Search._least
+
+    def recorded(search, total, seed=None):
+        result = least(search, total, seed)
+        calls.append((total, seed, *result))
+        return result
+
+    monkeypatch.setattr(capacities_module._Search, "_least", recorded)
+    probe = random.Random(812)
+    points = tuple(
+        tuple(F(probe.randint(1, 12), probe.randint(1, 4)) for _ in range(8)) for _ in range(12)
+    )
+    domains = list(_seed_corpus(random.Random(3201), 120))
+    domains += [ConvexToricDomain(points), ConcaveToricDomain(points)]
+    for domain in domains:
+        calls.clear()
+        capacity_sequence(domain, TOTALS)
+        search, lift = domain._search, int(domain.shape == "staircase")
+
+        def row_values(u):
+            return [d + sum(map(operator.mul, u, w)) for d, w in zip(search.dots, search.rows)]
+
+        assert [total for total, *_ in calls] == list(range(1 - lift, TOTALS + 1 - lift))
+        assert calls[0][1] is None
+        for (_, _, _, witness, _), (_, seed, *_) in zip(calls, calls[1:]):
+            assert seed == row_values(witness), (domain, witness)
+        for total, _, value, witness, vals in calls:
+            assert sum(witness) == total and vals == row_values(witness), (domain, witness)
+            assert value == max(vals), (domain, witness)
+    assert {(d.shape, d.n) for d in domains} >= {
+        (shape, n) for shape in ("hull", "staircase") for n in range(1, 7)
     }
 
 

@@ -242,17 +242,17 @@ def test_caps_of_a_closed_form_builds_no_record(write_spec, capsys, monkeypatch,
 
 def test_caps_exits_1_when_a_sequence_decreases(write_spec, capsys, monkeypatch):
     # every producer the engine reads, falling: the ellipsoid merge and the
-    # progression by module-global name, and the domain's search
+    # progression by module-global name, and the domain's search's run
     monkeypatch.setattr(capacities, "_ellipsoid_sequence", lambda axes, kmax: (3, [1, 4, 2, 5]))
     monkeypatch.setattr(
         capacities, "_progression", lambda first, second, kmax: (2, [5, 5, 7, 6])
     )
 
-    def falling_search(search, k, seed=None):
-        # the search answers c_k * denom in the capacity's own terms
-        return (5, 5, 7, 6)[k - 1], (0,) * (search.n - 1) + (k,)
+    def falling_run(search, first, last, seed=None):
+        # the run answers each c_k * denom in the capacity's own terms
+        return [((5, 5, 7, 6)[k - 1], (0,) * (search.n - 1) + (k,)) for k in range(first, last + 1)]
 
-    monkeypatch.setattr(capacities._Search, "__call__", falling_search)
+    monkeypatch.setattr(capacities._Search, "run", falling_run)
     for kind, spec in SPECS.items():
         path = write_spec(f"{kind}.json", spec)
         assert run_cli(["caps", "-d", path, "-k", "4", "--format", "csv"]) == 1

@@ -35,7 +35,10 @@ each tree, the trees alternating request by request and taking turns to
 go first, so a drift in the machine's speed falls on both alike.  It then
 prints the p50 and p90 over requests of each request's median time, the
 sum of those medians, and that sum per command and domain kind, each with
-the change's ratio to the parent.  Bad arguments exit 2 with the usage line.
+the change's ratio to the parent.  Last, it times ``capacity_sequence`` on
+the corpus's four deep probes, best of DEEP_REPEATS on each tree, the trees
+alternating (``deep_report``), and prints each one's seconds and ratio.
+Bad arguments exit 2 with the usage line.
 
 The script's own imports are the standard library's.  It never reads the
 workloads' expected answers, so ``build`` leaves out ``bench/reference.py``
@@ -123,9 +126,7 @@ def corpus(seed: int) -> list[Region]:
       0) plus up to two duplicated points, K from SMALL_KMAX;
     * 40 wide regions of ``random.Random(1040)``, n 10-40 and 2-6 points
       (p <= 8, q <= 6), hulls and staircases in turn, K = 10;
-    * the four deep probes: 12 points (p <= 12, q <= 4) of
-      ``random.Random(100 n + 12)`` as a hull and as a staircase, n = 8
-      up to K = 40 and n = 12 up to K = 24.
+    * the four deep probes of ``deep_probes``.
     """
     rng = random.Random(f"ab:{seed}")
 
@@ -145,7 +146,20 @@ def corpus(seed: int) -> list[Region]:
     for i in range(40):
         n, m = wide.randint(10, 40), wide.randint(2, 6)
         regions.append(Region(("hull", "staircase")[i % 2], _points(wide, n, m, 8, 6), 10))
-    for n, kmax in ((8, 40), (12, 24)):
+    return regions + deep_probes()
+
+
+# The deep probes' (n, K), and the runs of each that ``deep_report`` takes
+# the best of.
+DEEP = ((8, 40), (12, 24))
+DEEP_REPEATS = 3
+
+
+def deep_probes() -> list[Region]:
+    """For each (n, K) of DEEP, 12 points (p <= 12, q <= 4) of
+    ``random.Random(100 n + 12)`` as a hull and as a staircase, up to K."""
+    regions = []
+    for n, kmax in DEEP:
         points = _points(random.Random(100 * n + 12), n, 12, 12, 4)
         regions += [Region(shape, points, kmax) for shape in ("hull", "staircase")]
     return regions
@@ -221,8 +235,7 @@ def call(tree, request) -> object:
             factors = [getattr(tree, f.kind)(*f.args) for f in request[:2]]
             return _pair(tree, factors, request.kmax)
         if isinstance(request, Region):
-            kind = {"hull": tree.ConvexToricDomain, "staircase": tree.ConcaveToricDomain}
-            domain = kind[request.shape](request.points)
+            domain = _domain(tree, request)
             runs = (
                 [tree.capacity_at(domain, k) for k in range(1, request.kmax + 1)],
                 tree.capacity_sequence(domain, request.kmax).values,
@@ -239,6 +252,11 @@ def call(tree, request) -> object:
     except Exception as exc:
         where = f"{tree.__name__} ({tree.__path__[0]})"
         raise RuntimeError(f"{where} raised on {label(request)}") from exc
+
+
+def _domain(tree, region: Region):
+    kind = {"hull": tree.ConvexToricDomain, "staircase": tree.ConcaveToricDomain}
+    return kind[region.shape](region.points)
 
 
 def _product(tree, factors, kmax: int) -> list[Fraction]:
@@ -458,6 +476,28 @@ def report(requests: list, parent: list[float], change: list[float]) -> str:
     return "\n".join(lines)
 
 
+def deep_report(trees: tuple, repeats: int) -> str:
+    """Seconds of ``capacity_sequence`` up to K on each deep probe, the best
+    of ``repeats`` runs on each tree, with the change's ratio to the parent.
+    The trees alternate probe by probe and take turns to go first, and each
+    run builds its domain afresh, so it prepares its own search."""
+    regions = deep_probes()
+    best = [[float("inf")] * 2 for _ in regions]
+    for rep in range(repeats):
+        for i, region in enumerate(regions):
+            for t in (0, 1) if (rep + i) % 2 else (1, 0):
+                domain = _domain(trees[t], region)
+                start = perf_counter()
+                trees[t].capacity_sequence(domain, region.kmax)
+                best[i][t] = min(best[i][t], perf_counter() - start)
+    title = f"deep probe, best of {repeats}"
+    lines = [f"{title:<36} {'parent s':>10} {'change s':>10} {'ratio':>8}"]
+    for region, (a, b) in zip(regions, best):
+        name = f"  {region.shape} n={len(region.points[0])} K={region.kmax}"
+        lines.append(f"{name:<36} {a:10.3f} {b:10.3f} {b / a:8.3f}")
+    return "\n".join(lines)
+
+
 def line_counts(srcs: tuple) -> str:
     """Each tree's lines in its ``toricap`` package, as ``wc -l`` counts
     them in its ``.py`` files, and the change's net difference."""
@@ -520,6 +560,7 @@ def main(argv: list[str]) -> int:
         parent, change = medians(trees, timed, REPEATS)
     print(f"{args.workload}: {REPEATS} alternated runs per request and tree")
     print(report(timed, parent, change))
+    print(deep_report(trees, DEEP_REPEATS))
     return 0
 
 
