@@ -10,6 +10,9 @@ Subcommands::
     toricap slope --domain d.json --kmax 40
     toricap lagrangian-bound --domain d.json
 
+``run`` parses an argv once, by its subcommand's own parser
+(``_parsers``), and keeps nothing parsed from one call to the next.
+
 Every subcommand has one report path.  Its ``_cmd_*`` function computes
 the values, formats each once (``format_rational``, ``decimal_string``) and
 returns three builders over those strings: the table text, the CSV rows and
@@ -66,8 +69,9 @@ from .specfile import domain_to_jsonable, load_domain
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parsing leaves it unchanged."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's own parser by name, built
+    once per process: parsing leaves them unchanged."""
     parser = argparse.ArgumentParser(
         prog="toricap",
         description="Exact capacity calculator for toric domains.",
@@ -124,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_lag)
     p_lag.set_defaults(run=lambda args: _cmd_scalar(args, lagrangian_lower_bound))
 
-    return parser
+    return parser, sub.choices
 
 
 def _approx(value: Fraction) -> str:
@@ -385,10 +389,19 @@ def _gromov_domain(domain: ToricDomain) -> Staircase:
 
 
 def run(argv: list[str]) -> int:
-    """Execute one CLI invocation; returns the process exit code."""
-    parser = build_parser()
+    """Execute one CLI invocation; returns the process exit code.  What the
+    subcommand's parser leaves over is the top-level parser's usage error,
+    as its ``parse_args`` reports it; an argv naming no subcommand ends in
+    the top-level help or a usage error."""
+    parser, commands = _parsers()
     try:
-        args = parser.parse_args(argv)
+        command = commands.get(argv[0]) if argv else None
+        if command is None:
+            args = parser.parse_args(argv)
+        else:
+            args, extras = command.parse_known_args(argv[1:])
+            if extras:
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
     except SystemExit as exc:  # argparse handles usage errors and --help
         return int(exc.code or 0)
     try:

@@ -12,7 +12,8 @@ declares the ``shape`` of that description, and lists its ``points``:
   (delta, ..., delta)) or an ``Ellipsoid`` (the vertices a_i * e_i of its
   finite axes: an infinite axis bounds nothing).
 
-Each kind caches its points as integer rows over one common denominator.
+Each kind keeps its points as integer rows over one common denominator,
+``_scaled``.
 ``shape_of`` reads a domain's shape and is the one check that an argument
 is a toric domain (of the shape an operation needs).  The geometric
 evaluations the capacity formulas consume:
@@ -32,9 +33,12 @@ Every kind is a ``_Record``: an immutable value whose ``_fields`` are set
 once by its ``__init__``, which normalises and checks them; equality and
 hashing go by the kind and those fields, so ``Cube(2, 1)`` and
 ``CylinderUnion(2, 1)`` differ.  That ``__init__`` is the one check of a
-kind's data; only the integer caches, such as ``_scaled``, are added later,
-to the instance dict.  All coordinates are ``Fraction`` and every function
-here is pure.
+kind's data.  A point set's reads each coordinate once, as an integer pair
+(``rational_pair``), and keeps only ``_scaled``: its field is a
+``cached_property`` of ``Fraction`` rows built from those integers.  The
+other kinds keep ``Fraction`` fields, and their integer caches, such as
+``_scaled``, are added later, to the instance dict.  Every function here
+is pure.
 """
 
 from __future__ import annotations
@@ -46,31 +50,44 @@ from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from .errors import DimensionMismatch, UnboundedDomainError
-from .rationals import ExtendedRational, is_infinite, positive_int, to_rational
+from .rationals import (
+    ExtendedRational,
+    format_rational,
+    is_infinite,
+    positive_int,
+    rational_pair,
+    to_rational,
+)
 
 Point = tuple[Fraction, ...]
 LatticeVector = tuple[int, ...]
 
 
-def _normalize_points(rows: object, what: str) -> tuple[Point, ...]:
+def _integer_rows(points: object, what: str) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(denom, rows) of a point list, as ``_scaled_integer_rows`` gives
+    them: each coordinate read once, as an integer pair by
+    ``rational_pair``, and every pair read before any is checked."""
     try:
-        entries = tuple(tuple(map(to_rational, row)) for row in rows)  # type: ignore[union-attr]
+        pairs = [tuple(map(rational_pair, row)) for row in points]  # type: ignore[union-attr]
     except (TypeError, ValueError) as exc:
         raise type(exc)(f"invalid {what}: {exc}") from None
-    if not entries:
+    if not pairs:
         raise ValueError(f"{what} must be a nonempty list of points")
-    width = len(entries[0])
+    width = len(pairs[0])
     if width == 0:
         raise ValueError(f"{what} must have dimension >= 1")
-    for row in entries:
+    for row in pairs:
         if len(row) != width:
             raise DimensionMismatch(
                 f"{what} have inconsistent dimensions ({len(row)} vs {width})"
             )
-        for c in row:
-            if c.numerator < 0:
-                raise ValueError(f"{what} must have nonnegative coordinates, got {c}")
-    return entries
+        for p, q in row:
+            if p < 0:
+                raise ValueError(
+                    f"{what} must have nonnegative coordinates, got {format_rational(p, q)}"
+                )
+    denom = math.lcm(*{q for row in pairs for _, q in row})
+    return denom, tuple(tuple(p * (denom // q) for p, q in row) for row in pairs)
 
 
 def _scaled_integer_rows(points: tuple[Point, ...]) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -293,7 +310,9 @@ class CylinderUnion(_Diagonal):
 
 
 class _PointSet(_Record):
-    """A hull or staircase listed point by point, in its one field."""
+    """A hull or staircase listed point by point, in its one field: a
+    ``cached_property`` of ``_fraction_rows``, as ``__init__`` keeps only
+    ``_scaled``."""
 
     @property
     def points(self) -> tuple[Point, ...]:
@@ -301,10 +320,15 @@ class _PointSet(_Record):
 
     @property
     def n(self) -> int:
-        return len(self.points[0])
+        return len(self._scaled[1][0])
 
     def __str__(self) -> str:
-        return f"{type(self).__name__}({len(self.points)} {self._fields[0]}, n={self.n})"
+        return f"{type(self).__name__}({len(self._scaled[1])} {self._fields[0]}, n={self.n})"
+
+
+def _fraction_rows(domain: _PointSet) -> tuple[Point, ...]:
+    denom, rows = domain._scaled
+    return tuple(tuple(Fraction(a, denom) for a in row) for row in rows)
 
 
 class ConvexToricDomain(_PointSet):
@@ -317,12 +341,12 @@ class ConvexToricDomain(_PointSet):
     the generator points is exact, so no hull construction is ever needed.
     """
 
-    generators: tuple[Point, ...]
+    generators = cached_property(_fraction_rows)
     _fields = ("generators",)
     shape = "hull"
 
     def __init__(self, generators: object) -> None:
-        object.__setattr__(self, "generators", _normalize_points(generators, "generators"))
+        object.__setattr__(self, "_scaled", _integer_rows(generators, "generators"))
 
 
 class ConcaveToricDomain(_PointSet):
@@ -338,12 +362,12 @@ class ConcaveToricDomain(_PointSet):
     intent, not something the class can verify.
     """
 
-    vertices: tuple[Point, ...]
+    vertices = cached_property(_fraction_rows)
     _fields = ("vertices",)
     shape = "staircase"
 
     def __init__(self, vertices: object) -> None:
-        object.__setattr__(self, "vertices", _normalize_points(vertices, "staircase vertices"))
+        object.__setattr__(self, "_scaled", _integer_rows(vertices, "staircase vertices"))
 
 
 ToricDomain = Union[

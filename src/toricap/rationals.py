@@ -8,6 +8,8 @@ against ``Fraction`` so ordinary ``min``/``max``/``sorted`` just work.
 
 Floats other than ``math.inf`` are rejected everywhere: binary floating
 point would silently break the min/max ties the capacity formulas hinge on.
+``rational_pair`` is the one reading of a rational: ``to_rational`` builds
+its ``Fraction`` from that pair, and a point set takes the pair as it is.
 """
 
 from __future__ import annotations
@@ -33,43 +35,57 @@ def is_infinite(x: ExtendedRational) -> bool:
     return isinstance(x, float) and math.isinf(x)
 
 
-def to_rational(value: object, allow_infinite: bool = False) -> ExtendedRational:
-    """Coerce ``value`` to an exact Fraction (or INF when allowed).
+def rational_pair(value: object) -> tuple[int, int]:
+    """The numerator and positive denominator, in lowest terms, of the
+    finite rational ``value`` names: the one reading of a rational.
 
     Accepts Fraction, int, and strings of the form ``"p"`` or ``"p/q"``.
     Decimal literals (float objects, strings with a decimal point or
-    exponent) are rejected to preserve exactness.
+    exponent) are rejected to preserve exactness, and so is infinity.
     """
     if isinstance(value, str):
         text = value.strip()
         match = _RATIONAL_RE.fullmatch(text)
-        if match is not None:
-            numerator, denominator = match.groups()
-            try:
-                return Fraction(int(numerator), int(denominator or 1))
-            except ZeroDivisionError:
-                raise ValueError(f"zero denominator in {value!r}") from None
-        if text.lower() in _INF_STRINGS:
-            if allow_infinite:
-                return INF
-            raise ValueError("infinity is not allowed here")
-        raise ValueError(f"cannot parse {value!r} as an exact rational: expected 'p' or 'p/q'")
+        if match is None:
+            if text.lower() in _INF_STRINGS:
+                raise ValueError("infinity is not allowed here")
+            raise ValueError(f"cannot parse {value!r} as an exact rational: expected 'p' or 'p/q'")
+        numerator, denominator = match.groups()
+        p = int(numerator)
+        if denominator is None:
+            return p, 1
+        q = int(denominator)
+        if not q:
+            raise ValueError(f"zero denominator in {value!r}")
+        g = math.gcd(p, q)
+        return p // g, q // g
     if isinstance(value, Fraction):
-        return value
+        return value.numerator, value.denominator
     if isinstance(value, bool):
         raise TypeError("booleans are not rationals")
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value), 1
     if isinstance(value, float):
         if math.isinf(value) and value > 0:
-            if allow_infinite:
-                return INF
             raise ValueError("infinity is not allowed here")
         raise TypeError(
             f"floating-point value {value!r} rejected: use an int, a Fraction, "
             "or a 'p/q' string"
         )
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
+
+
+def to_rational(value: object, allow_infinite: bool = False) -> ExtendedRational:
+    """Coerce ``value`` to an exact Fraction as ``rational_pair`` reads it,
+    or to INF when allowed for ``math.inf`` or an infinite spelling."""
+    if isinstance(value, Fraction):
+        return value
+    if allow_infinite and (
+        value.strip().lower() in _INF_STRINGS if isinstance(value, str)
+        else isinstance(value, float) and value == INF
+    ):
+        return INF
+    return Fraction(*rational_pair(value))
 
 
 def positive_int(value: object, what: str) -> int:

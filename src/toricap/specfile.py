@@ -15,14 +15,15 @@ surrounding spaces (``"-inf"`` is rejected).  Examples::
     {"type": "concave", "sigma": [["1", "0"], ["0", "2"]]}
 
 Syntax errors report line and column; semantic errors report the offending
-field path.  ``parse_domain(render_domain(d))`` returns a domain equal to
-``d``.
+field path.  A point list's coordinates are read once, by the domain's
+constructor; only when that fails are they walked to name the first bad
+one by its path.  ``parse_domain(render_domain(d))`` returns a domain
+equal to ``d``.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from functools import partial
 
 from .domains import (
@@ -56,21 +57,25 @@ def _rational_list(raw: object, path: str, allow_infinite: bool = False) -> list
     ]
 
 
-def _point_list(raw: object, path: str) -> list[tuple[Fraction, ...]]:
+def _point_list(raw: object, path: str) -> list:
+    """``raw`` once it is a nonempty list of nonempty lists, unconverted:
+    the domain's constructor reads each coordinate.  A row that is no such
+    list is named by its path after any bad coordinate before it."""
     if not isinstance(raw, list) or not raw:
         raise DomainFormatError(f"{path}: expected a nonempty list of points")
-    points = []
     for i, row in enumerate(raw):
         if not isinstance(row, list) or not row:
+            _name_bad_coordinate(raw[:i], path)
             raise DomainFormatError(f"{path}[{i}]: expected a nonempty coordinate list")
-        try:
-            points.append(tuple(map(to_rational, row)))
-        except (TypeError, ValueError):
-            # name the first coordinate that fails, with its path
-            for j, c in enumerate(row):
-                _rational_field(c, f"{path}[{i}][{j}]")
-            raise
-    return points
+    return raw
+
+
+def _name_bad_coordinate(rows: list, path: str) -> None:
+    """Raise the ``_rational_field`` error of the first coordinate of
+    ``rows`` that is no rational, in document order, if there is one."""
+    for i, row in enumerate(rows):
+        for j, c in enumerate(row):
+            _rational_field(c, f"{path}[{i}][{j}]")
 
 
 def _dimension_field(raw: object, path: str) -> int:
@@ -124,6 +129,9 @@ def parse_domain(text: str) -> ToricDomain:
             try:
                 return cls(*values)
             except (ValueError, TypeError, DimensionMismatch) as exc:
+                for (key, _, parse), value in zip(spec, values):
+                    if parse is _point_list:  # a coordinate's error names its path
+                        _name_bad_coordinate(value, key)
                 raise DomainFormatError(f"{kind}: {exc}") from None
     names = [name for name, _, _ in _KINDS]
     raise DomainFormatError(
@@ -133,9 +141,15 @@ def parse_domain(text: str) -> ToricDomain:
 
 
 def domain_to_jsonable(domain: ToricDomain) -> dict:
-    """The JSON-ready dict form of a domain."""
+    """The JSON-ready dict form of a domain: a point list is written from
+    its integer rows, with no ``Fraction``."""
     for name, cls, spec in _KINDS:
         if type(domain) is cls:
+            (key, attr, parse), *_ = spec
+            if parse is _point_list:
+                denom, rows = domain._scaled
+                points = [[format_rational(a, denom) for a in row] for row in rows]
+                return {"type": name, key: points}
             fields = {key: _jsonable(getattr(domain, attr)) for key, attr, _ in spec}
             return {"type": name, **fields}
     raise TypeError(f"not a toric domain: {type(domain).__name__}")

@@ -156,6 +156,32 @@ def test_compare_finds_an_edited_error_prefix(tmp_path):
         assert (code, out) == (edited_code, edited_out) and err != edited_err
 
 
+def test_the_usage_argvs_end_in_help_or_a_usage_error(tmp_path):
+    """The 20 ``usage_argvs`` are compared as they are: those asking for
+    help exit 0 and print it, the others exit 2 with only a usage error.
+    Leftover arguments reported by a subcommand's parser, not the top-level
+    one, differ on exactly the three argvs that leave some."""
+    tool = _tool()
+    argvs = tool.usage_argvs()
+    assert len(argvs) == 20
+    requests = tool.comparisons([], 7, str(tmp_path))
+    assert all(argv in requests for argv in argvs)
+    trees = _trees(tool, SRC, SRC)
+    helps = [argv for argv in argvs if {"-h", "--help"} & set(argv)]
+    assert len(helps) == 8
+    for argv in argvs:
+        code, out, err = tool.call(trees[0], argv)
+        expected = (0, True, False) if argv in helps else (2, False, True)
+        assert (code, bool(out), bool(err)) == expected, argv
+    assert tool.compare(trees, argvs) == []
+
+    leftover = "parser.error(f\"unrecognized arguments:"
+    copy = _edited_copy(tmp_path, "cli.py", leftover, leftover.replace("parser", "command"), 1)
+    assert [argv[0] for argv in _differing(tool, _trees(tool, SRC, copy), argvs)] == [
+        "cube", "gromov", "slope"
+    ]
+
+
 def test_the_edge_argvs_succeed_and_a_dropped_carry_check_shows_on_one(tmp_path):
     """The closed forms of ``edge_argvs``, 7 ``caps`` and 3 ``obstruct``
     requests, exit 0 in all three formats; a decimal column that takes a
@@ -200,7 +226,7 @@ def test_the_oracle_is_memoized_only_while_compared(tmp_path):
 def test_an_exception_names_the_tree_and_the_argv(tmp_path):
     tool = _tool()
     argv = tool.golden_cases()["cube_polydisk"]
-    parse = "    parser = build_parser()\n"
+    parse = "    parser, commands = _parsers()\n"
     copy = _edited_copy(tmp_path, "cli.py", parse, "    raise KeyError(0)\n", 1)
     with pytest.raises(RuntimeError, match=r"toricap_change \(.*\) raised on cube "):
         tool.compare(_trees(tool, SRC, copy), [argv])
@@ -212,7 +238,7 @@ def test_the_line_counts_give_the_net_change(tmp_path):
     total = sum(len(path.read_text(encoding="utf-8").splitlines())
                 for path in (SRC / "toricap").glob("*.py"))
     assert same == f"src/toricap lines: parent {total}, change {total}, net +0"
-    parse = "    parser = build_parser()\n"
+    parse = "    parser, commands = _parsers()\n"
     copy = _edited_copy(tmp_path, "cli.py", parse, "", 1)
     assert tool.line_counts((SRC, copy)).endswith(f"change {total - 1}, net -1")
     assert tool.line_counts((copy, SRC)).endswith("net +1")

@@ -14,7 +14,7 @@ import pytest
 import toricap.capacities as capacities
 import toricap.cli as cli
 import toricap.domains as domains
-from toricap import capacity_sequence, parse_domain
+from toricap import capacity_sequence, load_domain, parse_domain
 
 F = Fraction
 SRC = Path(__file__).parent.parent / "src"
@@ -411,6 +411,31 @@ def test_a_huge_dimension_fails_at_once(write_spec, capsys, command, kind):
     )
 
 
+# Seconds allowed to load a convex spec of 10^5 points in two dimensions,
+# or to reject it when its last coordinate is bad: about 0.5 s and 0.9 s
+# (every coordinate is read, then walked again to name the bad one) on a
+# 2-core x86 machine with Python 3.11, in about 90 MB.
+HUGE_SPEC_SECONDS = 5.0
+
+
+def test_a_huge_point_list_loads_or_names_its_last_bad_coordinate(write_spec, capsys):
+    rows = [[f"{i % 7 + 1}/{i % 5 + 1}", str(i % 3)] for i in range(10**5)]
+    valid = write_spec("huge.json", json.dumps({"type": "convex", "generators": rows}))
+    rows[-1][-1] = "1.5"
+    bad = write_spec("bad.json", json.dumps({"type": "convex", "generators": rows}))
+    start = time.perf_counter()
+    assert run_cli(["cube", "-d", bad]) == 1
+    assert time.perf_counter() - start < HUGE_SPEC_SECONDS
+    assert capsys.readouterr() == ("", (
+        "toricap: error: generators[99999][1]: "
+        "cannot parse '1.5' as an exact rational: expected 'p' or 'p/q'\n"
+    ))
+    start = time.perf_counter()
+    domain = load_domain(valid)
+    assert time.perf_counter() - start < HUGE_SPEC_SECONDS
+    assert str(domain) == "ConvexToricDomain(100000 generators, n=2)"
+
+
 def test_a_json_integer_past_the_digit_limit_exits_1(write_spec, capsys):
     path = write_spec("nines.json", '{"type":"polydisk","a":[' + "9" * 5000 + "]}")
     assert run_cli(["cube", "-d", path]) == 1
@@ -455,9 +480,9 @@ def test_gromov_on_a_wide_ellipsoid_builds_no_rows(write_spec, capsys, monkeypat
 
 
 def test_repeated_runs_share_no_state(write_spec, tmp_path, capsys):
-    # the parser is built once per process; no call may see an earlier one's flags
+    # the parsers are built once per process; no call may see an earlier one's flags
     path = write_spec("e12.json", '{"type":"ellipsoid","a":["1","2"]}')
-    assert cli.build_parser() is cli.build_parser()
+    assert cli._parsers() is cli._parsers()
     header = "k,value_rational,value_decimal,witness,branch"
 
     assert run_cli(["caps", "-d", path, "-k", "3", "--oracle", "--format", "csv"]) == 0

@@ -18,6 +18,8 @@ from toricap import (
     UnboundedDomainError,
     antinorm_value,
     diagonal_intersection,
+    parse_domain,
+    render_domain,
     scale_domain,
     support_value,
 )
@@ -30,7 +32,7 @@ from helpers import (
     random_point,
     reference_max_total,
 )
-from toricap.domains import _game, _max_total
+from toricap.domains import _game, _max_total, _scaled_integer_rows
 
 F = Fraction
 
@@ -107,6 +109,59 @@ def test_dimension():
     assert Ellipsoid((1, 2, 3)).n == 3
     assert Cube(4, 1).n == 4
     assert ConcaveToricDomain(((1, 0), (0, 2))).n == 2
+
+
+def _spellings(points):
+    """The points as ``Fraction``s, as "p/q" strings with spaces and
+    unreduced terms, and as ints where whole, else ``Fraction``s."""
+    return [
+        points,
+        [[f" {2 * c.numerator}/{2 * c.denominator} " for c in p] for p in points],
+        [[int(c) if c.denominator == 1 else c for c in p] for p in points],
+    ]
+
+
+def _seeded_point_sets(seed: int, count: int):
+    """(kind, points) of ``count`` hulls and as many staircases, n 1-6, of
+    1-6 points p/q (p <= 8, q <= 6) drawn from ``seed``."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        for kind in (ConvexToricDomain, ConcaveToricDomain):
+            n = rng.randint(1, 6)
+            yield kind, tuple(random_point(rng, n) for _ in range(rng.randint(1, 6)))
+
+
+def test_point_sets_read_their_coordinates_once_into_the_rows_of_their_points():
+    """A point set's integer rows, kept by its constructor, are those
+    ``_scaled_integer_rows`` clears from its ``Fraction`` points, which it
+    gives back; written as strings, ints or ``Fraction``s it is one value,
+    by equality, hash and print."""
+    for kind, points in _seeded_point_sets(1703, 60):
+        domain = kind(points)
+        assert domain._scaled == _scaled_integer_rows(points)
+        assert domain.points == points and domain.n == len(points[0])
+        assert all(type(c) is Fraction for p in domain.points for c in p)
+        same = [kind(spelled) for spelled in _spellings(points)]
+        assert set(same) == {domain} and all(d == domain for d in same)
+        assert {(str(d), repr(d), d._scaled) for d in same} == {
+            (str(domain), repr(domain), domain._scaled)
+        }
+
+
+def test_point_sets_keep_their_round_trips():
+    rng = random.Random(1704)
+    for kind, points in _seeded_point_sets(1705, 40):
+        domain, factor = kind(points), F(rng.randint(1, 9), rng.randint(1, 9))
+        scaled = scale_domain(domain, factor)
+        assert scaled.points == tuple(tuple(factor * c for c in p) for p in points)
+        assert scaled._scaled == _scaled_integer_rows(scaled.points)
+        assert parse_domain(render_domain(domain)) == domain
+        assert render_domain(kind(_spellings(points)[1])) == render_domain(domain)
+    for _ in range(40):
+        ellipsoid = Ellipsoid(tuple(F(rng.randint(1, 9), rng.randint(1, 5))
+                                    for _ in range(rng.randint(1, 5))))
+        assert ellipsoid.to_convex().points == ellipsoid.to_concave().points == ellipsoid.points
+        assert ellipsoid.to_concave()._scaled == ellipsoid._scaled
 
 
 # ------------------------------------------------------------- support values

@@ -97,7 +97,7 @@ def test_cli_output_matches_golden(case, fmt, capsys):
 def test_every_subcommand_has_a_golden_case():
     (subparsers,) = (
         action
-        for action in cli.build_parser()._actions
+        for action in cli._parsers()[0]._actions
         if isinstance(action, argparse._SubParsersAction)
     )
     covered = {argv[0] for argv in CASES.values()}

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from toricap import INF, decimal_string, format_rational, is_infinite, to_rational
-from toricap.rationals import MAX_DIGITS
+from toricap.rationals import MAX_DIGITS, rational_pair
 
 F = Fraction
 
@@ -285,3 +285,67 @@ def test_every_infinity_spelling(text):
     assert to_rational(text, allow_infinite=True) == INF
     with pytest.raises(ValueError, match="^infinity is not allowed here$"):
         to_rational(text)
+
+
+class _Int(int):
+    """An int subclass, as enums and numeric libraries define them."""
+
+
+# Values of every type a coordinate arrives as, well-formed or not
+_READINGS = [
+    "3", "-7/2", "4/2", " +6/4 ", "-0", "0/5", "007/010", "\t12\n", "1/0", "-3/00",
+    "0.5", "1e3", ".5", "", " ", "a/b", "1/-2", "1_0", "+-1", "1/2/3", "١٢/٣",
+    "inf", " +Inf ", "oo", "infinity", "-inf", "infty", "9" * 4301, "1/" + "9" * 4301,
+    0, 5, -12, 10**40, _Int(4), F(0), F(-5, 3), F(10**30, 7),
+    True, False, 1.5, 0.0, -2.0, math.inf, -math.inf, math.nan, _Float(math.inf),
+    None, [1], (1, 2), 1j,
+]
+
+
+def _slow_rational(value):
+    """The reading of a finite rational spelled out case by case, through
+    ``Fraction``: the independent slow path."""
+    if isinstance(value, str):
+        text = value.strip()
+        match = re.fullmatch(r"([+-]?\d+)(?:/(\d+))?", text)
+        if match is None:
+            if text.lower() in ("inf", "+inf", "infinity", "oo"):
+                raise ValueError("infinity is not allowed here")
+            raise ValueError(f"cannot parse {value!r} as an exact rational: expected 'p' or 'p/q'")
+        try:
+            return Fraction(int(match[1]), int(match[2] or 1))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, bool):
+        raise TypeError("booleans are not rationals")
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, float):
+        if value == math.inf:
+            raise ValueError("infinity is not allowed here")
+        raise TypeError(
+            f"floating-point value {value!r} rejected: use an int, a Fraction, or a 'p/q' string"
+        )
+    raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
+
+
+def _reading(read, value):
+    try:
+        return "value", read(value)
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("value", _READINGS, ids=lambda v: repr(v)[:24])
+def test_rational_pair_reads_exactly_as_to_rational(value):
+    """The integer pair and ``to_rational`` raise where the slow path
+    raises, with its type and message, and otherwise give its value: the
+    pair as its lowest terms."""
+    kind, expected = _reading(_slow_rational, value)
+    assert _reading(to_rational, value) == (kind, expected)
+    if kind == "value":
+        expected = (expected.numerator, expected.denominator)
+        assert {type(x) for x in rational_pair(value)} == {int}
+    assert _reading(rational_pair, value) == (kind, expected)

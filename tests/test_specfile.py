@@ -97,6 +97,21 @@ POINT_ERRORS = [
         '"sigma":[["0","-1/2"]]',
         "concave: staircase vertices must have nonnegative coordinates, got -1/2",
     ),
+    # more than one fault: the first in document order is reported
+    ('"generators":[["1","x"],[]]', "generators[0][1]: " + _CANNOT.format("x")),
+    ('"sigma":[[],["1","x"]]', "sigma[0]: expected a nonempty coordinate list"),
+    ('"generators":[["1"],[],["x"]]', "generators[1]: expected a nonempty coordinate list"),
+    ('"generators":[["1"],["1","x"]]', "generators[1][1]: " + _CANNOT.format("x")),
+    ('"generators":[["1","x"],["1"]]', "generators[0][1]: " + _CANNOT.format("x")),
+    ('"generators":[["1","2"],["-1","2","3"]]',
+     "convex: generators have inconsistent dimensions (3 vs 2)"),
+    ('"sigma":[["1","2"],"12"]', "sigma[1]: expected a nonempty coordinate list"),
+    ('"generators":[{"a":1},["1","x"]]', "generators[0]: expected a nonempty coordinate list"),
+    ('"generators":[["1",1e400],{"a":1}]',
+     'generators[0][1]: infinite JSON number rejected: write "inf"'),
+    ('"generators":[["x","-1"]]', "generators[0][0]: " + _CANNOT.format("x")),
+    ('"sigma":[["1","2"],["y","3"],["-1","2"]]', "sigma[1][0]: " + _CANNOT.format("y")),
+    ('"sigma":[["-1","2"],["1","y"]]', "sigma[1][1]: " + _CANNOT.format("y")),
 ]
 
 

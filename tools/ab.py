@@ -7,12 +7,14 @@ PARENT_SRC and CHANGE_SRC are ``src`` directories, each holding a
 package names ``toricap_parent`` and ``toricap_change``, and every request
 below runs on both in turn through ``call``; their answers must be equal.
 
-* CLI argvs, each in all three formats: every CLI request at SEED of the
-  workloads ``BENCHMARK.json`` names, read from ``build``;
+* CLI argvs, each but the usage argvs in all three formats: every CLI
+  request at SEED of the workloads ``BENCHMARK.json`` names, read from
+  ``build``;
   each ``caps`` one again with ``--oracle`` at K = min(K, 20); the golden
   cases of ``tests/test_golden.py``; the closed forms with large
   numerators and denominators of ``edge_argvs``; and the error paths of
-  ``error_argvs``.  The answer is the exit code, stdout and stderr.
+  ``error_argvs``; then, as they are, the help and argparse usage errors
+  of ``usage_argvs``.  The answer is the exit code, stdout and stderr.
 * The workloads' library ``product`` slots, run as ``bench/run.py`` runs
   them: the values of ``product_capacities``.
 * The seeded product pairs of ``products``: the label and each record
@@ -367,6 +369,31 @@ def error_argvs(spec_dir: str) -> list[list[str]]:
     return bad_k + [a for name in failing for a in every_subcommand(path[name])] + hulls
 
 
+def usage_argvs() -> list[list[str]]:
+    """Argvs that end in argparse's help (exit 0) or a usage error (exit 2),
+    compared as they are, in no added format: no argv, an unknown
+    subcommand and ``-h``/``--help`` at the top level; ``-h`` or ``--help``
+    on each subcommand; a missing required flag, a flag missing its value,
+    an extra positional, an unknown flag, an ambiguous abbreviation and
+    ``--kmax=4`` after a subcommand, with other abbreviations; a bad
+    ``--format``; and ``--`` before and after a subcommand.  The spec path
+    is never read."""
+    spec = "d.json"
+    helps = [["caps", "-h"], ["cube", "--help"], ["gromov", "-h"], ["obstruct", "--help"],
+             ["slope", "-h"], ["lagrangian-bound", "--help"]]
+    return [[], ["nosuch", "-d", spec], ["-h"], ["--help"], *helps,
+            ["caps", "-d", spec],  # --kmax missing
+            ["obstruct", "--source", spec, "--target"],
+            ["cube", "-d", spec, "extra"],
+            ["gromov", "-d", spec, "--nosuch"],
+            ["caps", "--kmax=4"],
+            ["caps", "--dom", spec, "--k", "4", "--o"],  # --out or --oracle
+            ["slope", "--dom", spec, "--k", "4", "extra", "--format", "csv"],
+            ["cube", "-d", spec, "--format", "xml"],
+            ["--", "cube", "-d", spec],
+            ["lagrangian-bound", "--", "-d", spec]]
+
+
 # The text of each spec file ``edge_argvs`` writes, by file name: closed
 # forms, whose capacities are progressions, most with large numerators or
 # denominators.
@@ -427,15 +454,16 @@ def _with_oracle(argv: list[str]) -> list[str]:
 
 def comparisons(slots: list, seed: int, spec_dir: str) -> list:
     """Every request the trees are compared on, from the workloads' slots:
-    each distinct CLI argv in the three formats, sorted, then the product
-    slots, the product pairs and the corpus regions."""
+    each distinct CLI argv in the three formats, sorted, then the usage
+    argvs, the product slots, the product pairs and the corpus regions."""
     argvs = [slot.argv for slot in slots if slot.argv is not None]
     argvs += [_with_oracle(argv) for argv in argvs if argv[0] == "caps"]
     argvs += [*golden_cases().values(), *edge_argvs(os.path.join(spec_dir, "edges"))]
     argvs += error_argvs(os.path.join(spec_dir, "errors"))
     unique = sorted({tuple(a) for argv in argvs for a in _in_every_format(argv)})
     product_slots = [s for s in slots if s.argv is None]
-    return [list(a) for a in unique] + product_slots + products(seed) + corpus(seed)
+    return ([list(a) for a in unique] + usage_argvs() + product_slots + products(seed)
+            + corpus(seed))
 
 
 def medians(trees: tuple, requests: list, repeats: int) -> tuple[list[float], list[float]]:
