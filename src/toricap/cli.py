@@ -37,8 +37,15 @@ formats both sides of its report from their integers the same way and
 writes the per-k verdicts the report holds: no module but ``embeddings``
 compares the two sides.
 
+At module level this imports only what every subcommand uses: ``caps``
+imports ``capacities`` when it runs, and ``oracle`` only under
+``--oracle``, and ``embeddings`` imports ``capacities`` only in
+``obstruct`` and ``asymptotic_slope``, so ``cube``, ``gromov`` and
+``lagrangian-bound`` never load the lattice search.
+
 Exit codes: 0 success, 1 domain or semantic error (including an oracle
-mismatch under ``--oracle``), 2 usage error.
+mismatch under ``--oracle``, and a reader that closed stdout before the
+report was written), 2 usage error.
 """
 
 from __future__ import annotations
@@ -47,13 +54,13 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
-from .capacities import capacity_sequence
 from .domains import Staircase, ToricDomain
 from .embeddings import (
     asymptotic_slope,
@@ -63,7 +70,6 @@ from .embeddings import (
     obstruct,
 )
 from .errors import ToricapError
-from .oracle import DEFAULT_ENUMERATION_CAP, brute_capacity
 from .rationals import decimal_string, format_rational, positive_int
 from .specfile import domain_to_jsonable, load_domain
 
@@ -282,12 +288,16 @@ def _render(args, table, csv_rows, json_text) -> str:
 
 
 def _cmd_caps(args) -> tuple[tuple, bool]:
+    from .capacities import capacity_sequence
+
     domain = load_domain(args.domain)
     kmax = positive_int(args.kmax, "kmax")
     ks = range(1, kmax + 1)
     header = ["k", "value_rational", "value_decimal", "witness", "branch"]
     oracle = []
     if args.oracle:  # first: past the enumeration cap every k fails at once
+        from .oracle import DEFAULT_ENUMERATION_CAP, brute_capacity
+
         cap = DEFAULT_ENUMERATION_CAP // kmax
         expected = [brute_capacity(domain, k, cap) for k in ks]
         oracle.append(list(map(format_rational, expected)))
@@ -427,7 +437,15 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: send what is left, and the flush at exit,
+        # to devnull, as the "Note on SIGPIPE" in the ``signal`` docs does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -435,13 +435,22 @@ def _rescaled(value: object, factor: Fraction) -> object:
 
 
 def scale_domain(domain: ToricDomain, s: object) -> ToricDomain:
-    """Multiply the moment image by the positive rational s: every rational
-    field of the domain is scaled by s."""
+    """Multiply the moment image by the positive rational s = p/q: every
+    rational field of the domain is scaled by s.  A point set's rows, over
+    denom, become the rows times p over denom times q, divided once by the
+    gcd of that denominator and every entry: the denominator its
+    constructor would pick, the lcm of the reduced coordinates'."""
     shape_of(domain)
     factor = to_rational(s)
     if factor <= 0:
         raise ValueError(f"scale factor must be positive, got {factor}")
-    return type(domain)(*(_rescaled(value, factor) for value in domain._values()))
+    if not isinstance(domain, _PointSet):
+        return type(domain)(*(_rescaled(value, factor) for value in domain._values()))
+    denom, rows = domain._scaled
+    p, denom = factor.numerator, denom * factor.denominator
+    g = math.gcd(denom, *(a * p for row in rows for a in row))
+    scaled = tuple(tuple(a * p // g for a in row) for row in rows)
+    return type(domain)._from(_scaled=(denom // g, scaled))
 
 
 def diagonal_intersection(domain: ToricDomain) -> Fraction:

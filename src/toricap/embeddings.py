@@ -17,6 +17,10 @@
   the finite-k bracket that forces the convergence;
 * Lagrangian capacity lower bound: the cube capacity again, since the
   corner torus of an embedded cube is Lagrangian.
+
+``obstruct`` and ``asymptotic_slope`` import ``capacities`` when they run,
+so the scalar queries (cube, Gromov width, Lagrangian bound) never load
+the lattice search.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from functools import cached_property
 from itertools import count
 from typing import NamedTuple, Optional
 
-from .capacities import capacity_at, capacity_sequence
 from .domains import Staircase, ToricDomain, _Value, antinorm_value, diagonal_intersection, shape_of
 from .errors import DimensionMismatch
 from .rationals import positive_int
@@ -87,6 +90,8 @@ def obstruct(source: ToricDomain, target: ToricDomain, kmax: int) -> Obstruction
     """Test the capacity inequalities c_k(source) <= c_k(target) for k <= kmax:
     a * d_t <= b * d_s on the engine's integers a / d_s and b / d_t, the one
     place the two sides are compared."""
+    from .capacities import capacity_sequence
+
     shape_of(source)
     shape_of(target)
     if source.n != target.n:
@@ -108,6 +113,8 @@ def asymptotic_slope(domain: ToricDomain, kmax: int) -> SlopeReport:
     delta <= c_k/k <= delta*(k+n-1)/k; the bracket width shrinks like 1/k,
     so the estimate converges to delta.  Both bounds are reported.
     """
+    from .capacities import capacity_at
+
     positive_int(kmax, "kmax")
     delta = cube_capacity(domain)
     estimate = capacity_at(domain, kmax).value / kmax

@@ -212,15 +212,16 @@ def test_the_oracle_is_memoized_only_while_compared(tmp_path):
     trees = _trees(tool, SRC, SRC)
     asked, counting = [], []
     for tree in trees:
-        def count(domain, k, cap, oracle=tree.cli.brute_capacity, name=tree.__name__):
+        def count(domain, k, cap, oracle=tree.oracle.brute_capacity, name=tree.__name__):
             asked.append((name, k))
             return oracle(domain, k, cap)
 
-        tree.cli.brute_capacity = count
+        for module in tool.oracle_seams(tree):
+            module.brute_capacity = count
         counting.append(count)
     assert tool.compare(trees, argvs) == []
     assert sorted(asked) == sorted((name, k) for name in tool.NAMES for k in range(1, 6))
-    assert [tree.cli.brute_capacity for tree in trees] == counting
+    assert [tree.oracle.brute_capacity for tree in trees] == counting
 
 
 def test_an_exception_names_the_tree_and_the_argv(tmp_path):
@@ -377,7 +378,8 @@ def test_the_corpus_holds_its_three_parts():
 def test_the_deep_probes_are_timed_alternately_on_both_trees(monkeypatch):
     """``deep_report`` on one tiny probe: each tree runs each region's
     sequence ``repeats`` times, the trees taking turns to go first, and the
-    report gives each region's best seconds and their ratio."""
+    report gives each region's best seconds, their ratio and each tree's
+    spread, its worst run over its best."""
     tool = _tool()
     assert tool.deep_probes() == tool.corpus(7)[-4:]
     monkeypatch.setattr(tool, "DEEP", ((3, 4),))
@@ -396,13 +398,13 @@ def test_the_deep_probes_are_timed_alternately_on_both_trees(monkeypatch):
         (parent, "hull", 4), (change, "hull", 4), (change, "staircase", 4), (parent, "staircase", 4),
     ]
     assert lines[0].split() == ["deep", "probe,", "best", "of", "2", "parent", "s", "change", "s",
-                                "ratio"]
+                                "ratio", "parent", "spread", "change", "spread"]
     assert [line.split()[:3] for line in lines[1:]] == [
         ["hull", "n=3", "K=4"], ["staircase", "n=3", "K=4"]
     ]
     for line in lines[1:]:
-        a, b, ratio = map(float, line.split()[3:])
-        assert 0 <= a < 1 and 0 <= b < 1 and ratio > 0
+        a, b, ratio, spread_a, spread_b = map(float, line.split()[3:])
+        assert 0 <= a < 1 and 0 <= b < 1 and ratio > 0 and spread_a >= 1 and spread_b >= 1
 
 
 def test_reversed_staircase_witnesses_differ_on_exactly_the_predicted_regions(tmp_path):

@@ -14,6 +14,7 @@ import pytest
 import toricap.capacities as capacities
 import toricap.cli as cli
 import toricap.domains as domains
+import toricap.oracle as oracle
 from toricap import capacity_sequence, load_domain, parse_domain
 
 F = Fraction
@@ -172,7 +173,7 @@ def test_caps_oracle_agreement(write_spec, capsys):
 
 def test_caps_oracle_mismatch_exits_nonzero(write_spec, capsys, monkeypatch):
     path = write_spec("e.json", '{"type":"ellipsoid","a":["1"]}')
-    monkeypatch.setattr(cli, "brute_capacity", lambda domain, k, cap: F(999))
+    monkeypatch.setattr(oracle, "brute_capacity", lambda domain, k, cap: F(999))
     assert run_cli(["caps", "-d", path, "-k", "2", "--oracle"]) == 1
     assert "oracle" in capsys.readouterr().err
 
@@ -278,7 +279,7 @@ def test_caps_oracle_past_the_cap_fails_before_the_sequence(write_spec, capsys, 
     def no_sequence(domain, kmax):
         raise AssertionError("the sequence was built")
 
-    monkeypatch.setattr(cli, "capacity_sequence", no_sequence)
+    monkeypatch.setattr(capacities, "capacity_sequence", no_sequence)
     path = write_spec("d.json", spec)
     start = time.perf_counter()
     assert run_cli(["caps", "-d", path, "-k", str(10**8), "--oracle", "--format", "csv"]) == 1
@@ -456,6 +457,21 @@ def test_a_deeply_nested_spec_exits_1_without_a_traceback(write_spec):
     assert (done.returncode, done.stdout) == (1, "")
     assert done.stderr.startswith("toricap: error: unreadable JSON: maximum recursion depth")
     assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+
+
+def test_a_reader_that_closes_stdout_early_gets_exit_1_and_no_traceback(write_spec):
+    # about 1 MB of CSV, far past a pipe's buffer, so the writes meet the
+    # closed pipe; buffered stdout, so the flush at exit would meet it too
+    path = write_spec("e.json", '{"type":"ellipsoid","a":["1","2"]}')
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(SRC)
+    argv = ["caps", "-d", path, "-k", "20000", "--format", "csv"]
+    with subprocess.Popen([sys.executable, "-m", "toricap.cli", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.read(100).startswith(b"k,value_rational,")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (1, b"")
 
 
 # Seconds allowed for ``gromov`` on an ellipsoid of 10,000 axes: it reads

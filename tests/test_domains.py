@@ -148,6 +148,23 @@ def test_point_sets_read_their_coordinates_once_into_the_rows_of_their_points():
         }
 
 
+def test_scaling_a_point_set_gives_what_its_constructor_gives():
+    """``scale_domain`` scales a point set's integer rows directly, and gets
+    the domain its constructor builds from the scaled points: equal, with
+    the same denominator and rows, print and hash, also where the factor
+    cancels denominators or every coordinate is 0."""
+    rng = random.Random(1706)
+    cases = [*_seeded_point_sets(1707, 60), (ConvexToricDomain, ((0, 0),)),
+             (ConcaveToricDomain, ((F(4, 3), 0), (0, F(2, 9))))]
+    for kind, points in cases:
+        for factor in (F(rng.randint(1, 12), rng.randint(1, 12)), F(9, 2), F(3, 4)):
+            scaled = scale_domain(kind(points), factor)
+            built = kind(tuple(tuple(factor * c for c in p) for p in points))
+            assert scaled == built and scaled._scaled == built._scaled
+            assert str(scaled) == str(built) and repr(scaled) == repr(built)
+            assert hash(scaled) == hash(built)
+
+
 def test_point_sets_keep_their_round_trips():
     rng = random.Random(1704)
     for kind, points in _seeded_point_sets(1705, 40):

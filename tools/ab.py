@@ -39,7 +39,8 @@ prints the p50 and p90 over requests of each request's median time, the
 sum of those medians, and that sum per command and domain kind, each with
 the change's ratio to the parent.  Last, it times ``capacity_sequence`` on
 the corpus's four deep probes, best of DEEP_REPEATS on each tree, the trees
-alternating (``deep_report``), and prints each one's seconds and ratio.
+alternating (``deep_report``), and prints each one's seconds and ratio,
+and each tree's spread over its runs.
 Bad arguments exit 2 with the usage line.
 
 The script's own imports are the standard library's.  It never reads the
@@ -281,19 +282,30 @@ def _pair(tree, factors: list, kmax: int) -> tuple:
     return product.domain, records, report
 
 
+def oracle_seams(tree) -> list:
+    """The modules of ``tree`` whose ``brute_capacity`` the CLI calls: its
+    ``oracle``, and its ``cli`` where that binds the name at import, as
+    older trees do."""
+    return [module for module in (tree.oracle, tree.cli) if hasattr(module, "brute_capacity")]
+
+
 @contextlib.contextmanager
 def memoized_oracle(trees: tuple):
-    """Each tree's ``cli.brute_capacity`` memoized while the block runs and
-    restored after it: the oracle is pure in (domain, k, cap), and each
-    ``--oracle`` argv asks it the same questions in all three formats."""
-    oracles = [tree.cli.brute_capacity for tree in trees]
-    for tree, oracle in zip(trees, oracles):
-        tree.cli.brute_capacity = functools.cache(oracle)
+    """Each tree's ``brute_capacity`` memoized at each of its
+    ``oracle_seams`` while the block runs and restored after it: the oracle
+    is pure in (domain, k, cap), and each ``--oracle`` argv asks it the
+    same questions in all three formats."""
+    patched = []
+    for tree in trees:
+        memo = functools.cache(tree.oracle.brute_capacity)
+        for module in oracle_seams(tree):
+            patched.append((module, module.brute_capacity))
+            module.brute_capacity = memo
     try:
         yield
     finally:
-        for tree, oracle in zip(trees, oracles):
-            tree.cli.brute_capacity = oracle
+        for module, oracle in reversed(patched):
+            module.brute_capacity = oracle
 
 
 def build(workload: str, seed: int, spec_dir: str) -> list:
@@ -506,23 +518,28 @@ def report(requests: list, parent: list[float], change: list[float]) -> str:
 
 def deep_report(trees: tuple, repeats: int) -> str:
     """Seconds of ``capacity_sequence`` up to K on each deep probe, the best
-    of ``repeats`` runs on each tree, with the change's ratio to the parent.
+    of ``repeats`` runs on each tree, with the change's ratio to the parent
+    and each tree's spread, its worst run over its best: a ratio nearer 1
+    than the spreads are wide is not resolved.
     The trees alternate probe by probe and take turns to go first, and each
     run builds its domain afresh, so it prepares its own search."""
     regions = deep_probes()
-    best = [[float("inf")] * 2 for _ in regions]
+    times = [([], []) for _ in regions]
     for rep in range(repeats):
         for i, region in enumerate(regions):
             for t in (0, 1) if (rep + i) % 2 else (1, 0):
                 domain = _domain(trees[t], region)
                 start = perf_counter()
                 trees[t].capacity_sequence(domain, region.kmax)
-                best[i][t] = min(best[i][t], perf_counter() - start)
+                times[i][t].append(perf_counter() - start)
     title = f"deep probe, best of {repeats}"
-    lines = [f"{title:<36} {'parent s':>10} {'change s':>10} {'ratio':>8}"]
-    for region, (a, b) in zip(regions, best):
+    lines = [f"{title:<36} {'parent s':>10} {'change s':>10} {'ratio':>8}"
+             f" {'parent spread':>14} {'change spread':>14}"]
+    for region, runs in zip(regions, times):
+        (a, b), (spread_a, spread_b) = zip(*((min(r), max(r) / min(r)) for r in runs))
         name = f"  {region.shape} n={len(region.points[0])} K={region.kmax}"
-        lines.append(f"{name:<36} {a:10.3f} {b:10.3f} {b / a:8.3f}")
+        lines.append(f"{name:<36} {a:10.3f} {b:10.3f} {b / a:8.3f}"
+                     f" {spread_a:14.3f} {spread_b:14.3f}")
     return "\n".join(lines)
 
 
