@@ -10,8 +10,15 @@ Subcommands::
     toricap slope --domain d.json --kmax 40
     toricap lagrangian-bound --domain d.json
 
-``run`` parses an argv once, by its subcommand's own parser
-(``_parsers``), and keeps nothing parsed from one call to the next.
+Each subcommand's options are described once, in ``_COMMANDS``, and two
+readers are built from that table.  ``_plain`` reads an argv in the plain
+form ``SUBCOMMAND --opt VALUE ... [--flag]`` with no parser at all; it
+reads only argvs on which it gives what argparse would give, and declines
+every other.  Only a declined argv (help, a usage error, an abbreviation,
+``--opt=value``, an attached short value, ``--``, a value that begins with
+``-``) imports ``argparse`` and builds its parsers (``_parsers``, once per
+process), so argparse remains the one grammar and writes every help and
+error message.  ``run`` keeps nothing parsed from one call to the next.
 
 Every subcommand has one report path.  Its ``_cmd_*`` function computes
 the values, formats each once (``format_rational``, ``decimal_string``) and
@@ -50,7 +57,6 @@ report was written), 2 usage error.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import math
@@ -59,7 +65,8 @@ import sys
 from fractions import Fraction
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
-from typing import Optional, Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
 from .domains import Staircase, ToricDomain
 from .embeddings import (
@@ -73,68 +80,8 @@ from .errors import ToricapError
 from .rationals import decimal_string, format_rational, positive_int
 from .specfile import domain_to_jsonable, load_domain
 
-
-@functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and each subcommand's own parser by name, built
-    once per process: parsing leaves them unchanged."""
-    parser = argparse.ArgumentParser(
-        prog="toricap",
-        description="Exact capacity calculator for toric domains.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser, domain_flag: bool = True) -> None:
-        if domain_flag:
-            p.add_argument("--domain", "-d", required=True, help="domain-spec file")
-        p.add_argument("--out", help="write the report here instead of stdout")
-        p.add_argument(
-            "--format",
-            choices=("table", "csv", "json"),
-            default="table",
-            help="output format (default: table)",
-        )
-
-    p_caps = sub.add_parser("caps", help="capacity sequence c_1..c_K")
-    add_common(p_caps)
-    p_caps.add_argument("--kmax", "-k", type=int, required=True, help="largest index K")
-    p_caps.add_argument(
-        "--oracle",
-        action="store_true",
-        help="append brute-force oracle values and fail on any mismatch; "
-        "each k may enumerate 10^7 / K candidates",
-    )
-    p_caps.set_defaults(run=_cmd_caps)
-
-    p_cube = sub.add_parser("cube", help="cube capacity")
-    add_common(p_cube)
-    p_cube.set_defaults(run=lambda args: _cmd_scalar(args, cube_capacity))
-
-    p_gromov = sub.add_parser("gromov", help="Gromov width of a concave domain")
-    add_common(p_gromov)
-    p_gromov.set_defaults(
-        run=lambda args: _cmd_scalar(args, lambda d: gromov_width(_gromov_domain(d)))
-    )
-
-    p_obs = sub.add_parser("obstruct", help="pairwise embedding obstruction report")
-    p_obs.add_argument("--source", required=True, help="source domain-spec file")
-    p_obs.add_argument("--target", required=True, help="target domain-spec file")
-    add_common(p_obs, domain_flag=False)
-    p_obs.add_argument("--kmax", "-k", type=int, required=True, help="largest index K")
-    p_obs.set_defaults(run=_cmd_obstruct)
-
-    p_slope = sub.add_parser("slope", help="asymptotic slope c_K/K with exact limit")
-    add_common(p_slope)
-    p_slope.add_argument("--kmax", "-k", type=int, required=True, help="index K")
-    p_slope.set_defaults(run=_cmd_slope)
-
-    p_lag = sub.add_parser(
-        "lagrangian-bound", help="lower bound for the Lagrangian capacity"
-    )
-    add_common(p_lag)
-    p_lag.set_defaults(run=lambda args: _cmd_scalar(args, lagrangian_lower_bound))
-
-    return parser, sub.choices
+if TYPE_CHECKING:
+    import argparse
 
 
 def _approx(value: Fraction) -> str:
@@ -398,22 +345,173 @@ def _gromov_domain(domain: ToricDomain) -> Staircase:
     )
 
 
-def run(argv: list[str]) -> int:
-    """Execute one CLI invocation; returns the process exit code.  What the
-    subcommand's parser leaves over is the top-level parser's usage error,
-    as its ``parse_args`` reports it; an argv naming no subcommand ends in
-    the top-level help or a usage error."""
-    parser, commands = _parsers()
-    try:
-        command = commands.get(argv[0]) if argv else None
-        if command is None:
-            args = parser.parse_args(argv)
+class _Option(NamedTuple):
+    """One option of a subcommand, as argparse's ``add_argument`` takes it:
+    a ``store_true`` flag takes no value and stores True; any other option
+    stores one value, converted by ``type`` (None keeps the string)."""
+
+    flags: tuple[str, ...]
+    dest: str
+    help: str
+    type: Optional[Callable[[str], object]] = None
+    choices: Optional[tuple[str, ...]] = None
+    default: object = None
+    required: bool = False
+    store_true: bool = False
+
+
+class _Command(NamedTuple):
+    """A subcommand: its help line, the function that runs it on the parsed
+    arguments, and its options in the order its help lists them."""
+
+    help: str
+    run: Callable
+    options: tuple[_Option, ...]
+
+
+_DOMAIN = _Option(("--domain", "-d"), "domain", "domain-spec file", required=True)
+_OUTPUT = (
+    _Option(("--out",), "out", "write the report here instead of stdout"),
+    _Option(("--format",), "format", "output format (default: table)",
+            choices=("table", "csv", "json"), default="table"),
+)
+
+
+def _kmax(help: str) -> _Option:
+    return _Option(("--kmax", "-k"), "kmax", help, type=int, required=True)
+
+
+# Every subcommand and its options: ``_plain`` reads an argv from this
+# table, and ``_parsers`` builds argparse's parsers from it.
+_COMMANDS = {
+    "caps": _Command("capacity sequence c_1..c_K", _cmd_caps, (
+        _DOMAIN, *_OUTPUT, _kmax("largest index K"),
+        _Option(("--oracle",), "oracle",
+                "append brute-force oracle values and fail on any mismatch; "
+                "each k may enumerate 10^7 / K candidates",
+                default=False, store_true=True),
+    )),
+    "cube": _Command("cube capacity", lambda args: _cmd_scalar(args, cube_capacity),
+                     (_DOMAIN, *_OUTPUT)),
+    "gromov": _Command(
+        "Gromov width of a concave domain",
+        lambda args: _cmd_scalar(args, lambda d: gromov_width(_gromov_domain(d))),
+        (_DOMAIN, *_OUTPUT),
+    ),
+    "obstruct": _Command("pairwise embedding obstruction report", _cmd_obstruct, (
+        _Option(("--source",), "source", "source domain-spec file", required=True),
+        _Option(("--target",), "target", "target domain-spec file", required=True),
+        *_OUTPUT, _kmax("largest index K"),
+    )),
+    "slope": _Command("asymptotic slope c_K/K with exact limit", _cmd_slope,
+                      (_DOMAIN, *_OUTPUT, _kmax("index K"))),
+    "lagrangian-bound": _Command(
+        "lower bound for the Lagrangian capacity",
+        lambda args: _cmd_scalar(args, lagrangian_lower_bound),
+        (_DOMAIN, *_OUTPUT),
+    ),
+}
+# what ``_plain`` reads of each subcommand: its options by each of their
+# flags, their defaults by dest, and the dests of the required ones
+_PLAIN = {
+    name: (
+        {flag: option for option in command.options for flag in option.flags},
+        {option.dest: option.default for option in command.options},
+        {option.dest for option in command.options if option.required},
+    )
+    for name, command in _COMMANDS.items()
+}
+
+
+def _plain(argv: list[str]) -> Optional[SimpleNamespace]:
+    """The arguments argparse would parse from ``argv`` where it is in the
+    plain form ``SUBCOMMAND --opt VALUE ... [--flag]``, else None.
+
+    Plain means: each option token is exactly one of the subcommand's
+    flags; a value follows each option that takes one and does not begin
+    with ``-``; each value converts by its option's ``type`` and lies in
+    its ``choices``; and every required option is given.  The last of a
+    repeated option wins, and an option not given takes its default, as in
+    argparse.  Any other argv is None, for argparse to read."""
+    reader = _PLAIN.get(argv[0]) if argv else None
+    if reader is None:
+        return None
+    flags, defaults, required = reader
+    values = defaults.copy()
+    given = set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        option = flags.get(token)
+        if option is None:
+            return None
+        if option.store_true:
+            value = True
         else:
-            args, extras = command.parse_known_args(argv[1:])
-            if extras:
-                parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    except SystemExit as exc:  # argparse handles usage errors and --help
-        return int(exc.code or 0)
+            value = next(tokens, None)
+            if value is None or value.startswith("-"):
+                return None
+            if option.type is not None:
+                try:
+                    value = option.type(value)
+                except (TypeError, ValueError):
+                    return None
+            if option.choices is not None and value not in option.choices:
+                return None
+        values[option.dest] = value
+        given.add(option.dest)
+    if not required <= given:
+        return None
+    return SimpleNamespace(**values, run=_COMMANDS[argv[0]].run)
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's own parser by name, built
+    from ``_COMMANDS`` once per process, on the first argv that ``_plain``
+    declines: parsing leaves them unchanged."""
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog="toricap",
+        description="Exact capacity calculator for toric domains.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for option in command.options:
+            kind = ({"action": "store_true"} if option.store_true
+                    else {"type": option.type, "choices": option.choices})
+            p.add_argument(*option.flags, dest=option.dest, default=option.default,
+                           required=option.required, help=option.help, **kind)
+        p.set_defaults(run=command.run)
+    return parser, sub.choices
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argparse's reading of ``argv``.  What the subcommand's parser leaves
+    over is the top-level parser's usage error, as its ``parse_args``
+    reports it; an argv naming no subcommand ends in the top-level help or a
+    usage error.  Help and usage errors raise ``SystemExit``."""
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
+def run(argv: list[str]) -> int:
+    """Execute one CLI invocation; returns the process exit code.  An argv
+    in the plain form is read by ``_plain`` alone; any other goes to
+    argparse (``_parse``), which prints help and usage errors."""
+    args = _plain(argv)
+    if args is None:
+        try:
+            args = _parse(argv)
+        except SystemExit as exc:  # argparse handles usage errors and --help
+            return int(exc.code or 0)
     try:
         builders, mismatch = args.run(args)
         text = _render(args, *builders)

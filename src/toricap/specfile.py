@@ -15,7 +15,8 @@ surrounding spaces (``"-inf"`` is rejected).  Examples::
     {"type": "concave", "sigma": [["1", "0"], ["0", "2"]]}
 
 Syntax errors report line and column; semantic errors report the offending
-field path.  A point list's coordinates are read once, by the domain's
+field path.  The numbers of a list (an ellipsoid's axes, a polydisk's
+areas, a point list's coordinates) are read once, by the domain's
 constructor; only when that fails are they walked to name the first bad
 one by its path.  ``parse_domain(render_domain(d))`` returns a domain
 equal to ``d``.
@@ -24,7 +25,6 @@ equal to ``d``.
 from __future__ import annotations
 
 import json
-from functools import partial
 
 from .domains import (
     ConcaveToricDomain,
@@ -49,12 +49,19 @@ def _rational_field(raw: object, path: str, allow_infinite: bool = False) -> Ext
 
 
 def _rational_list(raw: object, path: str, allow_infinite: bool = False) -> list:
+    """``raw`` once it is a nonempty list, unconverted: the domain's
+    constructor reads each item.  A JSON infinity, which an ellipsoid would
+    read as an infinite axis, is named by its path here, after any bad item
+    before it."""
     if not isinstance(raw, list) or not raw:
         raise DomainFormatError(f"{path}: expected a nonempty list")
-    return [
-        _rational_field(item, f"{path}[{i}]", allow_infinite=allow_infinite)
-        for i, item in enumerate(raw)
-    ]
+    if INF in raw:
+        _name_bad_item(raw, path, allow_infinite)
+    return raw
+
+
+def _axis_list(raw: object, path: str) -> list:
+    return _rational_list(raw, path, allow_infinite=True)
 
 
 def _point_list(raw: object, path: str) -> list:
@@ -70,12 +77,18 @@ def _point_list(raw: object, path: str) -> list:
     return raw
 
 
+def _name_bad_item(items: list, path: str, allow_infinite: bool = False) -> None:
+    """Raise the ``_rational_field`` error of the first of ``items`` that
+    is no rational, in document order, if there is one."""
+    for i, item in enumerate(items):
+        _rational_field(item, f"{path}[{i}]", allow_infinite=allow_infinite)
+
+
 def _name_bad_coordinate(rows: list, path: str) -> None:
     """Raise the ``_rational_field`` error of the first coordinate of
     ``rows`` that is no rational, in document order, if there is one."""
     for i, row in enumerate(rows):
-        for j, c in enumerate(row):
-            _rational_field(c, f"{path}[{i}][{j}]")
+        _name_bad_item(row, f"{path}[{i}]")
 
 
 def _dimension_field(raw: object, path: str) -> int:
@@ -97,7 +110,7 @@ def _jsonable(value: object) -> object:
 # fields.  Every field renders back through ``_jsonable``.
 _SIZED = (("n", "n", _dimension_field), ("delta", "delta", _rational_field))
 _KINDS = (
-    ("ellipsoid", Ellipsoid, (("a", "axes", partial(_rational_list, allow_infinite=True)),)),
+    ("ellipsoid", Ellipsoid, (("a", "axes", _axis_list),)),
     ("polydisk", Polydisk, (("a", "areas", _rational_list),)),
     ("cube", Cube, _SIZED),
     ("cylinder_union", CylinderUnion, _SIZED),
@@ -129,9 +142,11 @@ def parse_domain(text: str) -> ToricDomain:
             try:
                 return cls(*values)
             except (ValueError, TypeError, DimensionMismatch) as exc:
-                for (key, _, parse), value in zip(spec, values):
-                    if parse is _point_list:  # a coordinate's error names its path
+                for (key, _, parse), value in zip(spec, values):  # a bad item names its path
+                    if parse is _point_list:
                         _name_bad_coordinate(value, key)
+                    elif parse in (_rational_list, _axis_list):
+                        _name_bad_item(value, key, allow_infinite=parse is _axis_list)
                 raise DomainFormatError(f"{kind}: {exc}") from None
     names = [name for name, _, _ in _KINDS]
     raise DomainFormatError(

@@ -182,6 +182,31 @@ def test_the_usage_argvs_end_in_help_or_a_usage_error(tmp_path):
     ]
 
 
+def test_the_spelling_argvs_succeed_and_take_the_argparse_path(tmp_path):
+    """The 12 ``spelling_argvs`` are compared as they are: each exits 0
+    with a report and nothing on stderr, and the CLI's plain reader
+    declines each, so argparse reads it.  A tree whose argparse reading
+    adds 1 to K differs on exactly those that have a K."""
+    tool = _tool()
+    argvs = tool.spelling_argvs(str(tmp_path / "spellings"))
+    assert [argv[0] for argv in argvs] == (
+        ["caps"] * 4 + ["cube"] * 3 + ["slope"] * 3 + ["obstruct"] * 2
+    )
+    requests = tool.comparisons([], 7, str(tmp_path))
+    assert all(argv in requests for argv in argvs)
+    trees = _trees(tool, SRC, SRC)
+    answers = [tool.call(trees[0], argv) for argv in argvs]
+    assert [(code, bool(out), err) for code, out, err in answers] == [(0, True, "")] * 12
+    assert [trees[0].cli._plain(argv) for argv in argvs] == [None] * 12
+    assert tool.compare(trees, argvs) == []
+
+    parsed = "    return args\n"  # what argparse read
+    bumped = '    args.kmax = getattr(args, "kmax", 0) + 1\n' + parsed
+    copy = _edited_copy(tmp_path, "cli.py", parsed, bumped, 1)
+    differ = _differing(tool, _trees(tool, SRC, copy), argvs)
+    assert differ == [argv for argv in argvs if argv[0] != "cube"]
+
+
 def test_the_edge_argvs_succeed_and_a_dropped_carry_check_shows_on_one(tmp_path):
     """The closed forms of ``edge_argvs``, 7 ``caps`` and 3 ``obstruct``
     requests, exit 0 in all three formats; a decimal column that takes a
@@ -227,7 +252,7 @@ def test_the_oracle_is_memoized_only_while_compared(tmp_path):
 def test_an_exception_names_the_tree_and_the_argv(tmp_path):
     tool = _tool()
     argv = tool.golden_cases()["cube_polydisk"]
-    parse = "    parser, commands = _parsers()\n"
+    parse = "    args = _plain(argv)\n"  # the first line of cli.run
     copy = _edited_copy(tmp_path, "cli.py", parse, "    raise KeyError(0)\n", 1)
     with pytest.raises(RuntimeError, match=r"toricap_change \(.*\) raised on cube "):
         tool.compare(_trees(tool, SRC, copy), [argv])
@@ -239,7 +264,7 @@ def test_the_line_counts_give_the_net_change(tmp_path):
     total = sum(len(path.read_text(encoding="utf-8").splitlines())
                 for path in (SRC / "toricap").glob("*.py"))
     assert same == f"src/toricap lines: parent {total}, change {total}, net +0"
-    parse = "    parser, commands = _parsers()\n"
+    parse = "    args = _plain(argv)\n"  # the first line of cli.run
     copy = _edited_copy(tmp_path, "cli.py", parse, "", 1)
     assert tool.line_counts((SRC, copy)).endswith(f"change {total - 1}, net -1")
     assert tool.line_counts((copy, SRC)).endswith("net +1")

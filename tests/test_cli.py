@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -516,3 +517,93 @@ def test_repeated_runs_share_no_state(write_spec, tmp_path, capsys):
     assert "--kmax" in capsys.readouterr().err
     assert run_cli(["cube", "-d", path]) == 0
     assert capsys.readouterr().out == "2/3 (≈0.666667)\n"
+
+
+# The plain reader (``cli._plain``) reads an argv only where it gives what
+# argparse gives, and declines every other argv to argparse.
+
+KMAX_SPELLINGS = ("7", "+7", " 7", "007", "1_0", "٣")  # each an int to int()
+PATHS = ("d.json", "dir with space/d.json", "", "x=y", "–d.json")  # none begins with "-"
+
+
+def _argparse_reading(argv: list) -> dict:
+    """``vars`` of the namespace argparse's subcommand parser reads from
+    ``argv``, which must leave nothing over."""
+    args, extras = cli._parsers()[1][argv[0]].parse_known_args(argv[1:])
+    assert extras == [], argv
+    return vars(args)
+
+
+def _plain_argvs(seed: int, per_command: int) -> list:
+    """``per_command`` argvs for each subcommand of ``cli._COMMANDS`` in the
+    plain form, drawn from ``seed``: each option given zero to two times
+    (a required one at least once) by its long or short flag, in shuffled
+    order, with a value from PATHS, KMAX_SPELLINGS or its choices."""
+    rng = random.Random(seed)
+    argvs = []
+    for name, command in cli._COMMANDS.items():
+        for _ in range(per_command):
+            given = []
+            for option in command.options:
+                for _ in range(rng.randint(int(option.required), 2)):
+                    flag = [rng.choice(option.flags)]
+                    if option.store_true:
+                        given.append(flag)
+                    elif option.choices:
+                        given.append(flag + [rng.choice(option.choices)])
+                    else:
+                        spellings = KMAX_SPELLINGS if option.type is int else PATHS
+                        given.append(flag + [rng.choice(spellings)])
+            rng.shuffle(given)
+            argvs.append([name, *(token for tokens in given for token in tokens)])
+    return argvs
+
+
+def test_the_plain_reader_reads_what_argparse_reads():
+    from test_golden import CASES, FORMATS, golden_argv
+
+    assert set(cli._parsers()[1]) == set(cli._COMMANDS)
+    generated = _plain_argvs(35, 150)
+    argvs = [golden_argv(case, fmt) for case in CASES for fmt in FORMATS] + generated
+    for argv in argvs:
+        assert vars(cli._plain(argv)) == _argparse_reading(argv), argv
+    # the corpus has every spelling of every option, repeats, and --oracle 0-2 times
+    tokens = Counter(token for argv in generated for token in argv)
+    flags = {flag for command in cli._COMMANDS.values() for o in command.options for flag in o.flags}
+    assert set(KMAX_SPELLINGS) | set(PATHS) | {"table", "csv", "json"} | flags <= set(tokens)
+    oracles = {argv.count("--oracle") for argv in generated if argv[0] == "caps"}
+    assert oracles == {0, 1, 2}
+    assert any(argv.count("-k") + argv.count("--kmax") == 2 for argv in generated)
+    assert {cli._plain(argv).kmax for argv in generated if argv[0] == "slope"} == {3, 7, 10}
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["--help"], ["nosuch", "-d", "d.json"], ["--", "cube", "-d", "d.json"],
+    ["cube", "-h"], ["caps", "--help"], ["cube", "-d", "d.json", "-h"],
+    # abbreviations
+    ["caps", "--dom", "d.json", "--kmax", "4"], ["caps", "-d", "d.json", "--km", "4"],
+    ["caps", "-d", "d.json", "-k", "4", "--ora"], ["cube", "-d", "d.json", "--form", "csv"],
+    # = forms and attached short values
+    ["caps", "--domain=d.json", "-k", "4"], ["caps", "-d", "d.json", "--kmax=4"],
+    ["cube", "-d", "d.json", "--format=json"], ["caps", "-d", "d.json", "-k4"],
+    ["cube", "-dd.json"], ["caps", "-d", "d.json", "-k=4"],
+    # values that begin with "-", and "--"
+    ["caps", "-d", "d.json", "-k", "-3"], ["cube", "-d", "-d.json"], ["cube", "--out", "-"],
+    ["cube", "--", "-d", "d.json"], ["cube", "-d", "d.json", "--"],
+    # unknown flags and extra arguments
+    ["cube", "-d", "d.json", "--nosuch"], ["cube", "-d", "d.json", "-k", "4"],
+    ["gromov", "-d", "d.json", "--oracle"], ["cube", "-d", "d.json", "extra"],
+    ["cube", "extra", "-d", "d.json"],
+    # a missing value
+    ["caps", "-d", "d.json", "-k"], ["cube", "-d"], ["cube", "-d", "d.json", "--format"],
+    # a missing required flag
+    ["caps", "-d", "d.json"], ["caps", "-k", "4"], ["cube"], ["cube", "--format", "csv"],
+    ["obstruct", "--source", "a.json", "-k", "3"],
+    ["obstruct", "--source", "a.json", "--target", "b.json"],
+    # a bad choice and a bad int
+    ["cube", "-d", "d.json", "--format", "xml"], ["cube", "-d", "d.json", "--format", "CSV"],
+    ["caps", "-d", "d.json", "-k", "x"], ["caps", "-d", "d.json", "-k", "4.0"],
+    ["slope", "-d", "d.json", "-k", ""], ["slope", "-d", "d.json", "-k", "0x10"],
+])
+def test_the_plain_reader_declines_every_other_argv(argv):
+    assert cli._plain(argv) is None

@@ -188,6 +188,38 @@ def test_other_infinities_are_rejected(axis, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "items, message",
+    [
+        ('["x","0.5"]', "a[0]: " + _CANNOT.format("x")),
+        ('["-1","inf",true,"y"]', "a[2]: booleans are not rationals"),
+        ('["x",1e400]', "a[0]: " + _CANNOT.format("x")),
+        ('[Infinity,"x"]', 'a[0]: infinite JSON number rejected: write "inf"'),
+        ('["0",["1"],"x"]', "a[1]: cannot interpret list as a rational"),
+    ],
+)
+def test_an_axis_list_names_its_first_bad_item(items, message):
+    with pytest.raises(DomainFormatError) as info:
+        parse_domain(f'{{"type":"ellipsoid","a":{items}}}')
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "items, message",
+    [
+        ('["0","1/0","x"]', "a[1]: zero denominator in '1/0'"),
+        ('["2",1.5,Infinity]', "a[1]: floating-point value 1.5 rejected: use an int, "
+                               "a Fraction, or a 'p/q' string"),
+        ('["inf","x"]', "a[0]: infinity is not allowed here"),
+        ('["-1",{},1e400]', "a[1]: cannot interpret dict as a rational"),
+    ],
+)
+def test_an_area_list_names_its_first_bad_item(items, message):
+    with pytest.raises(DomainFormatError) as info:
+        parse_domain(f'{{"type":"polydisk","a":{items}}}')
+    assert str(info.value) == message
+
+
 def test_decimal_json_numbers_rejected():
     with pytest.raises(DomainFormatError):
         parse_domain('{"type":"cube","n":2,"delta":0.5}')

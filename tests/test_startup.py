@@ -7,6 +7,8 @@ is needed, so these tests keep both out.  No field of a report needs CSV
 quoting, so the CLI joins its CSV rows itself and ``csv`` stays out too.
 ``import toricap`` loads no submodule, and the scalar subcommands never
 load the lattice search (``capacities``) or the brute-force ``oracle``.
+A request in the plain form never loads ``argparse``: only help, a usage
+error or another spelling of the options does.
 Each check runs in a fresh ``python -S``: ``site``'s ``.pth`` files could
 import any of these modules and hide a regression.
 """
@@ -83,6 +85,38 @@ def test_caps_loads_the_oracle_only_under_its_flag(tmp_path, oracle):
     loaded = _run_cli("caps", "-d", str(path), "-k", "4", *["--oracle"] * oracle)
     assert "toricap.capacities" in loaded
     assert ("toricap.oracle" in loaded) is oracle
+
+
+def test_cli_import_loads_no_argparse():
+    assert _fresh("import toricap.cli\nprint(json.dumps('argparse' in sys.modules))") is False
+
+
+@pytest.mark.parametrize("argv", [
+    ("cube", "-d", "SPEC"), ("caps", "--domain", "SPEC", "-k", "4", "--oracle"),
+], ids=["cube", "caps"])
+def test_a_plain_request_loads_no_argparse(tmp_path, argv):
+    path = tmp_path / "e.json"
+    path.write_text(ELLIPSOID, encoding="utf-8")
+    argv = [str(path) if a == "SPEC" else a for a in argv]
+    script = (
+        "import toricap.cli\n"
+        "assert toricap.cli.run(sys.argv[1:]) == 0\n"
+        "print(json.dumps('argparse' in sys.modules))"
+    )
+    assert _fresh(script, *argv) is False
+
+
+def test_help_loads_argparse_and_prints_it():
+    script = (
+        "import contextlib, io, toricap.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    code = toricap.cli.run(['cube', '-h'])\n"
+        "print(json.dumps([code, 'argparse' in sys.modules, out.getvalue()]))"
+    )
+    code, loaded, out = _fresh(script)
+    assert (code, loaded) == (0, True)
+    assert out.startswith("usage: toricap cube [-h] --domain DOMAIN")
+    assert "--format {table,csv,json}" in out
 
 
 def test_dir_and_star_import_give_every_public_name():

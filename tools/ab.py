@@ -14,7 +14,9 @@ below runs on both in turn through ``call``; their answers must be equal.
   cases of ``tests/test_golden.py``; the closed forms with large
   numerators and denominators of ``edge_argvs``; and the error paths of
   ``error_argvs``; then, as they are, the help and argparse usage errors
-  of ``usage_argvs``.  The answer is the exit code, stdout and stderr.
+  of ``usage_argvs`` and the successful requests of ``spelling_argvs``,
+  whose spellings (abbreviations, ``--opt=value``, attached short values)
+  only argparse reads.  The answer is the exit code, stdout and stderr.
 * The workloads' library ``product`` slots, run as ``bench/run.py`` runs
   them: the values of ``product_capacities``.
 * The seeded product pairs of ``products``: the label and each record
@@ -406,6 +408,40 @@ def usage_argvs() -> list[list[str]]:
             ["lagrangian-bound", "--", "-d", spec]]
 
 
+# The text of each spec file ``spelling_argvs`` writes, by file name.
+SPELLING_SPECS = {
+    "e12.json": '{"type": "ellipsoid", "a": ["1", "2"]}',
+    "concave.json": '{"type": "concave", "sigma": [["3", "0"], ["1", "1"], ["0", "2"]]}',
+}
+
+
+def spelling_argvs(spec_dir: str) -> list[list[str]]:
+    """Successful ``caps``, ``cube``, ``slope`` and ``obstruct`` requests,
+    on specs written into ``spec_dir``, in spellings only argparse reads:
+    the abbreviations ``--dom``, ``--km``, ``--form``, ``--sou`` and
+    ``--tar``, ``--kmax=4``, ``-k=6``, ``--format=json``, ``--domain=PATH``,
+    ``-k4`` and ``-dPATH``, each with repeated flags and options in
+    another order.  Compared as they are, in no added format."""
+    os.makedirs(spec_dir, exist_ok=True)
+    e12, concave = (os.path.join(spec_dir, name) for name in SPELLING_SPECS)
+    for name, text in SPELLING_SPECS.items():
+        Path(spec_dir, name).write_text(text, encoding="utf-8")
+    return [
+        ["caps", "--dom", e12, "--km", "4"],
+        ["caps", "-d", e12, "--kmax=4", "--format=json"],
+        ["caps", f"-d{concave}", "-k4", "--format", "csv", "--oracle"],
+        ["caps", "--kmax=9", "--form", "json", "-d", concave, "--km", "5", "--format=csv"],
+        ["cube", f"-d{e12}"],
+        ["cube", "--format=csv", "-d", "missing.json", f"--domain={concave}"],
+        ["cube", "--form", "json", "--dom", e12],
+        ["slope", "--km=6", "--dom", concave],
+        ["slope", "-k6", "-d", e12, "-k", "3", "--format=json"],
+        ["slope", "-d", concave, "-k", "5", "-k=6", "--form=csv"],
+        ["obstruct", "--sou", e12, "--tar", concave, "--km", "5"],
+        ["obstruct", "-k5", f"--target={e12}", "--source", concave, "--format=csv"],
+    ]
+
+
 # The text of each spec file ``edge_argvs`` writes, by file name: closed
 # forms, whose capacities are progressions, most with large numerators or
 # denominators.
@@ -467,15 +503,17 @@ def _with_oracle(argv: list[str]) -> list[str]:
 def comparisons(slots: list, seed: int, spec_dir: str) -> list:
     """Every request the trees are compared on, from the workloads' slots:
     each distinct CLI argv in the three formats, sorted, then the usage
-    argvs, the product slots, the product pairs and the corpus regions."""
+    and spelling argvs, the product slots, the product pairs and the
+    corpus regions."""
     argvs = [slot.argv for slot in slots if slot.argv is not None]
     argvs += [_with_oracle(argv) for argv in argvs if argv[0] == "caps"]
     argvs += [*golden_cases().values(), *edge_argvs(os.path.join(spec_dir, "edges"))]
     argvs += error_argvs(os.path.join(spec_dir, "errors"))
     unique = sorted({tuple(a) for argv in argvs for a in _in_every_format(argv)})
     product_slots = [s for s in slots if s.argv is None]
-    return ([list(a) for a in unique] + usage_argvs() + product_slots + products(seed)
-            + corpus(seed))
+    spellings = spelling_argvs(os.path.join(spec_dir, "spellings"))
+    return ([list(a) for a in unique] + usage_argvs() + spellings + product_slots
+            + products(seed) + corpus(seed))
 
 
 def medians(trees: tuple, requests: list, repeats: int) -> tuple[list[float], list[float]]:
