@@ -287,7 +287,8 @@ class _Search:
 
     A hull's dots are zero, a staircase's the sums of its negated rows.
     ``domain._search`` keeps one per domain, so the rows and the bounds are
-    prepared once for every k, and one ``run`` computes c_a .. c_b.
+    prepared once for every k.  ``run``, its one entry, computes c_a .. c_b:
+    one k is the run from k to k.
     """
 
     def __init__(self, domain: Union[Hull, Staircase]) -> None:
@@ -346,11 +347,6 @@ class _Search:
         for j in ranked[: total - sum(h)]:
             h[j] += 1
         return h
-
-    def __call__(self, k: int, seed: Optional[Sequence[int]] = None) -> tuple[int, tuple[int, ...]]:
-        """(c_k * denom, witness), from a witness of c_(k-1) as seed if
-        given: the run's one-k case."""
-        return self.run(k, k, seed)[0]
 
     def run(self, first: int, last: int, seed: Optional[Sequence[int]] = None) -> list[tuple]:
         """(c_k * denom, witness) for k = first .. last: one ``_least`` per
@@ -511,22 +507,25 @@ class _Search:
         return best, witness, vals
 
 
+def _searched(domain: Union[Hull, Staircase], k: int, shape: str,
+              branch: Branch) -> CapacityResult:
+    """c_k of a region of ``shape`` from one ``run`` of its search, k to k."""
+    positive_int(k, "capacity index k")
+    shape_of(domain, shape)
+    [(value, witness)] = domain._search.run(k, k)
+    return CapacityResult(k, Fraction(value, domain._scaled[0]), witness, branch)
+
+
 def convex_capacity(domain: Hull, k: int) -> CapacityResult:
     """Minimize the support value max_w <v, w> over v in N^n with sum(v) = k:
     the lattice search on the hull's scaled generators."""
-    positive_int(k, "capacity index k")
-    shape_of(domain, "hull")
-    value, witness = domain._search(k)
-    return CapacityResult(k, Fraction(value, domain._scaled[0]), witness, Branch.CONVEX_SEARCH)
+    return _searched(domain, k, "hull", Branch.CONVEX_SEARCH)
 
 
 def concave_capacity(domain: Staircase, k: int) -> CapacityResult:
     """Maximize the anti-norm min_w <v, w> over v > 0 with sum(v) = k + n - 1:
     the lattice search on the staircase's negated vertices, over u = v - 1."""
-    positive_int(k, "capacity index k")
-    shape_of(domain, "staircase")
-    value, witness = domain._search(k)
-    return CapacityResult(k, Fraction(value, domain._scaled[0]), witness, Branch.CONCAVE_SEARCH)
+    return _searched(domain, k, "staircase", Branch.CONCAVE_SEARCH)
 
 
 # Each kind with a closed form: its branch label and c_k at one k.  The

@@ -16,9 +16,10 @@ form ``SUBCOMMAND --opt VALUE ... [--flag]`` with no parser at all; it
 reads only argvs on which it gives what argparse would give, and declines
 every other.  Only a declined argv (help, a usage error, an abbreviation,
 ``--opt=value``, an attached short value, ``--``, a value that begins with
-``-``) imports ``argparse`` and builds its parsers (``_parsers``, once per
-process), so argparse remains the one grammar and writes every help and
-error message.  ``run`` keeps nothing parsed from one call to the next.
+``-``) imports ``argparse``, builds its parser (``_parsers``, once per
+process) and goes to that parser's ``parse_args``, so argparse remains the
+one grammar, dispatches to the subcommand and writes every help and error
+message.  ``run`` keeps nothing parsed from one call to the next.
 
 Every subcommand has one report path.  Its ``_cmd_*`` function computes
 the values, formats each once (``format_rational``, ``decimal_string``) and
@@ -465,10 +466,10 @@ def _plain(argv: list[str]) -> Optional[SimpleNamespace]:
 
 
 @functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and each subcommand's own parser by name, built
-    from ``_COMMANDS`` once per process, on the first argv that ``_plain``
-    declines: parsing leaves them unchanged."""
+def _parsers() -> argparse.ArgumentParser:
+    """The top-level parser, with a subparser per subcommand, built from
+    ``_COMMANDS`` once per process, on the first argv that ``_plain``
+    declines: parsing leaves it unchanged."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -484,32 +485,17 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
             p.add_argument(*option.flags, dest=option.dest, default=option.default,
                            required=option.required, help=option.help, **kind)
         p.set_defaults(run=command.run)
-    return parser, sub.choices
-
-
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """argparse's reading of ``argv``.  What the subcommand's parser leaves
-    over is the top-level parser's usage error, as its ``parse_args``
-    reports it; an argv naming no subcommand ends in the top-level help or a
-    usage error.  Help and usage errors raise ``SystemExit``."""
-    parser, commands = _parsers()
-    command = commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    args, extras = command.parse_known_args(argv[1:])
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    return args
+    return parser
 
 
 def run(argv: list[str]) -> int:
     """Execute one CLI invocation; returns the process exit code.  An argv
     in the plain form is read by ``_plain`` alone; any other goes to
-    argparse (``_parse``), which prints help and usage errors."""
+    argparse (``_parsers``), which prints help and usage errors."""
     args = _plain(argv)
     if args is None:
         try:
-            args = _parse(argv)
+            args = _parsers().parse_args(argv)
         except SystemExit as exc:  # argparse handles usage errors and --help
             return int(exc.code or 0)
     try:

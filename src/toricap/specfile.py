@@ -17,8 +17,9 @@ surrounding spaces (``"-inf"`` is rejected).  Examples::
 Syntax errors report line and column; semantic errors report the offending
 field path.  The numbers of a list (an ellipsoid's axes, a polydisk's
 areas, a point list's coordinates) are read once, by the domain's
-constructor; only when that fails are they walked to name the first bad
-one by its path.  ``parse_domain(render_domain(d))`` returns a domain
+constructor; only when that fails does one walk (``_name_bad_number``),
+over the numbers or over the rows of numbers, name the first bad one by
+its path.  ``parse_domain(render_domain(d))`` returns a domain
 equal to ``d``.
 """
 
@@ -56,7 +57,7 @@ def _rational_list(raw: object, path: str, allow_infinite: bool = False) -> list
     if not isinstance(raw, list) or not raw:
         raise DomainFormatError(f"{path}: expected a nonempty list")
     if INF in raw:
-        _name_bad_item(raw, path, allow_infinite)
+        _name_bad_number(raw, path, allow_infinite=allow_infinite)
     return raw
 
 
@@ -72,23 +73,21 @@ def _point_list(raw: object, path: str) -> list:
         raise DomainFormatError(f"{path}: expected a nonempty list of points")
     for i, row in enumerate(raw):
         if not isinstance(row, list) or not row:
-            _name_bad_coordinate(raw[:i], path)
+            _name_bad_number(raw[:i], path, rows=True)
             raise DomainFormatError(f"{path}[{i}]: expected a nonempty coordinate list")
     return raw
 
 
-def _name_bad_item(items: list, path: str, allow_infinite: bool = False) -> None:
-    """Raise the ``_rational_field`` error of the first of ``items`` that
-    is no rational, in document order, if there is one."""
+def _name_bad_number(items: list, path: str, rows: bool = False,
+                     allow_infinite: bool = False) -> None:
+    """Raise the ``_rational_field`` error of the first number of ``items``
+    that is no rational, in document order, if there is one: ``items`` are
+    numbers, or with ``rows`` lists of finite numbers (a point list's)."""
     for i, item in enumerate(items):
-        _rational_field(item, f"{path}[{i}]", allow_infinite=allow_infinite)
-
-
-def _name_bad_coordinate(rows: list, path: str) -> None:
-    """Raise the ``_rational_field`` error of the first coordinate of
-    ``rows`` that is no rational, in document order, if there is one."""
-    for i, row in enumerate(rows):
-        _name_bad_item(row, f"{path}[{i}]")
+        if rows:
+            _name_bad_number(item, f"{path}[{i}]")
+        else:
+            _rational_field(item, f"{path}[{i}]", allow_infinite=allow_infinite)
 
 
 def _dimension_field(raw: object, path: str) -> int:
@@ -142,11 +141,9 @@ def parse_domain(text: str) -> ToricDomain:
             try:
                 return cls(*values)
             except (ValueError, TypeError, DimensionMismatch) as exc:
-                for (key, _, parse), value in zip(spec, values):  # a bad item names its path
-                    if parse is _point_list:
-                        _name_bad_coordinate(value, key)
-                    elif parse in (_rational_list, _axis_list):
-                        _name_bad_item(value, key, allow_infinite=parse is _axis_list)
+                for (key, _, parse), value in zip(spec, values):
+                    if isinstance(value, list):  # a list field's bad number names its path
+                        _name_bad_number(value, key, parse is _point_list, parse is _axis_list)
                 raise DomainFormatError(f"{kind}: {exc}") from None
     names = [name for name, _, _ in _KINDS]
     raise DomainFormatError(

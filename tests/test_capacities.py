@@ -1032,7 +1032,7 @@ TOTALS = 30
 
 
 def test_a_seed_never_changes_a_search():
-    # one call per c_k answers (c_k * denom, witness) in the capacity's own
+    # one run from k to k answers (c_k * denom, witness) in the capacity's own
     # terms, cold or from any seed: c_(k-1)'s witness, or any composition
     # of its sum, k - 1 on a hull and k + n - 2 with every entry >= 1 on a
     # staircase
@@ -1043,14 +1043,14 @@ def test_a_seed_never_changes_a_search():
         lift = int(domain.shape == "staircase")
         shapes.add((domain.shape, n))
         previous = capacity_at(domain, 1)
-        assert search(1) == (previous.value * denom, previous.witness), domain
+        assert search.run(1, 1)[0] == (previous.value * denom, previous.witness), domain
         for k in range(2, TOTALS + 1):
             result = capacity_at(domain, k)
             expected = (result.value * denom, result.witness)
             seeds = [previous.witness, (lift,) * (n - 1) + (k - 1,)]
             seeds += [tuple(e + lift for e in _composition(rng, n, k - 1 - lift)) for _ in range(2)]
             for seed in [None, *seeds]:
-                assert search(k, seed) == expected, (domain, k, seed)
+                assert search.run(k, k, seed)[0] == expected, (domain, k, seed)
             previous = result
     assert {n for _, n in shapes} == set(range(1, 7))
     assert {shape for shape, _ in shapes} == {"hull", "staircase"}

@@ -527,11 +527,11 @@ PATHS = ("d.json", "dir with space/d.json", "", "x=y", "–d.json")  # none begi
 
 
 def _argparse_reading(argv: list) -> dict:
-    """``vars`` of the namespace argparse's subcommand parser reads from
-    ``argv``, which must leave nothing over."""
-    args, extras = cli._parsers()[1][argv[0]].parse_known_args(argv[1:])
-    assert extras == [], argv
-    return vars(args)
+    """``vars`` of the namespace argparse's parser reads from ``argv``, but
+    the subcommand's name: ``parse_args`` exits on anything left over."""
+    args = vars(cli._parsers().parse_args(argv))
+    assert args.pop("command") == argv[0], argv
+    return args
 
 
 def _plain_argvs(seed: int, per_command: int) -> list:
@@ -562,11 +562,12 @@ def _plain_argvs(seed: int, per_command: int) -> list:
 def test_the_plain_reader_reads_what_argparse_reads():
     from test_golden import CASES, FORMATS, golden_argv
 
-    assert set(cli._parsers()[1]) == set(cli._COMMANDS)
     generated = _plain_argvs(35, 150)
     argvs = [golden_argv(case, fmt) for case in CASES for fmt in FORMATS] + generated
     for argv in argvs:
         assert vars(cli._plain(argv)) == _argparse_reading(argv), argv
+    # argparse's parser has every subcommand of the table, and no other
+    assert "{%s}" % ",".join(cli._COMMANDS) in cli._parsers().format_usage()
     # the corpus has every spelling of every option, repeats, and --oracle 0-2 times
     tokens = Counter(token for argv in generated for token in argv)
     flags = {flag for command in cli._COMMANDS.values() for o in command.options for flag in o.flags}
@@ -607,3 +608,55 @@ def test_the_plain_reader_reads_what_argparse_reads():
 ])
 def test_the_plain_reader_declines_every_other_argv(argv):
     assert cli._plain(argv) is None
+
+
+def test_no_workload_argv_reaches_argparse(tmp_path):
+    # argparse stays off the benchmark's path: the plain reader reads every
+    # CLI argv of the three workloads, as argparse would read it
+    from test_ab import _tool
+
+    tool = _tool()
+    assert tool.workload_names() == ["spectrum", "lattice_sweep", "single_query"]
+    for seed in (1, 7, 51):
+        for workload in tool.workload_names():
+            requests = tool.build(workload, seed, str(tmp_path / f"{workload}_{seed}"))
+            argvs = [request.argv for request in requests if request.argv is not None]
+            assert argvs, (workload, seed)
+            for argv in argvs:
+                plain = cli._plain(argv)
+                assert plain is not None and vars(plain) == _argparse_reading(argv), argv
+
+
+# For each of ``tools/ab.py``'s ``usage_argvs``, in order: its exit code,
+# the stream its text goes to, and the prog of the parser that writes it,
+# which begins a help's usage line and an error's last line.  None leaves
+# an exit code unfrozen where Python releases differ: how argparse reads
+# a ``--`` before the subcommand has changed between them.
+USAGE_ANSWERS = [
+    (2, "err", "toricap"), (2, "err", "toricap"),
+    (0, "out", "toricap"), (0, "out", "toricap"),
+    (0, "out", "toricap caps"), (0, "out", "toricap cube"), (0, "out", "toricap gromov"),
+    (0, "out", "toricap obstruct"), (0, "out", "toricap slope"),
+    (0, "out", "toricap lagrangian-bound"),
+    (2, "err", "toricap caps"), (2, "err", "toricap obstruct"), (2, "err", "toricap"),
+    (2, "err", "toricap"), (2, "err", "toricap caps"), (2, "err", "toricap caps"),
+    (2, "err", "toricap"), (2, "err", "toricap cube"),
+    (None, "err", "toricap"), (2, "err", "toricap lagrangian-bound"),
+]
+
+
+def test_the_usage_argvs_take_argparse_to_the_frozen_answers(capsys):
+    from test_ab import _tool
+
+    argvs = _tool().usage_argvs()
+    assert len(argvs) == len(USAGE_ANSWERS)
+    for argv, (code, stream, prog) in zip(argvs, USAGE_ANSWERS):
+        assert cli._plain(argv) is None, argv
+        got = run_cli(argv)
+        out, err = capsys.readouterr()
+        assert got == code or code is None, argv
+        if stream == "out":  # help
+            assert err == "" and out.startswith(f"usage: {prog} "), argv
+        else:  # a usage error: the parser's usage line, then "prog: error: ..."
+            assert out == "" and err.splitlines()[-1].startswith(f"{prog}: error: "), argv
+            assert err.startswith(f"usage: {prog} ") or code is None, argv

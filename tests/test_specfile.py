@@ -196,6 +196,7 @@ def test_other_infinities_are_rejected(axis, message):
         ('["x",1e400]', "a[0]: " + _CANNOT.format("x")),
         ('[Infinity,"x"]', 'a[0]: infinite JSON number rejected: write "inf"'),
         ('["0",["1"],"x"]', "a[1]: cannot interpret list as a rational"),
+        ('["inf",1e400]', 'a[1]: infinite JSON number rejected: write "inf"'),
     ],
 )
 def test_an_axis_list_names_its_first_bad_item(items, message):
@@ -212,6 +213,7 @@ def test_an_axis_list_names_its_first_bad_item(items, message):
                                "a Fraction, or a 'p/q' string"),
         ('["inf","x"]', "a[0]: infinity is not allowed here"),
         ('["-1",{},1e400]', "a[1]: cannot interpret dict as a rational"),
+        ('["inf",1e400]', "a[0]: infinity is not allowed here"),  # only an axis may be "inf"
     ],
 )
 def test_an_area_list_names_its_first_bad_item(items, message):
