@@ -1,87 +1,21 @@
 """The capacity sequence c_k of a toric domain.
 
-One table, ``_CLOSED_FORMS``, gives each domain kind that has a closed form
-its branch label and its formula for c_k, which checks its arguments by
-building that kind:
+``capacity_at`` gives one c_k, and ``capacity_sequence``, the one engine of
+sequences, gives c_1 .. c_K as a ``CapacitySequence``, which
+``product_capacities`` combines.  A kind with a closed form reads its
+branch label and formula from ``_CLOSED_FORMS``; any other is searched by
+its region's shape (see ``domains``).  One exact branch-and-bound,
+``_Search``, serves both shapes: a hull's c_k is the least max_w <v, w>
+over v in N^n with sum(v) = k; a staircase's is the greatest min_w <v, w>
+over v >= 1 with sum(v) = k + n - 1, which with u = v - 1 is minus the
+least max_w(-sum(w) + <u, -w>) over u in N^n with sum(u) = k - 1.  Its
+bounds (``_bounds``, ``_tail_game``) come from ``domains._game``, the one
+solver of matrix games, which also gives the diagonal.
 
-* ellipsoid: c_k is the k-th smallest positive-integer multiple among the
-  finite axes, counted with repetition.  With the axes scaled to integers
-  p_i over one common denominator, c_k is the least integer L with
-  sum_i floor(L / p_i) >= k, found by binary search, and a sequence is
-  every multiple m * p_i up to c_K, sorted;
-* polydisk (and cube): c_k = k * min(areas);
-* cylinder union: c_k = delta * (k + n - 1).
-
-The last two are arithmetic progressions in k, so a whole sequence is c_1
-and c_2 from the closed form, scaled to integers over one denominator and
-extended by their difference.  Either way a sequence stays integers over
-one denominator: the CLI formats them as they are, and a
-``CapacitySequence`` holds them, building one ``Fraction`` and one
-``CapacityResult`` per value only when its ``values`` are read.
-
-A kind without a closed form is searched by the shape of its region (see
-``domains``).  A hull's c_k is the least support value max_w <v, w> over
-v in N^n with sum(v) = k; a staircase's is the greatest anti-norm
-min_w <v, w> over v >= 1 with sum(v) = k + n - 1, which with u = v - 1 is
-minus the least max_w(-sum(w) + <u, -w>) over u in N^n with
-sum(u) = k - 1.  So one exact branch-and-bound finds the least
-max_w(d_w + <u, w>) over u in N^n with a given sum: a hull passes its rows
-and d = 0, a staircase its negated rows and d_w = -sum(w); ``_Search``
-alone makes that shift.  It runs depth-first over the leading coordinates
-and skips an entry whose bound over all completions cannot beat the
-incumbent.  That bound is linear in the entry, so a coordinate's loop ends
-once it fails at both ends, and otherwise jumps over a whole run of cut
-entries by one ceiling division.
-The search tries a last unit at each later coordinate, and solves the last
-two coordinates (e, R - e) only inside the window of e where every row
-stays below the incumbent: an empty window costs no search, and in a
-nonempty one a binary search on the objective, convex in e, takes
-O(m log R).
-
-Its bounds come from the matrix game of the rows against the coordinates,
-whose strategies ``domains._game`` returns: the one solver of matrix games,
-which also gives the diagonal.  Where the whole game plays every column it
-is the region's game, kept with the domain and played once for the
-diagonal and the search.  Three devices use them, all exact:
-
-* a surrogate row per level: a game gives integer weights y on the
-  rows, and a completion's value is at least its y-mix of the rows'
-  values over sum(y) (Glover's surrogate constraint; Geoffrion's
-  Lagrangean relaxation).  A node is cut once that mix exceeds the
-  incumbent less one, the values being integers.  With m rows, a tail of
-  at most 2m columns plays its own game and a wider one takes the whole
-  game's y.  A row constant over a tail where another varies gets no
-  weight: its per-row floor is already exact;
-* a root stop: the whole game's bound, rounded up, is at most the
-  optimum, so once the incumbent reaches it no further frame is taken;
-* one start: a seed u, a composition of sum - 1 given by its row values
-  d_w + <u, w>, starts the incumbent at F(h) + 1 for h the best of
-  u + e_j, while the witness stays (0, ..., 0, sum).  With no seed, u is
-  the game's column strategy times sum - 1, rounded by largest remainders.
-
-The search visits compositions in lexicographic order and keeps only
-strict improvements, so the witness is the lexicographically first
-optimizer and output is reproducible.  The rows, their tail minima and the
-weights are prepared once per domain, kept with it as ``_scaled`` is.
-
-``capacity_at`` reads the table and otherwise searches.  Every sequence
-comes from one engine, ``capacity_sequence``, and is one
-``CapacitySequence``: its integers c_k * denom, from the ellipsoid's
-multiples, a progression, or the search, with the witnesses and branch
-label of its records.  A searched sequence takes c_1 from
-``capacity_at`` and c_2 .. c_K from one run of the region's search on the
-domain's denominator, each k seeded with the row values of the witness
-before it: c_k and c_(k-1) are neighbouring lattice problems, and one unit
-added to the last optimizer is often optimal again.  The CLI formats the integers directly,
-and ``obstruct`` compares them.  The product combinator
-takes its min-plus convolution on the factors' integers, each rescaled to
-the lcm of their two denominators, and keeps its own the same way; a
-sequence built by hand from its records derives its integers from them
-once, so every factor takes that one path.  When either factor, with its
-c_0 = 0, is linear, c_i = i * s (a polydisk or a cube), the min-plus is
-k * s plus a prefix minimum of the other factor less j * s, one O(K)
-pass; any other pair of factors reads all O(K^2) pairs.  Every sequence
-passes one check, on its integers, that it is nondecreasing.
+A sequence stays integers over one denominator, ``_scaled``, from the
+engine to its readers: the CLI formats them as they are, and
+``embeddings.obstruct`` compares them.  Only ``CapacitySequence`` makes
+``Fraction``s and records of them, when its ``values`` are first read.
 """
 
 from __future__ import annotations
@@ -403,7 +337,8 @@ class _Search:
         * per row, its dot product plus r * min_{i>coord} w_i;
         * the surrogate row: the mix of those dot products by the tail
           game's integer weights y, plus r * min_{i>coord} <y, column i>,
-          over sum(y) (Glover's surrogate constraint).
+          over sum(y) (Glover's surrogate constraint; Geoffrion's
+          Lagrangean relaxation).
 
         Either is linear in the entry; once one excludes both this entry
         and the largest, the loop ends.  Otherwise the loop moves straight
@@ -420,16 +355,17 @@ class _Search:
         has no improving split and is not searched, so every pair solve
         improves the incumbent, keeping its row values b + e * s.
 
-        From n = 3 and a positive total the root game adds the root stop and
-        a starting incumbent F(h) + 1 whose witness stays (0, ..., 0,
-        total): h is the best of the seed's n one-unit extensions u + e_j,
-        each its row values plus column j, the seed being ``_rounded``'s
-        when none is given.  F(h) is at least the optimum, so a bound above
-        best - 1 = F(h) cuts no optimal completion, and an earlier
-        composition replaces the incumbent only by a strictly lower value.
-        Only strict improvements replace it and the order is lexicographic,
-        so the witness is the lexicographically first minimizer, whatever
-        the seed.
+        From n = 3 and a positive total the root game adds the root stop
+        (its surrogate bound, rounded up, is at most the optimum, so no
+        frame is taken once ``best`` reaches it) and a starting incumbent
+        F(h) + 1 whose witness stays (0, ..., 0, total): h is the best of
+        the seed's n one-unit extensions u + e_j, each its row values plus
+        column j, the seed being ``_rounded``'s when none is given.  F(h) is
+        at least the optimum, so a bound above best - 1 = F(h) cuts no
+        optimal completion, and an earlier composition replaces the
+        incumbent only by a strictly lower value.  Only strict improvements
+        replace it and the order is lexicographic, so the witness is the
+        lexicographically first minimizer, whatever the seed.
         """
         n, dots, cols = self.n, self.dots, self.cols
         vals = [d + total * c for d, c in zip(dots, self.last)]
@@ -577,8 +513,10 @@ def capacity_sequence(domain: ToricDomain, kmax: int) -> CapacitySequence:
     the progression through c_1 and c_2; its witnesses are None.
     A searched kind takes c_1 from ``capacity_at``, the one cold search,
     and c_2 .. c_kmax from one ``run`` of ``domain._search`` on the
-    domain's own denominator, seeded with c_1's witness.  The integers pass
-    the monotonicity check.
+    domain's own denominator, seeded with c_1's witness: c_k and c_(k-1)
+    are neighbouring lattice problems, and one unit added to the last
+    optimizer is often optimal again.  The integers pass the monotonicity
+    check.
     """
     positive_int(kmax, "kmax")
     if type(domain) in _CLOSED_FORMS:

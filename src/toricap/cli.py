@@ -10,46 +10,19 @@ Subcommands::
     toricap slope --domain d.json --kmax 40
     toricap lagrangian-bound --domain d.json
 
-Each subcommand's options are described once, in ``_COMMANDS``, and two
-readers are built from that table.  ``_plain`` reads an argv in the plain
-form ``SUBCOMMAND --opt VALUE ... [--flag]`` with no parser at all; it
-reads only argvs on which it gives what argparse would give, and declines
-every other.  Only a declined argv (help, a usage error, an abbreviation,
-``--opt=value``, an attached short value, ``--``, a value that begins with
-``-``) imports ``argparse``, builds its parser (``_parsers``, once per
-process) and goes to that parser's ``parse_args``, so argparse remains the
-one grammar, dispatches to the subcommand and writes every help and error
-message.  ``run`` keeps nothing parsed from one call to the next.
+``_COMMANDS`` describes each subcommand's options once.  ``run`` reads an
+argv in the plain form with ``_plain`` and hands every other to argparse
+(``_parsers``), which stays the one grammar and writes every help and
+usage error.  Each ``_cmd_*`` function computes its values, formats each
+once, and returns the table, CSV and JSON builders over those strings,
+with a flag for an oracle mismatch; ``_render`` runs only the requested
+one.  ``_rational_column`` and ``_decimal_column`` render the value
+columns, and ``_json`` all JSON text.
 
-Every subcommand has one report path.  Its ``_cmd_*`` function computes
-the values, formats each once (``format_rational``, ``decimal_string``) and
-returns three builders over those strings: the table text, the CSV rows and
-the JSON text, with a flag for an oracle mismatch.  ``_render`` alone
-reads the requested format and runs only that builder.  CSV rows are
-joined by ``,``, as no field needs quoting.  Tables are written from a
-report's columns, each padded once by ``str.ljust`` and each row joined
-and right-stripped.  All JSON text comes from the one ``_json`` helper,
-which fills each row into one template whose slots are set by each
-column's types: an all-``None`` column is a literal ``null``, an all-int
-column and an all-str column that needs no JSON escape (checked once on
-its joined text) are filled as they are, and any other column value by
-value.  ``caps`` works a column at a time on its ``capacity_sequence``'s
-integers over one denominator, with no record or ``Fraction`` per row,
-and reads the branch label once.  ``format_rational(value, denom)`` and
-``decimal_string(value, 20, denom)`` fill its value columns, one call per
-value, but a closed form's progression is written one residue class mod
-``denom`` at a time, from one call per class (``_rational_column``,
-``_decimal_column``).  Its ``--oracle`` column is computed first, so a K
-past the enumeration cap fails before any sequence is built.  ``obstruct``
-formats both sides of its report from their integers the same way and
-writes the per-k verdicts the report holds: no module but ``embeddings``
-compares the two sides.
-
-At module level this imports only what every subcommand uses: ``caps``
-imports ``capacities`` when it runs, and ``oracle`` only under
-``--oracle``, and ``embeddings`` imports ``capacities`` only in
-``obstruct`` and ``asymptotic_slope``, so ``cube``, ``gromov`` and
-``lagrangian-bound`` never load the lattice search.
+At module level this imports only what every subcommand uses, so
+``cube``, ``gromov`` and ``lagrangian-bound`` never load the lattice
+search: ``caps`` imports ``capacities`` when it runs, and ``oracle`` only
+under ``--oracle``.
 
 Exit codes: 0 success, 1 domain or semantic error (including an oracle
 mismatch under ``--oracle``, and a reader that closed stdout before the
@@ -78,7 +51,7 @@ from .embeddings import (
     obstruct,
 )
 from .errors import ToricapError
-from .rationals import decimal_string, format_rational, positive_int
+from .rationals import DECIMAL_DIGITS, decimal_string, format_rational, positive_int
 from .specfile import domain_to_jsonable, load_domain
 
 if TYPE_CHECKING:
@@ -128,25 +101,26 @@ def _rational_column(values: Sequence[int], denom: int) -> list[str]:
 
 
 def _decimal_tail(width: int, r: int, denom: int) -> Optional[str]:
-    """What ``decimal_string(x, 20, denom)`` writes after the integer part
+    """What ``decimal_string(x, denom=denom)`` writes after the integer part
     for every x = r (mod denom) whose quotient x // denom has ``width``
-    digits: below 20 the rounding falls on a fraction digit, so the least
-    such x shows it.  None for a quotient of 0 or of 20 digits or more, and
-    for a tail that rounds up into the integer part."""
-    if not 0 < width < 20:
+    digits: below ``DECIMAL_DIGITS`` the rounding falls on a fraction digit,
+    so the least such x shows it.  None for a quotient of 0 or of
+    ``DECIMAL_DIGITS`` digits or more, and for a tail that rounds up into
+    the integer part."""
+    if not 0 < width < DECIMAL_DIGITS:
         return None
     head = 10 ** (width - 1)
-    integer, dot, fraction = decimal_string(head * denom + r, 20, denom).partition(".")
+    integer, dot, fraction = decimal_string(head * denom + r, DECIMAL_DIGITS, denom).partition(".")
     return dot + fraction if integer == str(head) else None
 
 
 def _decimal_column(values: Sequence[int], denom: int) -> list[str]:
-    """``decimal_string(x, 20, denom)`` for each x of ``values``: in a class,
+    """``decimal_string(x, denom=denom)`` for each x of ``values``: in a class,
     each run of quotients x // denom of one width is those quotients and
     their ``_decimal_tail``, or is rendered one by one where it is None."""
     classes = _classes(values, denom)
     if classes is None:
-        return list(map(decimal_string, values, repeat(20), repeat(denom)))
+        return list(map(decimal_string, values, repeat(DECIMAL_DIGITS), repeat(denom)))
     column = [""] * len(values)
     for rows, same in classes:
         r, step = same.start % denom, same.step // denom
@@ -155,12 +129,12 @@ def _decimal_column(values: Sequence[int], denom: int) -> list[str]:
         while len(texts) < len(quotients):
             j = len(texts)
             q = quotients[j]
-            # 0 for a quotient of 0, and 20 for 10^19 and every quotient past it
-            width = len(str(q)) if 0 < q < 10**19 else min(q, 20)
-            end = len(quotients) if width == 20 else j - (q - 10**width) // step
+            # 0 for a quotient of 0, and DECIMAL_DIGITS from 10^(DECIMAL_DIGITS - 1) on
+            width = len(str(q)) if 0 < q < 10 ** (DECIMAL_DIGITS - 1) else min(q, DECIMAL_DIGITS)
+            end = len(quotients) if width == DECIMAL_DIGITS else j - (q - 10**width) // step
             tail = _decimal_tail(width, r, denom)
             if tail is None:
-                texts += map(decimal_string, same[j:end], repeat(20), repeat(denom))
+                texts += map(decimal_string, same[j:end], repeat(DECIMAL_DIGITS), repeat(denom))
             else:
                 texts += map(f"%d{tail}".__mod__, quotients[j:end])
         column[rows] = texts

@@ -1,44 +1,20 @@
-"""Toric domain descriptions and their exact geometric primitives.
+"""Toric domain kinds and the exact geometry of their regions.
 
-A toric domain lives in R^{2n} but is described entirely by its moment-map
-image, a region of the nonnegative orthant of R^n.  Each domain kind
-declares the ``shape`` of that description, and lists its ``points``:
+A toric domain is described by its moment-map image, a region of the
+nonnegative orthant of R^n.  Each kind declares the ``shape`` of that
+region and lists its ``points``: a ``"hull"`` is everything below their
+convex hull (``ConvexToricDomain``, ``Polydisk``, ``Cube``), a
+``"staircase"`` everything below the staircase they span
+(``ConcaveToricDomain``, ``CylinderUnion``, ``Ellipsoid``).  ``shape_of``
+is the one check that an argument is a toric domain.
 
-* ``"hull"`` -- everything below the convex hull of the points: a
-  ``ConvexToricDomain``, a ``Polydisk`` (the one point (a_1, ..., a_n)) or
-  a ``Cube`` (the one point (delta, ..., delta));
-* ``"staircase"`` -- everything below the staircase spanned by the points:
-  a ``ConcaveToricDomain``, a ``CylinderUnion`` (the one vertex
-  (delta, ..., delta)) or an ``Ellipsoid`` (the vertices a_i * e_i of its
-  finite axes: an infinite axis bounds nothing).
-
-Each kind keeps its points as integer rows over one common denominator,
-``_scaled``.
-``shape_of`` reads a domain's shape and is the one check that an argument
-is a toric domain (of the shape an operation needs).  The geometric
-evaluations the capacity formulas consume:
-
-* ``support_value`` -- max of <v, w> over a hull, evaluated at
-  nonnegative lattice vectors, where the max over the generator points is
-  exact;
-* ``antinorm_value`` -- min of <v, w> over a staircase boundary, evaluated
-  at strictly positive lattice vectors, where the min over the staircase
-  vertices is exact;
-* ``diagonal_intersection`` -- the largest t with (t, ..., t) inside the
-  region: the value of a matrix game, which ``_game`` solves as a small
-  linear program by an exact simplex, or for an ellipsoid a closed form;
-* ``scale_domain`` -- multiply the region by a positive rational.
-
-Every kind is a ``_Record``: an immutable value whose ``_fields`` are set
-once by its ``__init__``, which normalises and checks them; equality and
-hashing go by the kind and those fields, so ``Cube(2, 1)`` and
-``CylinderUnion(2, 1)`` differ.  That ``__init__`` is the one check of a
-kind's data.  A point set's reads each coordinate once, as an integer pair
-(``rational_pair``), and keeps only ``_scaled``: its field is a
-``cached_property`` of ``Fraction`` rows built from those integers.  The
-other kinds keep ``Fraction`` fields, and their integer caches, such as
-``_scaled``, are added later, to the instance dict.  Every function here
-is pure.
+Every kind is a ``_Record``, an immutable ``_Value`` whose ``__init__`` is
+the one check of a kind's data: ``scale_domain`` builds through it too.
+The engine reads the integer caches a domain keeps: ``_scaled`` (its
+points as integer rows over one denominator) and, built on first read,
+``_rows``, ``_region_game`` and ``_search``.  The region's evaluations are
+``support_value``, ``antinorm_value`` and ``diagonal_intersection``, and
+``_game`` is the one solver of matrix games.  Every function here is pure.
 """
 
 from __future__ import annotations
@@ -435,22 +411,14 @@ def _rescaled(value: object, factor: Fraction) -> object:
 
 
 def scale_domain(domain: ToricDomain, s: object) -> ToricDomain:
-    """Multiply the moment image by the positive rational s = p/q: every
-    rational field of the domain is scaled by s.  A point set's rows, over
-    denom, become the rows times p over denom times q, divided once by the
-    gcd of that denominator and every entry: the denominator its
-    constructor would pick, the lcm of the reduced coordinates'."""
+    """Multiply the moment image by the positive rational s: the kind's
+    constructor builds the result from its fields, every rational one
+    scaled by s."""
     shape_of(domain)
     factor = to_rational(s)
     if factor <= 0:
         raise ValueError(f"scale factor must be positive, got {factor}")
-    if not isinstance(domain, _PointSet):
-        return type(domain)(*(_rescaled(value, factor) for value in domain._values()))
-    denom, rows = domain._scaled
-    p, denom = factor.numerator, denom * factor.denominator
-    g = math.gcd(denom, *(a * p for row in rows for a in row))
-    scaled = tuple(tuple(a * p // g for a in row) for row in rows)
-    return type(domain)._from(_scaled=(denom // g, scaled))
+    return type(domain)(*(_rescaled(value, factor) for value in domain._values()))
 
 
 def diagonal_intersection(domain: ToricDomain) -> Fraction:

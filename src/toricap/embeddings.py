@@ -1,26 +1,14 @@
-"""Embedding-flavored quantities derived from the capacity sequence.
+"""Embedding-flavored quantities derived from the capacities and the
+diagonal: ``cube_capacity``, ``gromov_width``, ``obstruct``,
+``asymptotic_slope`` and ``lagrangian_lower_bound``.
 
-* cube capacity: the largest cube fitting symplectically into the domain,
-  which for convex/concave toric domains is exactly the diagonal
-  intersection of the moment image -- a small linear program solved by an
-  exact simplex in ``domains``, or a closed form for an ellipsoid (finite
-  even when an axis is infinite);
-* Gromov width of a staircase region (a concave domain, a cylinder union
-  or an ellipsoid): the anti-norm at (1, ..., 1);
-* pairwise obstruction reports: capacities are monotone under symplectic
-  embeddings, so c_k(source) > c_k(target) at any k rules the embedding
-  out (no conclusion in the other direction).  ``obstruct`` alone makes
-  that comparison, once per k, as integers over the two sequences'
-  denominators; the report keeps both sequences and the per-k verdicts,
-  and its rows are built from the sequences only when they are read;
-* asymptotic slope: c_k/k converges to the cube capacity, reported with
-  the finite-k bracket that forces the convergence;
-* Lagrangian capacity lower bound: the cube capacity again, since the
-  corner torus of an embedded cube is Lagrangian.
-
+Capacities are monotone under symplectic embeddings, so c_k(source) >
+c_k(target) at any k rules an embedding out; ``obstruct`` concludes
+nothing else.  For convex and concave toric domains the cube capacity is
+exactly the diagonal intersection, and it bounds the Lagrangian capacity
+below, since the corner torus of an embedded cube is Lagrangian.
 ``obstruct`` and ``asymptotic_slope`` import ``capacities`` when they run,
-so the scalar queries (cube, Gromov width, Lagrangian bound) never load
-the lattice search.
+so the scalar queries never load the lattice search.
 """
 
 from __future__ import annotations

@@ -96,8 +96,17 @@ def positive_int(value: object, what: str) -> int:
     return value
 
 
-def _bad_denom(denom: object) -> ValueError:
-    return ValueError(f"denom must be a positive integer, and 1 unless x is an int; got {denom!r}")
+def _alone(x: ExtendedRational, denom: object) -> str:
+    """The formatters' branch for an ``x`` without its ``denom``: "inf" for
+    ``math.inf``, else "" for the caller to render ``x`` itself."""
+    if type(denom) is not int or denom != 1:
+        raise ValueError(
+            f"denom must be a positive integer, and 1 unless x is an int; got {denom!r}"
+        )
+    if isinstance(x, (bool, float)):
+        to_rational(x, allow_infinite=True)  # rejects a bool and every float but math.inf
+        return "inf"
+    return ""
 
 
 def format_rational(x: ExtendedRational, denom: int = 1) -> str:
@@ -110,17 +119,16 @@ def format_rational(x: ExtendedRational, denom: int = 1) -> str:
     if type(x) is int and type(denom) is int and denom > 0:
         g = math.gcd(x, denom)
         return str(x // g) if g == denom else f"{x // g}/{denom // g}"
-    if type(denom) is not int or denom != 1:
-        raise _bad_denom(denom)
-    if isinstance(x, (bool, float)):
-        to_rational(x, allow_infinite=True)  # rejects a bool and every float but math.inf
-        return "inf"
-    return str(x)
+    return _alone(x, denom) or str(x)
 
+
+#: The significant digits of every decimal the package writes: the
+#: default of ``decimal_string``, on which the CLI's column renderer rests.
+DECIMAL_DIGITS = 20
 
 # Shared by every call: divisions set its Inexact and Rounded flags, but
 # neither is trapped, so no result depends on them.
-_DECIMAL_CONTEXT = Context(prec=20, rounding=ROUND_HALF_EVEN)
+_DECIMAL_CONTEXT = Context(prec=DECIMAL_DIGITS, rounding=ROUND_HALF_EVEN)
 
 #: The most significant digits ``decimal_string`` renders: far past any
 #: use, and far below ``decimal.MAX_PREC``, whose divisions would run for
@@ -128,7 +136,7 @@ _DECIMAL_CONTEXT = Context(prec=20, rounding=ROUND_HALF_EVEN)
 MAX_DIGITS = 10_000
 
 
-def decimal_string(x: ExtendedRational, digits: int = 20, denom: int = 1) -> str:
+def decimal_string(x: ExtendedRational, digits: int = DECIMAL_DIGITS, denom: int = 1) -> str:
     """Decimal rendering with ``digits`` significant digits, round-half-even.
 
     ``digits`` is a positive int of at most ``MAX_DIGITS``.  The division
@@ -139,7 +147,7 @@ def decimal_string(x: ExtendedRational, digits: int = 20, denom: int = 1) -> str
     rounded quotient and its ideal exponent 0 depend only on the value).
     Any other ``denom`` raises ``ValueError``.
     """
-    if digits == 20 and type(digits) is int:
+    if digits == DECIMAL_DIGITS and type(digits) is int:
         ctx = _DECIMAL_CONTEXT
     elif positive_int(digits, "digits") > MAX_DIGITS:
         raise ValueError(f"digits must be a positive integer at most {MAX_DIGITS}, got {digits}")
@@ -147,10 +155,5 @@ def decimal_string(x: ExtendedRational, digits: int = 20, denom: int = 1) -> str
         ctx = Context(prec=digits, rounding=ROUND_HALF_EVEN)
     if type(x) is int and type(denom) is int and denom > 0:
         return ctx.to_sci_string(ctx.divide(x, denom))
-    if type(denom) is not int or denom != 1:
-        raise _bad_denom(denom)
-    if isinstance(x, (bool, float)):
-        to_rational(x, allow_infinite=True)  # rejects a bool and every float but math.inf
-        return "inf"
     # Context.divide converts the integer operands exactly
-    return ctx.to_sci_string(ctx.divide(*x.as_integer_ratio()))
+    return _alone(x, denom) or ctx.to_sci_string(ctx.divide(*x.as_integer_ratio()))

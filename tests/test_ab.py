@@ -11,6 +11,7 @@ are only imported, never changed.
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import importlib.util
 import io
@@ -260,15 +261,31 @@ def test_an_exception_names_the_tree_and_the_argv(tmp_path):
 
 
 def test_the_line_counts_give_the_net_change(tmp_path):
+    """The first line counts lines as ``wc -l`` does, the second the code
+    statements: every ``ast.stmt`` but the docstrings."""
     tool = _tool()
-    same = tool.line_counts((SRC, SRC))
-    total = sum(len(path.read_text(encoding="utf-8").splitlines())
-                for path in (SRC / "toricap").glob("*.py"))
+    same, same_statements = tool.line_counts((SRC, SRC)).splitlines()
+    paths = list((SRC / "toricap").glob("*.py"))
+    total = sum(len(path.read_text(encoding="utf-8").splitlines()) for path in paths)
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in paths]
+    code = sum(isinstance(node, ast.stmt) for tree in trees for node in ast.walk(tree)) - sum(
+        ast.get_docstring(node, clean=False) is not None
+        for tree in trees for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+    )
     assert same == f"src/toricap lines: parent {total}, change {total}, net +0"
+    assert same_statements == f"src/toricap statements: parent {code}, change {code}, net +0"
     parse = "    args = _plain(argv)\n"  # the first line of cli.run
     copy = _edited_copy(tmp_path, "cli.py", parse, "", 1)
-    assert tool.line_counts((SRC, copy)).endswith(f"change {total - 1}, net -1")
-    assert tool.line_counts((copy, SRC)).endswith("net +1")
+    lines, statements = tool.line_counts((SRC, copy)).splitlines()
+    assert lines.endswith(f"change {total - 1}, net -1")
+    assert statements.endswith(f"change {code - 1}, net -1")
+    assert tool.line_counts((copy, SRC)).splitlines()[0].endswith("net +1")
+    # a docstring is a line, not a statement
+    main = "def main() -> None:\n"
+    documented = _edited_copy(tmp_path / "doc", "cli.py", main, f'{main}    """Run."""\n', 1)
+    lines, statements = tool.line_counts((SRC, documented)).splitlines()
+    assert lines.endswith("net +1") and statements.endswith("net +0")
 
 
 def test_src_against_itself_gives_identical_outputs(monkeypatch, tmp_path):

@@ -149,10 +149,10 @@ def test_point_sets_read_their_coordinates_once_into_the_rows_of_their_points():
 
 
 def test_scaling_a_point_set_gives_what_its_constructor_gives():
-    """``scale_domain`` scales a point set's integer rows directly, and gets
-    the domain its constructor builds from the scaled points: equal, with
-    the same denominator and rows, print and hash, also where the factor
-    cancels denominators or every coordinate is 0."""
+    """``scale_domain`` gives a point set the domain its constructor builds
+    from the scaled points: equal, with the same denominator and rows,
+    print and hash, also where the factor cancels denominators or every
+    coordinate is 0."""
     rng = random.Random(1706)
     cases = [*_seeded_point_sets(1707, 60), (ConvexToricDomain, ((0, 0),)),
              (ConcaveToricDomain, ((F(4, 3), 0), (0, F(2, 9))))]
@@ -375,6 +375,36 @@ def test_scale_domain_rejects_nonpositive():
         scale_domain(Cube(2, 1), 0)
     with pytest.raises(ValueError):
         scale_domain(Cube(2, 1), F(-1, 2))
+
+
+@pytest.mark.parametrize(
+    "domain, built",
+    [
+        (Ellipsoid((1, "inf", F(2, 3))), Ellipsoid((F(3, 2), "inf", 1))),
+        (Polydisk((2, F(1, 3))), Polydisk((3, F(1, 2)))),
+        (Cube(3, F(2, 5)), Cube(3, F(3, 5))),
+        (CylinderUnion(2, 4), CylinderUnion(2, 6)),
+        (ConvexToricDomain(((1, 0), (F(1, 3), 2))),
+         ConvexToricDomain(((F(3, 2), 0), (F(1, 2), 3)))),
+        (ConcaveToricDomain(((4, 0), (0, F(2, 9)))), ConcaveToricDomain(((6, 0), (0, F(1, 3))))),
+    ],
+    ids=lambda d: type(d).__name__,
+)
+def test_scale_domain_builds_through_the_constructor(monkeypatch, domain, built):
+    """``scale_domain`` calls the kind's ``__init__`` exactly once, and
+    gives the domain built directly from the scaled data."""
+    kind, init, calls = type(domain), type(domain).__init__, []
+
+    def counted(self, *args):
+        calls.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(kind, "__init__", counted)
+    scaled = scale_domain(domain, F(3, 2))
+    monkeypatch.undo()
+    assert len(calls) == 1
+    assert type(scaled) is kind and scaled == built and hash(scaled) == hash(built)
+    assert scaled._scaled == built._scaled and str(scaled) == str(built)
 
 
 @given(convex_with_vectors(), positive_fractions_st)

@@ -27,11 +27,11 @@ below runs on both in turn through ``call``; their answers must be equal.
   branch of ``capacity_at`` for each k = 1..K and of each record of
   ``capacity_sequence`` up to K, and ``diagonal_intersection``.
 
-The script prints the counts, each tree's ``toricap`` line count with the
-change's net difference (``line_counts``), and every request that
-differs, with both trees' stderr where that differs, and exits 1 if any
-does; an exception out of a tree stops it, naming the tree and the
-request.  While the answers are compared, each tree's brute-force oracle
+The script prints the counts, each tree's ``toricap`` line and code
+statement counts with the change's net differences (``line_counts``), and
+every request that differs, with both trees' stderr where that differs,
+and exits 1 if any does; an exception out of a tree stops it, naming the
+tree and the request.  While the answers are compared, each tree's brute-force oracle
 is memoized, as the three formats of an ``--oracle`` argv ask it the same
 values; it is restored before any timing.  Only when WORKLOAD is named and nothing
 differs does it time that workload's requests: each runs REPEATS times on
@@ -581,14 +581,27 @@ def deep_report(trees: tuple, repeats: int) -> str:
     return "\n".join(lines)
 
 
-def line_counts(srcs: tuple) -> str:
-    """Each tree's lines in its ``toricap`` package, as ``wc -l`` counts
-    them in its ``.py`` files, and the change's net difference."""
-    parent, change = (
-        sum(path.read_bytes().count(b"\n") for path in (Path(src) / "toricap").glob("*.py"))
-        for src in srcs
+def _statements(path: Path) -> int:
+    """The code statements of one module: its ``ast.stmt`` nodes but the
+    constant expression statements, which are its docstrings."""
+    return sum(
+        isinstance(node, ast.stmt)
+        and not (isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant))
+        for node in ast.walk(ast.parse(path.read_bytes()))
     )
-    return f"src/toricap lines: parent {parent}, change {change}, net {change - parent:+d}"
+
+
+def line_counts(srcs: tuple) -> str:
+    """Two lines: each tree's lines in its ``toricap`` package, as ``wc -l``
+    counts them in its ``.py`` files, then its code statements
+    (``_statements``), each with the change's net difference."""
+    lines = []
+    for name, count in (("lines", lambda path: path.read_bytes().count(b"\n")),
+                        ("statements", _statements)):
+        parent, change = (sum(map(count, (Path(src) / "toricap").glob("*.py"))) for src in srcs)
+        lines.append(f"src/toricap {name}: parent {parent}, change {change}, "
+                     f"net {change - parent:+d}")
+    return "\n".join(lines)
 
 
 def workload_names() -> list[str]:
